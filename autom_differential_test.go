@@ -2,15 +2,21 @@ package flux
 
 // Differential testing of the merged path automaton: random query
 // batches (disjoint, overlapping, and identical-signature mixes) run
-// through automaton dispatch (mux.NewSelective), the per-group trie
-// walk it replaced (mux.NewSelectiveGrouped), and naive all-fanout
-// (mux.New). The two selective paths must agree exactly — stream error,
-// per-query errors, output bytes, and SkippedEvents — and both must
-// reproduce all-fanout's output byte for byte wherever the queries
-// succeed.
+// through automaton dispatch (mux.NewSelective) against three
+// references. Naive all-fanout (mux.New) is the output oracle: byte
+// equality wherever the queries succeed. A machine prebuilt the
+// executor's way and installed with SetMachine must agree with the
+// fresh build exactly — stream error, per-query errors, output bytes,
+// and SkippedEvents. And each query's solo routed run (Query.Run:
+// scanner pruning plus one session, no mux) is the per-query reference:
+// same error-ness, same output bytes, and the batch never delivers a
+// query more tokens than its solo run saw. The skip arithmetic itself
+// is pinned by internal/autom's hand-computed unit tests.
 
 import (
+	"errors"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -76,10 +82,11 @@ func genQueryBatch(r *rand.Rand, schema *dtd.Schema) []*Query {
 	return qs
 }
 
-// prebuiltMachine compiles the batch's merged automaton the way the
-// executor's cache does — distinct group keys in sorted order — so the
-// differential also covers the SetMachine installation path.
-func prebuiltMachine(qs []*Query) *autom.Machine {
+// newInstalledMux returns a constructor for selective muxes routing by
+// a machine prebuilt the way the executor's cache builds it — distinct
+// group keys in sorted order — and installed with SetMachine, so the
+// differential also covers that installation path.
+func newInstalledMux(qs []*Query) func() *mux.Mux {
 	seen := make(map[string]bool)
 	var groups []autom.Group
 	for _, q := range qs {
@@ -90,51 +97,86 @@ func prebuiltMachine(qs []*Query) *autom.Machine {
 		seen[key] = true
 		groups = append(groups, autom.Group{Key: key, Sig: q.plan.Signature()})
 	}
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groups[j].Key < groups[j-1].Key; j-- {
-			groups[j], groups[j-1] = groups[j-1], groups[j]
-		}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
+	mach := autom.Build(groups)
+	return func() *mux.Mux {
+		m := mux.NewSelective()
+		m.SetMachine(mach)
+		return m
 	}
-	return autom.Build(groups)
 }
 
-// checkAutomatonAgainst compares an automaton run against the grouped
-// selective run (exact agreement, including skip counts) and the
-// all-fanout run (byte equality wherever both succeeded; an automaton
-// success never hides an output difference).
-func checkAutomatonAgainst(t *testing.T, label string, auto, grouped, all batchRun) {
+// checkAgainstOracle compares an automaton run with the all-fanout run:
+// byte equality wherever both succeeded (an automaton success never
+// hides an output difference).
+func checkAgainstOracle(t *testing.T, label string, auto, all batchRun) {
 	t.Helper()
-	if (auto.err != nil) != (grouped.err != nil) {
-		t.Fatalf("%s: stream error disagreement: automaton %v, grouped %v", label, auto.err, grouped.err)
+	if all.err != nil || auto.err != nil {
+		return
 	}
-	for i := range auto.results {
-		ar, gr := auto.results[i], grouped.results[i]
-		if (ar.Err != nil) != (gr.Err != nil) {
-			t.Fatalf("%s: query %d error disagreement: automaton %v, grouped %v", label, i, ar.Err, gr.Err)
-		}
-		if auto.outs[i] != grouped.outs[i] {
-			t.Fatalf("%s: query %d output differs from grouped routing\nautomaton: %q\ngrouped:   %q",
-				label, i, auto.outs[i], grouped.outs[i])
-		}
-		// The automaton reproduces the per-group walk's skip accounting
-		// exactly (the ISSUE's ≥ bound holds as equality by construction;
-		// a drop below would mean the automaton delivered extra events).
-		if ar.SkippedEvents != gr.SkippedEvents {
-			t.Fatalf("%s: query %d skipped %d events under the automaton, %d under grouped routing",
-				label, i, ar.SkippedEvents, gr.SkippedEvents)
-		}
-		if all.err == nil && auto.err == nil && ar.Err == nil && all.results[i].Err == nil {
-			if auto.outs[i] != all.outs[i] {
-				t.Fatalf("%s: query %d output differs from all-fanout\nautomaton:  %q\nall-fanout: %q",
-					label, i, auto.outs[i], all.outs[i])
-			}
+	for i, ar := range auto.results {
+		if ar.Err == nil && all.results[i].Err == nil && auto.outs[i] != all.outs[i] {
+			t.Fatalf("%s: query %d output differs from all-fanout\nautomaton:  %q\nall-fanout: %q",
+				label, i, auto.outs[i], all.outs[i])
 		}
 	}
 }
 
-// TestAutomatonDifferential is the tentpole's backbone: N random query
+// checkInstalledMachine compares a run over a SetMachine-installed
+// automaton with the run that built its own: the two must agree on
+// every observable, skip counts included.
+func checkInstalledMachine(t *testing.T, label string, installed, fresh batchRun) {
+	t.Helper()
+	if (installed.err != nil) != (fresh.err != nil) {
+		t.Fatalf("%s: stream error disagreement: installed %v, fresh %v", label, installed.err, fresh.err)
+	}
+	for i := range installed.results {
+		ir, fr := installed.results[i], fresh.results[i]
+		if (ir.Err != nil) != (fr.Err != nil) {
+			t.Fatalf("%s: query %d error disagreement: installed %v, fresh %v", label, i, ir.Err, fr.Err)
+		}
+		if installed.outs[i] != fresh.outs[i] {
+			t.Fatalf("%s: query %d output differs\ninstalled: %q\nfresh:     %q",
+				label, i, installed.outs[i], fresh.outs[i])
+		}
+		if ir.SkippedEvents != fr.SkippedEvents {
+			t.Fatalf("%s: query %d skipped %d events on the installed machine, %d on the fresh one",
+				label, i, ir.SkippedEvents, fr.SkippedEvents)
+		}
+	}
+}
+
+// checkAgainstSolo compares each query of an automaton run with its
+// solo routed run over the same document. A batch that hit malformed
+// XML is not compared: the batch scanner tokenizes regions the solo
+// scan, pruning by one signature only, consumes raw and never checks.
+func checkAgainstSolo(t *testing.T, label string, auto batchRun, qs []*Query, doc string) {
+	t.Helper()
+	var syn *sax.SyntaxError
+	if errors.As(auto.err, &syn) {
+		return
+	}
+	for i, q := range qs {
+		var out strings.Builder
+		st, err := q.Run(strings.NewReader(doc), &out, Options{})
+		ar := auto.results[i]
+		if (ar.Err != nil) != (err != nil) {
+			t.Fatalf("%s: query %d error disagreement: batch %v, solo %v", label, i, ar.Err, err)
+		}
+		if auto.outs[i] != out.String() {
+			t.Fatalf("%s: query %d output differs from its solo run\nbatch: %q\nsolo:  %q",
+				label, i, auto.outs[i], out.String())
+		}
+		if ar.Stats.Tokens > st.Tokens {
+			t.Fatalf("%s: query %d was delivered %d tokens in the batch, %d solo; routing must not deliver more",
+				label, i, ar.Stats.Tokens, st.Tokens)
+		}
+	}
+}
+
+// TestAutomatonDifferential is the routing backbone: N random query
 // batches per fuzz schema, each over several random valid documents,
-// through all three dispatch paths.
+// against all three references.
 func TestAutomatonDifferential(t *testing.T) {
 	const batchesPerSchema = 40
 	const docsPerBatch = 2
@@ -151,21 +193,15 @@ func TestAutomatonDifferential(t *testing.T) {
 			for d := 0; d < docsPerBatch; d++ {
 				doc := dtd.RandomDocument(schema, int64(seed*107+d), dtd.GenOptions{})
 				label := t.Name()
-				all := runQueryBatch(mux.New, qs, doc)
-				grouped := runQueryBatch(mux.NewSelectiveGrouped, qs, doc)
 				auto := runQueryBatch(mux.NewSelective, qs, doc)
-				checkAutomatonAgainst(t, label, auto, grouped, all)
+				checkAgainstOracle(t, label, auto, runQueryBatch(mux.New, qs, doc))
+				checkAgainstSolo(t, label, auto, qs, doc)
 				// Every other document: the executor's cache path — a
 				// machine prebuilt from sorted distinct keys and installed
 				// via SetMachine must route identically to the fresh build.
 				if d%2 == 1 {
-					mach := prebuiltMachine(qs)
-					installed := runQueryBatch(func() *mux.Mux {
-						m := mux.NewSelective()
-						m.SetMachine(mach)
-						return m
-					}, qs, doc)
-					checkAutomatonAgainst(t, label+" (SetMachine)", installed, grouped, all)
+					installed := runQueryBatch(newInstalledMux(qs), qs, doc)
+					checkInstalledMachine(t, label+" (SetMachine)", installed, auto)
 				}
 			}
 		}
@@ -178,10 +214,12 @@ func TestAutomatonDifferential(t *testing.T) {
 
 // FuzzAutomatonDispatch fuzzes the document bytes under seeded query
 // batches: whatever the input — malformed XML included — automaton
-// dispatch must agree exactly with grouped selective routing, and must
-// match all-fanout output wherever both succeed (all-fanout tokenizes
-// regions the selective paths prune, so it may legitimately catch
-// malformations they never see).
+// dispatch must match all-fanout output wherever both succeed
+// (all-fanout tokenizes regions selective routing prunes, so it may
+// legitimately catch malformations the automaton run never sees), must
+// not depend on whether its machine was built or installed, and must
+// agree with every query's solo run wherever the batch scan saw
+// well-formed input.
 func FuzzAutomatonDispatch(f *testing.F) {
 	for si := range fuzzSchemas {
 		schema := dtd.MustParse(fuzzSchemas[si])
@@ -199,9 +237,10 @@ func FuzzAutomatonDispatch(f *testing.F) {
 		if qs == nil {
 			t.Skip()
 		}
-		all := runQueryBatch(mux.New, qs, doc)
-		grouped := runQueryBatch(mux.NewSelectiveGrouped, qs, doc)
 		auto := runQueryBatch(mux.NewSelective, qs, doc)
-		checkAutomatonAgainst(t, "fuzz", auto, grouped, all)
+		checkAgainstOracle(t, "fuzz", auto, runQueryBatch(mux.New, qs, doc))
+		installed := runQueryBatch(newInstalledMux(qs), qs, doc)
+		checkInstalledMachine(t, "fuzz (SetMachine)", installed, auto)
+		checkAgainstSolo(t, "fuzz", auto, qs, doc)
 	})
 }

@@ -250,11 +250,10 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkSelectiveFanout measures event routing for a wide batch of
 // narrow, disjoint-path queries: every event fanned to every query
-// (all), signature-routed delivery by per-group trie walks (selective),
-// and merged-automaton dispatch (automaton, the serving default).
+// (all) and merged-automaton dispatch (automaton, the serving path).
 // events-per-query is the average number of SAX events delivered to
 // each query — the quantity selective routing shrinks; outputs are
-// identical in every mode.
+// identical in both modes.
 func BenchmarkSelectiveFanout(b *testing.B) {
 	doc := benchDocument(b)
 	queries := make([]*Query, len(xmark.FanoutQueries))
@@ -270,8 +269,8 @@ func BenchmarkSelectiveFanout(b *testing.B) {
 
 // BenchmarkSharedPrefixFanout is BenchmarkSelectiveFanout over the
 // 64-query shared-prefix batch (every query iterating
-// /site/people/person): the shape where the merged automaton's
-// one-traversal dispatch wins over per-group walks.
+// /site/people/person): the shape where one automaton traversal serves
+// many routing groups at once.
 func BenchmarkSharedPrefixFanout(b *testing.B) {
 	doc := benchDocument(b)
 	texts := xmark.SharedPrefixQueries(64)
@@ -323,7 +322,6 @@ type fanoutMode struct {
 func benchFanout(b *testing.B, doc string, queries []*Query) {
 	benchFanoutModes(b, doc, queries, []fanoutMode{
 		{"all", mux.New},
-		{"selective", mux.NewSelectiveGrouped},
 		{"automaton", mux.NewSelective},
 	})
 }

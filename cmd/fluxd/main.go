@@ -17,7 +17,7 @@
 //
 // Flags: [-addr :8700] [-window 2ms] [-max-batch 16] [-attrs] [-query-cache 256]
 // [-admin] [-batch-buffer-budget 0] [-max-scans-per-doc 0]
-// [-max-resident-buffer 0] [-all-fanout] [-shard-id -1] [-advertise addr]
+// [-max-resident-buffer 0] [-shard-id -1] [-advertise addr]
 // [-stream-doc name=dtdpath ...] [-tail doc=path ...]
 //
 // Endpoints:
@@ -73,7 +73,7 @@
 // Concurrent requests for the same document that arrive within -window
 // of each other (or up to -max-batch of them) execute in a single pass
 // of that document; events are routed so each query is delivered only
-// the subtrees its projected paths can match (disable with -all-fanout).
+// the subtrees its projected paths can match.
 // A batch whose summed predicted peak buffer bytes exceed
 // -batch-buffer-budget is split into sequential scans, and every scan is
 // admitted against -max-scans-per-doc / -max-resident-buffer, queueing
@@ -126,7 +126,6 @@ type config struct {
 	batchBudget int64  // cap on a scan's summed predicted buffer bytes (0 = unlimited)
 	maxScansDoc int    // admission: concurrent scans per document (0 = unlimited)
 	maxResident int64  // admission: total resident predicted buffer bytes (0 = unlimited)
-	allFanout   bool   // disable selective fan-out
 	parGroups   bool   // parallel per-group evaluation on shared scans
 	shardID     int    // shard identity asserted at /shardz (-1 = standalone)
 	advertise   string // reachable address reported at /shardz
@@ -148,9 +147,9 @@ func buildConfig(dtdFile, docFile, docroot string, window time.Duration, maxBatc
 	cfg := config{
 		window: window, maxBatch: maxBatch, attrs: attrs, cacheCap: cacheCap, admin: admin,
 		batchBudget: sched.batchBudget, maxScansDoc: sched.maxScansDoc,
-		maxResident: sched.maxResident, allFanout: sched.allFanout,
-		parGroups: sched.parallelGroups,
-		shardID:   id.shardID, advertise: id.advertise,
+		maxResident: sched.maxResident,
+		parGroups:   sched.parallelGroups,
+		shardID:     id.shardID, advertise: id.advertise,
 	}
 	if sched.batchBudget < 0 {
 		return cfg, fmt.Errorf("-batch-buffer-budget must be non-negative (0 = unlimited), got %d", sched.batchBudget)
@@ -257,7 +256,6 @@ type schedConfig struct {
 	batchBudget    int64
 	maxScansDoc    int
 	maxResident    int64
-	allFanout      bool
 	parallelGroups bool
 }
 
@@ -301,8 +299,7 @@ func main() {
 		batchBudget = flag.Int64("batch-buffer-budget", 0, "cap on one scan's summed predicted peak buffer bytes; over-budget batches split into sequential scans (0 = unlimited)")
 		maxScansDoc = flag.Int("max-scans-per-doc", 0, "admission control: concurrent scans per document; excess scans queue (0 = unlimited)")
 		maxResident = flag.Int64("max-resident-buffer", 0, "admission control: total predicted resident buffer bytes across all scans; excess scans queue (0 = unlimited)")
-		allFanout   = flag.Bool("all-fanout", false, "deliver every scan event to every query instead of routing by projected-path signature (restores full per-query DTD validation)")
-		parGroups   = flag.Bool("parallel-groups", false, "evaluate a shared scan's event-routing groups on a worker pool (one worker per GOMAXPROCS core) instead of inline on the scan goroutine; results are identical, wall-clock drops on multicore hosts (no effect at GOMAXPROCS=1 or with -all-fanout)")
+		parGroups   = flag.Bool("parallel-groups", false, "evaluate a shared scan's event-routing groups on a worker pool (one worker per GOMAXPROCS core) instead of inline on the scan goroutine; results are identical, wall-clock drops on multicore hosts (no effect at GOMAXPROCS=1)")
 
 		shardID   = flag.Int("shard-id", -1, "shard index this worker asserts at /shardz, for fluxrouter supervision (-1 = standalone)")
 		advertise = flag.String("advertise", "", "reachable base URL reported at /shardz, when the listen address is not routable as written")
@@ -318,7 +315,6 @@ func main() {
 		batchBudget:    *batchBudget,
 		maxScansDoc:    *maxScansDoc,
 		maxResident:    *maxResident,
-		allFanout:      *allFanout,
 		parallelGroups: *parGroups,
 	}, shardConfig{shardID: *shardID, advertise: *advertise}, streamFlags{streamDocs: streamDocs, tails: tails})
 	if err != nil {

@@ -45,12 +45,11 @@ func newServer(cfg config) (*shard.Server, error) {
 		}
 	}
 	ex, err := flux.NewExecutor(cat, flux.ExecutorOptions{
-		Window:                 cfg.window,
-		MaxBatch:               cfg.maxBatch,
-		AttrsToSubelements:     cfg.attrs,
-		BatchBufferBudget:      cfg.batchBudget,
-		DisableSelectiveFanout: cfg.allFanout,
-		ParallelGroups:         cfg.parGroups,
+		Window:             cfg.window,
+		MaxBatch:           cfg.maxBatch,
+		AttrsToSubelements: cfg.attrs,
+		BatchBufferBudget:  cfg.batchBudget,
+		ParallelGroups:     cfg.parGroups,
 	})
 	if err != nil {
 		return nil, err

@@ -621,33 +621,6 @@ func TestServerSchedulingStats(t *testing.T) {
 	}
 }
 
-// TestServerAllFanoutFlag: with allFanout set, every query sees every
-// event and events_skipped stays zero.
-func TestServerAllFanoutFlag(t *testing.T) {
-	dir := t.TempDir()
-	docPath := writeDocPair(t, dir, "bib", serverDoc)
-	s, err := newServer(config{
-		docs:      []shard.DocSpec{{Name: "bib", DocPath: docPath, DTDPath: filepath.Join(dir, "bib.dtd")}},
-		window:    time.Millisecond,
-		maxBatch:  16,
-		allFanout: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-
-	resp, _ := postQuery(t, ts.URL+"/query",
-		`<out> { for $b in /bib/book return <t> {$b/title} </t> } </out>`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status = %d", resp.StatusCode)
-	}
-	if st := s.Executor().Stats()["bib"]; st.EventsSkipped != 0 {
-		t.Fatalf("events_skipped = %d with all-fanout, want 0", st.EventsSkipped)
-	}
-}
-
 // TestSchedulingFlagValidation: the scheduling and admission flags are
 // validated at startup like everything else.
 func TestSchedulingFlagValidation(t *testing.T) {
@@ -662,7 +635,7 @@ func TestSchedulingFlagValidation(t *testing.T) {
 		{"negative budget", schedConfig{batchBudget: -1}, "-batch-buffer-budget"},
 		{"negative scans per doc", schedConfig{maxScansDoc: -1}, "-max-scans-per-doc"},
 		{"negative resident", schedConfig{maxResident: -1}, "-max-resident-buffer"},
-		{"ok limits", schedConfig{batchBudget: 1 << 20, maxScansDoc: 4, maxResident: 1 << 24, allFanout: true}, ""},
+		{"ok limits", schedConfig{batchBudget: 1 << 20, maxScansDoc: 4, maxResident: 1 << 24}, ""},
 	}
 	for _, tc := range cases {
 		_, err := buildConfig(dtdPath, docPath, "", time.Millisecond, 16, 0, false, false, tc.sched, shardConfig{shardID: -1}, streamFlags{})

@@ -33,12 +33,9 @@ import (
 // rest). Routing decisions are made by one merged path automaton per
 // batch (internal/autom), compiled once per distinct (document,
 // signature-set) pair and cached until the document is swapped —
-// DocStats.AutomatonHits counts cache reuse. Set
-// ExecutorOptions.GroupRouting to route by per-group signature walks
-// instead (identical results, one trie cursor per group), or
-// ExecutorOptions.DisableSelectiveFanout to deliver every event to
-// every query, which also restores full per-query DTD validation of
-// subtrees a query ignores.
+// DocStats.AutomatonHits counts cache reuse. The interior of a subtree
+// a query ignores is not validated against its DTD; RunAll keeps
+// all-fanout delivery and with it full per-query validation.
 //
 // Dispatch is cost-based: each compiled plan carries a static predicted
 // peak buffer size (BufferReport.PredictedPeakBytes); when a batch's
@@ -96,27 +93,14 @@ type ExecutorOptions struct {
 	// A single query predicting more than the whole budget still runs,
 	// alone. 0 means unlimited.
 	BatchBufferBudget int64
-	// DisableSelectiveFanout delivers every scan event to every query
-	// of a batch instead of routing events by projected-path signature.
-	// This restores full per-query DTD validation of subtrees a query
-	// ignores, at the cost of fanning the whole document to every query.
-	DisableSelectiveFanout bool
-	// GroupRouting keeps selective fan-out but evaluates routing by
-	// walking each event-routing group's signature trie individually
-	// instead of through the batch's merged path automaton. Results and
-	// skip behavior are identical; the option exists for benchmarking
-	// the two dispatch structures against each other. Ignored when
-	// DisableSelectiveFanout is set.
-	GroupRouting bool
 	// ParallelGroups evaluates each scan's event-routing groups on a
 	// worker pool instead of inline on the scan goroutine: the scan keeps
 	// tokenizing and routing through the merged automaton while engine
 	// work for different groups proceeds on other cores. Results, stats,
 	// and error isolation are identical to the sequential scan. Scans
 	// that cannot benefit — GOMAXPROCS=1, a single routing group —
-	// silently run sequentially; ignored under DisableSelectiveFanout or
-	// GroupRouting (DocStats.ParallelScans counts the scans that actually
-	// ran parallel).
+	// silently run sequentially (DocStats.ParallelScans counts the scans
+	// that actually ran parallel).
 	ParallelGroups bool
 }
 
@@ -405,23 +389,13 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	}
 	defer f.Close()
 
-	var m *mux.Mux
-	switch {
-	case e.opt.DisableSelectiveFanout:
-		m = mux.New()
-	case e.opt.GroupRouting:
-		m = mux.NewSelectiveGrouped()
-	default:
-		m = mux.NewSelective()
-		if e.opt.ParallelGroups {
-			m.SetParallel(true)
-		}
-		if mach, hit := e.machineFor(doc, reqs); mach != nil {
-			m.SetMachine(mach)
-			c.autoStates.Store(int64(mach.States()))
-			if hit {
-				c.autoHits.Add(1)
-			}
+	m := mux.NewSelective()
+	m.SetParallel(e.opt.ParallelGroups)
+	if mach, hit := e.machineFor(doc, reqs); mach != nil {
+		m.SetMachine(mach)
+		c.autoStates.Store(int64(mach.States()))
+		if hit {
+			c.autoHits.Add(1)
 		}
 	}
 	for _, req := range reqs {
@@ -438,6 +412,9 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 		fail(err)
 		return
 	}
+	// Account for the whole scan before handing any caller its outcome:
+	// a caller that reads Stats after ExecuteContext returns must find
+	// its batch's counters complete, siblings' included.
 	for i, req := range reqs {
 		r := results[i]
 		// A failed slot whose caller context is done counts as canceled,
@@ -454,6 +431,9 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 			e.cat.ObservePeak(req.q.plan.SigKey(), req.q.plan.PredictedPeakBytes(), r.Stats.PeakBufferBytes)
 		}
 		c.eventsSkipped.Add(r.SkippedEvents)
+	}
+	for i, req := range reqs {
+		r := results[i]
 		req.done <- execOutcome{
 			res: ExecResult{
 				Stats: Stats{
@@ -533,8 +513,7 @@ type DocStats struct {
 	// EventsSkipped counts scan events selective fan-out withheld from
 	// queries whose projection could not match them, summed over all
 	// queries; a lower bound when scanner pruning collapsed skipped
-	// subtrees into single tokens (see mux.Result.SkippedEvents); always
-	// 0 with DisableSelectiveFanout.
+	// subtrees into single tokens (see mux.Result.SkippedEvents).
 	EventsSkipped int64 `json:"events_skipped"`
 	// BatchSplits counts the extra scans forced by BatchBufferBudget
 	// (each split batch contributes its sub-batch count minus one).

@@ -500,47 +500,38 @@ func TestSplitByBudget(t *testing.T) {
 }
 
 // TestExecutorSelectiveSkipsEvents: a narrow query against a document
-// with irrelevant regions is delivered fewer events than all-fanout,
-// and the skip shows up in DocStats.EventsSkipped.
+// with irrelevant regions is delivered fewer events than the all-fanout
+// shared scan (RunAll) delivers, and the skip shows up in
+// DocStats.EventsSkipped.
 func TestExecutorSelectiveSkipsEvents(t *testing.T) {
 	const q = `<out> { for $b in /bib/book return <t> {$b/title} </t> } </out>`
-	run := func(disable bool) (ExecResult, DocStats) {
-		cat := NewCatalog(CatalogOptions{})
-		if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
-			t.Fatal(err)
-		}
-		ex, err := NewExecutor(cat, ExecutorOptions{
-			Window: time.Millisecond, MaxBatch: 1,
-			DisableSelectiveFanout: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		res, err := ex.ExecuteContext(context.Background(), "bib", q, &sb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := mustPrepare(t, q).RunString(catDoc, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sb.String() != want {
-			t.Fatalf("output = %q, want %q", sb.String(), want)
-		}
-		return res, ex.Stats()["bib"]
+	cat := NewCatalog(CatalogOptions{})
+	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
+		t.Fatal(err)
 	}
-	selRes, selSt := run(false)
-	allRes, allSt := run(true)
-	if selRes.Stats.Tokens >= allRes.Stats.Tokens {
-		t.Errorf("selective delivered %d events, all-fanout %d; want strictly fewer",
-			selRes.Stats.Tokens, allRes.Stats.Tokens)
+	ex, err := NewExecutor(cat, ExecutorOptions{Window: time.Millisecond, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if selSt.EventsSkipped == 0 {
-		t.Errorf("selective EventsSkipped = 0, want > 0 (stats %+v)", selSt)
+	var sb strings.Builder
+	res, err := ex.ExecuteContext(context.Background(), "bib", q, &sb)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allSt.EventsSkipped != 0 {
-		t.Errorf("all-fanout EventsSkipped = %d, want 0", allSt.EventsSkipped)
+	var want strings.Builder
+	all, err := RunAll([]*Query{mustPrepare(t, q)}, strings.NewReader(catDoc), Options{}, &want)
+	if err != nil || all[0].Err != nil {
+		t.Fatal(err, all[0].Err)
+	}
+	if sb.String() != want.String() {
+		t.Fatalf("output = %q, want %q", sb.String(), want.String())
+	}
+	if res.Stats.Tokens >= all[0].Stats.Tokens {
+		t.Errorf("executor delivered %d events, all-fanout %d; want strictly fewer",
+			res.Stats.Tokens, all[0].Stats.Tokens)
+	}
+	if st := ex.Stats()["bib"]; st.EventsSkipped == 0 {
+		t.Errorf("EventsSkipped = 0, want > 0 (stats %+v)", st)
 	}
 }
 

@@ -246,46 +246,24 @@ func (q *Query) RunContext(ctx context.Context, r io.Reader, w io.Writer, opt Op
 		if q.source == nil {
 			return Stats{}, errors.New("flux: baseline engines need an XQuery⁻ source; this query was prepared from FluX syntax")
 		}
-		st, err := dom.RunNaive(q.source, ctxReader(ctx, r), w, saxOpt)
+		st, err := dom.RunNaive(ctx, q.source, r, w, saxOpt)
 		return Stats{PeakBufferBytes: st.BufferBytes, OutputBytes: st.OutputBytes}, err
 	case Projection:
 		if q.source == nil {
 			return Stats{}, errors.New("flux: baseline engines need an XQuery⁻ source; this query was prepared from FluX syntax")
 		}
-		st, err := dom.RunProjection(q.source, ctxReader(ctx, r), w, saxOpt)
+		st, err := dom.RunProjection(ctx, q.source, r, w, saxOpt)
 		return Stats{PeakBufferBytes: st.BufferBytes, OutputBytes: st.OutputBytes}, err
 	default:
 		// The streaming engine runs signature-routed: subtrees the query's
 		// projected-path signature provably cannot match are skipped in
-		// O(1) instead of streamed through the engine (the scan still
-		// tokenizes them). The interior of a skipped subtree is not
-		// validated against the DTD; ValidateDocument covers full-document
-		// validation.
+		// O(1) instead of streamed through the engine — the scanner
+		// consumes their bytes raw, without tokenizing them. The interior
+		// of a skipped subtree is not validated against the DTD;
+		// ValidateDocument covers full-document validation.
 		st, err := engine.RunSelectiveContext(ctx, q.plan, r, w, saxOpt)
 		return Stats{PeakBufferBytes: st.PeakBufferBytes, OutputBytes: st.OutputBytes, Tokens: st.Tokens}, err
 	}
-}
-
-// ctxReader makes r observe ctx: each Read first checks whether ctx is
-// done. This gives the DOM baselines (whose evaluation is not
-// event-driven) cancellation at read-buffer granularity.
-func ctxReader(ctx context.Context, r io.Reader) io.Reader {
-	if ctx == nil || ctx == context.Background() {
-		return r
-	}
-	return &cancelableReader{ctx: ctx, r: r}
-}
-
-type cancelableReader struct {
-	ctx context.Context
-	r   io.Reader
-}
-
-func (c *cancelableReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.r.Read(p)
 }
 
 // Result is the outcome of one query in a shared-scan batch.

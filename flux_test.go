@@ -1,9 +1,13 @@
 package flux
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
+	"flux/internal/dtd"
+	"flux/internal/sax"
 	"flux/internal/xmark"
 )
 
@@ -117,6 +121,46 @@ func TestValidateDocument(t *testing.T) {
 	}
 	if err := q.ValidateDocument(strings.NewReader(`<bib><zap/></bib>`), Options{}); err == nil {
 		t.Error("invalid doc accepted")
+	}
+}
+
+// TestErrorPrecedence: a document that violates the DTD at one event
+// and is malformed a few tokens later — both inside one scanner batch.
+// ValidateDocument consumes events through sax.Scan's Handler contract,
+// where the earlier event's error wins; the engine and the mux consume
+// batches, where the scan's own error outranks a handler error raised
+// while the events before it are flushed.
+func TestErrorPrecedence(t *testing.T) {
+	const doc = `<bib><zap/><book></bib>`
+	q, err := Prepare(`<out> { for $b in /bib/book return {$b/title} } </out>`, bibDTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var val *dtd.ValidationError
+	if err := q.ValidateDocument(strings.NewReader(doc), Options{}); !errors.As(err, &val) {
+		t.Errorf("ValidateDocument err = %v, want the *dtd.ValidationError raised at <zap>", err)
+	}
+	var syn *sax.SyntaxError
+	if _, err := q.Run(strings.NewReader(doc), io.Discard, Options{}); !errors.As(err, &syn) {
+		t.Errorf("Run err = %v, want the scan's *sax.SyntaxError", err)
+	}
+	// Shared scan: the sibling that tolerates <zap> inherits the stream's
+	// syntax error, which is also what RunAll returns; the strict query
+	// keeps its own, earlier failure.
+	lax, err := Prepare(`<out> { for $b in /bib/book return {$b/title} } </out>`,
+		strings.Replace(bibDTD, "(book)*", "(zap|book)*", 1)+"<!ELEMENT zap EMPTY>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunAll([]*Query{q, lax}, strings.NewReader(doc), Options{}, io.Discard, io.Discard)
+	if !errors.As(err, &syn) {
+		t.Errorf("RunAll err = %v, want the scan's *sax.SyntaxError", err)
+	}
+	if res[0].Err == nil || errors.As(res[0].Err, &syn) {
+		t.Errorf("strict query err = %v, want its own validation failure", res[0].Err)
+	}
+	if !errors.As(res[1].Err, &syn) {
+		t.Errorf("lax query err = %v, want the inherited *sax.SyntaxError", res[1].Err)
 	}
 }
 

@@ -457,25 +457,6 @@ func (t *Matcher) Flush() {
 // Skipped returns group g's skipped-event count (complete after Flush).
 func (t *Matcher) Skipped(g int) int64 { return t.skipped[g] }
 
-// SnapshotSkipped appends every group's skipped-event count as of the
-// current token to out and returns the extended slice. Unlike Flush it
-// does not mutate the matcher: open skip intervals are charged into the
-// snapshot only, so routing can continue. The parallel mux checkpoints
-// counters at batch boundaries with it — when an aborted scan must
-// report counts as of an earlier token, a checkpoint plus the per-token
-// deltas reconstructs them exactly.
-func (t *Matcher) SnapshotSkipped(out []int64) []int64 {
-	cur := &t.frames[t.depth]
-	for g := 0; g < t.mach.n; g++ {
-		n := t.skipped[g]
-		if !cur.active.Has(g) {
-			n += t.ev - t.mark[g]
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
 // Extend migrates the matcher to m2, a machine rebuilt with the current
 // groups first — in their existing index order, with identical
 // signatures — followed by newly appended groups. It is the streaming

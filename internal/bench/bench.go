@@ -45,22 +45,18 @@ const (
 	// the whole batch and Buffer the summed per-query peaks — the
 	// actual resident footprint of the batch.
 	ModeShared Mode = "shared-scan"
-	// ModeFanoutAll, ModeFanoutSelective, and ModeFanoutAutomaton
-	// measure event routing on the serving path: a query batch executed
-	// as one Executor batch with every event fanned to every query
-	// (all), signature-routed selective fan-out via per-group trie walks
-	// (selective, ExecutorOptions.GroupRouting), or via the batch's
-	// merged path automaton (automaton, the serving default). The
-	// disjoint-path xmark.FanoutQueries run under the synthetic query
-	// name "fanout" in all three modes; the 64-query shared-prefix set
+	// ModeFanoutAll and ModeFanoutAutomaton measure event routing: a
+	// query batch executed as one shared scan with every event fanned to
+	// every query (all — flux.RunAll, the library's full-validation
+	// path), or as one Executor batch routed by the batch's merged path
+	// automaton (automaton, the serving path). The disjoint-path
+	// xmark.FanoutQueries run under the synthetic query name "fanout" in
+	// both modes; the 64-query shared-prefix set
 	// (xmark.SharedPrefixQueries) runs under "fanout-wide" in the
-	// selective and automaton modes plus the parallel pipeline
-	// (ModeFanoutParallel below). Tokens is the summed events delivered
-	// across the batch — the quantity selective routing shrinks, gated by
-	// CheckFanout, with automaton-vs-selective parity gated by
-	// CheckAutomaton.
+	// automaton mode and the parallel pipeline (ModeFanoutParallel
+	// below). Tokens is the summed events delivered across the batch —
+	// the quantity selective routing shrinks, gated by CheckFanout.
 	ModeFanoutAll       Mode = "fanout-all"
-	ModeFanoutSelective Mode = "fanout-selective"
 	ModeFanoutAutomaton Mode = "fanout-automaton"
 	// ModeFanoutParallel is ModeFanoutAutomaton with the per-group worker
 	// pool (ExecutorOptions.ParallelGroups): the scan goroutine keeps
@@ -310,7 +306,11 @@ func RunContext(ctx context.Context, cfg Config) ([]Row, error) {
 			}
 		}
 		if cfg.SharedScan {
-			row, err := runShared(ctx, cfg.Queries, path, sizeMB, docBytes)
+			texts := make([]string, len(cfg.Queries))
+			for i, qname := range cfg.Queries {
+				texts[i] = xmark.Queries[qname]
+			}
+			row, err := runShared(ctx, Row{Query: SharedQueryName, SizeMB: sizeMB, Bytes: docBytes, Mode: ModeShared}, texts, path)
 			if err != nil {
 				return nil, fmt.Errorf("bench: shared %dMB: %w", sizeMB, err)
 			}
@@ -327,9 +327,9 @@ func RunContext(ctx context.Context, cfg Config) ([]Row, error) {
 				modes   []Mode
 			}{
 				{FanoutQueryName, xmark.FanoutQueries,
-					[]Mode{ModeFanoutAll, ModeFanoutSelective, ModeFanoutAutomaton}},
+					[]Mode{ModeFanoutAll, ModeFanoutAutomaton}},
 				{FanoutWideQueryName, xmark.SharedPrefixQueries(fanoutWideQueries),
-					[]Mode{ModeFanoutSelective, ModeFanoutAutomaton, ModeFanoutParallel}},
+					[]Mode{ModeFanoutAutomaton, ModeFanoutParallel}},
 			}
 			for _, set := range fanoutSets {
 				for _, mode := range set.modes {
@@ -1082,15 +1082,15 @@ func runPercentiles(ctx context.Context, workDir, docPath string, sizeMB int, do
 	return row, nil
 }
 
-// runShared measures the serving path: every query of the sweep compiled
-// once and executed in a single shared pass of the document; elapsed is
-// the best of sharedRepeats passes.
-func runShared(ctx context.Context, qnames []string, docPath string, sizeMB int, docBytes int64) (Row, error) {
-	row := Row{Query: SharedQueryName, SizeMB: sizeMB, Bytes: docBytes, Mode: ModeShared}
-	queries := make([]*flux.Query, len(qnames))
-	ws := make([]io.Writer, len(qnames))
-	for i, qname := range qnames {
-		q, err := flux.Prepare(xmark.Queries[qname], xmark.DTD)
+// runShared measures flux.RunAll: the queries compiled once and executed
+// in a single all-fanout shared pass of the document, filling in the
+// measurements of row (whose identity the caller sets); elapsed is the
+// best of sharedRepeats passes.
+func runShared(ctx context.Context, row Row, texts []string, docPath string) (Row, error) {
+	queries := make([]*flux.Query, len(texts))
+	ws := make([]io.Writer, len(texts))
+	for i, text := range texts {
+		q, err := flux.Prepare(text, xmark.DTD)
 		if err != nil {
 			return row, err
 		}
@@ -1113,11 +1113,13 @@ func runShared(ctx context.Context, qnames []string, docPath string, sizeMB int,
 			row.Elapsed = elapsed
 		}
 		if rep == 0 {
-			// Buffering and output are deterministic; record them once.
+			// Buffering, delivery and output are deterministic; record
+			// them once.
 			for _, r := range results {
 				if r.Err != nil {
 					return row, r.Err
 				}
+				row.Tokens += r.Stats.Tokens
 				row.Buffer += r.Stats.PeakBufferBytes
 				row.Output += r.Stats.OutputBytes
 			}
@@ -1126,26 +1128,27 @@ func runShared(ctx context.Context, qnames []string, docPath string, sizeMB int,
 	return row, nil
 }
 
-// runFanout measures event routing on the serving path: queries
-// submitted concurrently to one Executor batch (MaxBatch equal to the
-// query count, so exactly one dispatch decision) under one routing mode
-// — all-fanout, per-group selective walks (GroupRouting), or the merged
-// path automaton (the default). Elapsed is the best of sharedRepeats
-// batch wall-clocks; Tokens (summed events delivered) and Buffer
-// (summed per-query peaks) are deterministic and recorded once.
+// runFanout measures event routing for one query batch. The all-fanout
+// mode is one flux.RunAll scan (runShared); the automaton and parallel
+// modes are the serving path: queries submitted concurrently to one
+// Executor batch (MaxBatch equal to the query count, so exactly one
+// dispatch decision). Elapsed is the best of sharedRepeats batch
+// wall-clocks; Tokens (summed events delivered) and Buffer (summed
+// per-query peaks) are deterministic and recorded once.
 func runFanout(ctx context.Context, docPath string, sizeMB int, docBytes int64, qname string, queries []string, mode Mode) (Row, error) {
 	row := Row{Query: qname, SizeMB: sizeMB, Bytes: docBytes, Mode: mode}
+	if mode == ModeFanoutAll {
+		return runShared(ctx, row, queries, docPath)
+	}
 
 	cat := flux.NewCatalog(flux.CatalogOptions{})
 	if err := cat.Add("doc", docPath, xmark.DTD); err != nil {
 		return row, err
 	}
 	ex, err := flux.NewExecutor(cat, flux.ExecutorOptions{
-		Window:                 30 * time.Second, // dispatch on MaxBatch, not the window
-		MaxBatch:               len(queries),
-		DisableSelectiveFanout: mode == ModeFanoutAll,
-		GroupRouting:           mode == ModeFanoutSelective,
-		ParallelGroups:         mode == ModeFanoutParallel,
+		Window:         30 * time.Second, // dispatch on MaxBatch, not the window
+		MaxBatch:       len(queries),
+		ParallelGroups: mode == ModeFanoutParallel,
 	})
 	if err != nil {
 		return row, err

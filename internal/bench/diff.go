@@ -207,77 +207,37 @@ func CheckFluxFastest(snap *Snapshot) error {
 }
 
 // CheckFanout verifies the selective fan-out invariant within one
-// snapshot: wherever both fan-out rows exist for a size, the selective
-// row must have delivered strictly fewer events than the all-fanout
-// baseline — the disjoint-path batch's defining win. It returns an
-// error naming the offending size and both values, or nil when the
+// snapshot: wherever both a fanout-all row and a fanout-automaton row
+// exist for a size, the merged-automaton routing must have delivered
+// strictly fewer events than the all-fanout baseline — the
+// disjoint-path batch's defining win — and produced byte-identical
+// output: routing may only withhold events no query can use. It returns
+// an error naming the offending size and both values, or nil when the
 // invariant holds (vacuously for snapshots without fan-out rows).
 func CheckFanout(snap *Snapshot) error {
-	all := make(map[int]int64)
-	sel := make(map[int]int64)
+	all := make(map[int]SnapshotRow)
+	auto := make(map[int]SnapshotRow)
 	for _, r := range snap.Rows {
 		if r.Query != FanoutQueryName || r.Skipped {
 			continue
 		}
 		switch r.Mode {
 		case ModeFanoutAll:
-			all[r.SizeMB] = r.TokensDelivered
-		case ModeFanoutSelective:
-			sel[r.SizeMB] = r.TokensDelivered
+			all[r.SizeMB] = r
+		case ModeFanoutAutomaton:
+			auto[r.SizeMB] = r
 		}
 	}
 	for size, a := range all {
-		s, ok := sel[size]
+		m, ok := auto[size]
 		if !ok {
 			continue
 		}
-		if s >= a {
-			return fmt.Errorf("fanout %dMB: selective delivered %d events, all-fanout %d; selective must be strictly lower", size, s, a)
+		if m.TokensDelivered >= a.TokensDelivered {
+			return fmt.Errorf("fanout %dMB: automaton delivered %d events, all-fanout %d; automaton must be strictly lower", size, m.TokensDelivered, a.TokensDelivered)
 		}
-	}
-	return nil
-}
-
-// CheckAutomaton verifies the merged-automaton invariant within one
-// snapshot: on every (query, size) cell — both the disjoint "fanout"
-// set and the shared-prefix "fanout-wide" set — where a
-// fanout-automaton row and a fanout-selective row exist, the automaton
-// must have delivered no more events than the per-group selective walk
-// and produced byte-identical output. The two routings make the same
-// skip decisions, so delivery parity is the expectation and any excess
-// is a dispatch bug, not a tuning miss. It returns an error naming the
-// offending cell and values, or nil when the invariant holds (vacuously
-// for snapshots without automaton rows).
-func CheckAutomaton(snap *Snapshot) error {
-	type cell struct {
-		query string
-		size  int
-	}
-	sel := make(map[cell]SnapshotRow)
-	auto := make(map[cell]SnapshotRow)
-	for _, r := range snap.Rows {
-		if (r.Query != FanoutQueryName && r.Query != FanoutWideQueryName) || r.Skipped {
-			continue
-		}
-		switch r.Mode {
-		case ModeFanoutSelective:
-			sel[cell{r.Query, r.SizeMB}] = r
-		case ModeFanoutAutomaton:
-			auto[cell{r.Query, r.SizeMB}] = r
-		}
-	}
-	for c, a := range auto {
-		s, ok := sel[c]
-		if !ok {
-			continue
-		}
-		if a.TokensDelivered > s.TokensDelivered {
-			return fmt.Errorf("%s %dMB: automaton delivered %d events, selective %d; automaton must not deliver more",
-				c.query, c.size, a.TokensDelivered, s.TokensDelivered)
-		}
-		if a.OutputBytes != s.OutputBytes {
-			return fmt.Errorf("%s %dMB: automaton produced %d output bytes, selective %d; outputs must be identical",
-				c.query, c.size, a.OutputBytes, s.OutputBytes)
+		if m.OutputBytes != a.OutputBytes {
+			return fmt.Errorf("fanout %dMB: automaton produced %d output bytes, all-fanout %d; outputs must be identical", size, m.OutputBytes, a.OutputBytes)
 		}
 	}
 	return nil

@@ -179,24 +179,30 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestCheckFanout(t *testing.T) {
-	fan := func(mode Mode, size int, tokens int64) SnapshotRow {
-		return SnapshotRow{Query: FanoutQueryName, SizeMB: size, Mode: mode, TokensDelivered: tokens}
+	fan := func(mode Mode, size int, tokens, output int64) SnapshotRow {
+		return SnapshotRow{Query: FanoutQueryName, SizeMB: size, Mode: mode, TokensDelivered: tokens, OutputBytes: output}
 	}
-	// Selective strictly below all-fanout: invariant holds.
-	if err := CheckFanout(snap(100, fan(ModeFanoutAll, 1, 1000), fan(ModeFanoutSelective, 1, 100))); err != nil {
+	// Automaton strictly below all-fanout, same output: invariant holds.
+	if err := CheckFanout(snap(100, fan(ModeFanoutAll, 1, 1000, 50), fan(ModeFanoutAutomaton, 1, 100, 50))); err != nil {
 		t.Fatalf("invariant must hold: %v", err)
 	}
-	// Equal counts: violated (selective must be strictly lower).
-	if err := CheckFanout(snap(100, fan(ModeFanoutAll, 1, 1000), fan(ModeFanoutSelective, 1, 1000))); err == nil {
+	// Equal counts: violated (routing must deliver strictly fewer).
+	if err := CheckFanout(snap(100, fan(ModeFanoutAll, 1, 1000, 50), fan(ModeFanoutAutomaton, 1, 1000, 50))); err == nil {
 		t.Fatal("equal event counts must violate the invariant")
+	}
+	// Fewer events but different output: routing withheld something a
+	// query needed.
+	err := CheckFanout(snap(100, fan(ModeFanoutAll, 1, 1000, 50), fan(ModeFanoutAutomaton, 1, 100, 49)))
+	if err == nil || !strings.Contains(err.Error(), "output bytes") {
+		t.Fatalf("output mismatch must fail naming the output, got %v", err)
 	}
 	// Snapshots without fan-out rows pass vacuously.
 	if err := CheckFanout(snap(100, row("q1", 1, ModeFluX, 1000, 0))); err != nil {
 		t.Fatalf("vacuous snapshot must pass: %v", err)
 	}
-	// A lone mode (old snapshots) passes too.
-	if err := CheckFanout(snap(100, fan(ModeFanoutSelective, 1, 100))); err != nil {
-		t.Fatalf("lone selective row must pass: %v", err)
+	// A lone mode passes too.
+	if err := CheckFanout(snap(100, fan(ModeFanoutAutomaton, 1, 100, 50))); err != nil {
+		t.Fatalf("lone automaton row must pass: %v", err)
 	}
 }
 

@@ -56,7 +56,7 @@ type SnapshotRow struct {
 	BufferBytes int64  `json:"buffer_bytes"`
 	OutputBytes int64  `json:"output_bytes"`
 	// TokensDelivered is the summed events delivered to the row's
-	// queries (fan-out rows only; see ModeFanoutAll/ModeFanoutSelective).
+	// queries (see ModeFanoutAll/ModeFanoutAutomaton).
 	TokensDelivered int64 `json:"tokens_delivered,omitempty"`
 	// P50NS/P99NS/QPS are the open-loop latency percentiles and achieved
 	// throughput of served-latency rows (see ModeServedLatency).

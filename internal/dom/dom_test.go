@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ const bibDoc = `<bib>
 func evalStr(t *testing.T, query, doc string) string {
 	t.Helper()
 	var sb strings.Builder
-	_, err := RunNaive(xq.MustParse(query), strings.NewReader(doc), &sb,
+	_, err := RunNaive(context.Background(), xq.MustParse(query), strings.NewReader(doc), &sb,
 		sax.Options{SkipWhitespaceText: true})
 	if err != nil {
 		t.Fatalf("RunNaive: %v", err)
@@ -72,7 +73,7 @@ func TestEvalNormalizationEquivalence(t *testing.T) {
 		orig := evalStr(t, q, bibDoc)
 		norm := xq.Normalize(xq.MustParse(q))
 		var sb strings.Builder
-		if _, err := RunNaive(norm, strings.NewReader(bibDoc), &sb, sax.Options{SkipWhitespaceText: true}); err != nil {
+		if _, err := RunNaive(context.Background(), norm, strings.NewReader(bibDoc), &sb, sax.Options{SkipWhitespaceText: true}); err != nil {
 			t.Fatalf("normalized eval: %v", err)
 		}
 		if sb.String() != orig {
@@ -161,11 +162,11 @@ func TestProjectionEquivalence(t *testing.T) {
 	for _, q := range queries {
 		e := xq.MustParse(q)
 		var nb, pb strings.Builder
-		ns, err := RunNaive(e, strings.NewReader(bibDoc), &nb, sax.Options{SkipWhitespaceText: true})
+		ns, err := RunNaive(context.Background(), e, strings.NewReader(bibDoc), &nb, sax.Options{SkipWhitespaceText: true})
 		if err != nil {
 			t.Fatalf("naive: %v", err)
 		}
-		ps, err := RunProjection(e, strings.NewReader(bibDoc), &pb, sax.Options{SkipWhitespaceText: true})
+		ps, err := RunProjection(context.Background(), e, strings.NewReader(bibDoc), &pb, sax.Options{SkipWhitespaceText: true})
 		if err != nil {
 			t.Fatalf("projection: %v", err)
 		}
@@ -181,12 +182,12 @@ func TestProjectionEquivalence(t *testing.T) {
 func TestProjectionActuallyProjects(t *testing.T) {
 	q := xq.MustParse(`{ for $b in /bib/book return { $b/title } }`)
 	var sb strings.Builder
-	ps, err := RunProjection(q, strings.NewReader(bibDoc), &sb, sax.Options{SkipWhitespaceText: true})
+	ps, err := RunProjection(context.Background(), q, strings.NewReader(bibDoc), &sb, sax.Options{SkipWhitespaceText: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var nb strings.Builder
-	ns, err := RunNaive(q, strings.NewReader(bibDoc), &nb, sax.Options{SkipWhitespaceText: true})
+	ns, err := RunNaive(context.Background(), q, strings.NewReader(bibDoc), &nb, sax.Options{SkipWhitespaceText: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"context"
 	"io"
 
 	"flux/internal/sax"
@@ -94,10 +95,11 @@ func AnalyzeProjection(q xq.Expr) *Projection {
 
 // BuildProjected materializes only the projected part of the document:
 // nodes on projection paths get their tags; marked nodes keep their whole
-// subtrees. This is the loading phase of the projection baseline.
-func BuildProjected(r io.Reader, proj *Projection, opt sax.Options) (*Node, error) {
+// subtrees. This is the loading phase of the projection baseline; like
+// Build it stops with ctx.Err() once ctx is done.
+func BuildProjected(ctx context.Context, r io.Reader, proj *Projection, opt sax.Options) (*Node, error) {
 	b := &projBuilder{proj: proj.root}
-	if err := sax.Scan(r, b, opt); err != nil {
+	if err := sax.ScanContext(ctx, r, b, opt); err != nil {
 		return nil, err
 	}
 	return b.root, nil
@@ -191,8 +193,8 @@ type Stats struct {
 
 // RunNaive evaluates q Galax-style: materialize the entire document, then
 // evaluate in memory.
-func RunNaive(q xq.Expr, r io.Reader, w io.Writer, opt sax.Options) (Stats, error) {
-	root, err := Build(r, opt)
+func RunNaive(ctx context.Context, q xq.Expr, r io.Reader, w io.Writer, opt sax.Options) (Stats, error) {
+	root, err := Build(ctx, r, opt)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -209,9 +211,9 @@ func RunNaive(q xq.Expr, r io.Reader, w io.Writer, opt sax.Options) (Stats, erro
 // RunProjection evaluates q in the style of the projection baseline:
 // materialize only the statically projected part of the document, then
 // evaluate in memory.
-func RunProjection(q xq.Expr, r io.Reader, w io.Writer, opt sax.Options) (Stats, error) {
+func RunProjection(ctx context.Context, q xq.Expr, r io.Reader, w io.Writer, opt sax.Options) (Stats, error) {
 	proj := AnalyzeProjection(q)
-	root, err := BuildProjected(r, proj, opt)
+	root, err := BuildProjected(ctx, r, proj, opt)
 	if err != nil {
 		return Stats{}, err
 	}

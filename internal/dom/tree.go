@@ -8,6 +8,7 @@
 package dom
 
 import (
+	"context"
 	"io"
 	"strings"
 
@@ -26,10 +27,10 @@ type Node struct {
 func (n *Node) IsText() bool { return n.Name == "" }
 
 // Build materializes the document read from r as a Node tree and returns
-// its root element.
-func Build(r io.Reader, opt sax.Options) (*Node, error) {
+// its root element. The scan stops with ctx.Err() once ctx is done.
+func Build(ctx context.Context, r io.Reader, opt sax.Options) (*Node, error) {
 	b := &builder{}
-	if err := sax.Scan(r, b, opt); err != nil {
+	if err := sax.ScanContext(ctx, r, b, opt); err != nil {
 		return nil, err
 	}
 	return b.root, nil
@@ -37,7 +38,7 @@ func Build(r io.Reader, opt sax.Options) (*Node, error) {
 
 // BuildString is Build over an in-memory document.
 func BuildString(doc string, opt sax.Options) (*Node, error) {
-	return Build(strings.NewReader(doc), opt)
+	return Build(context.Background(), strings.NewReader(doc), opt)
 }
 
 type builder struct {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -78,7 +79,7 @@ func runBoth(t *testing.T, dtdText, query, doc string) Stats {
 		t.Fatalf("Run: %v\nFluX: %s\nPlan:\n%s", err, core.Print(f), plan.Describe())
 	}
 	var domOut strings.Builder
-	if _, err := dom.RunNaive(q, strings.NewReader(doc), &domOut, saxOpt); err != nil {
+	if _, err := dom.RunNaive(context.Background(), q, strings.NewReader(doc), &domOut, saxOpt); err != nil {
 		t.Fatalf("dom.RunNaive: %v", err)
 	}
 	if fluxOut.String() != domOut.String() {

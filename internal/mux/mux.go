@@ -22,9 +22,7 @@
 // single trie with per-group accept bitsets, so each token updates one
 // cursor and yields the whole batch's delivery decision as a mask —
 // shared path prefixes cost one traversal no matter how many groups
-// share them. NewSelectiveGrouped retains the older per-group trie walk
-// (one cursor per group); both make identical routing decisions and it
-// exists as a benchmarking and differential-testing baseline.
+// share them.
 //
 // The trade of selective routing: a plan no longer validates
 // the interior of subtrees its query provably ignores (the parent content
@@ -35,7 +33,12 @@
 // spine position text is always legal and never consumed, so it is
 // withheld (engine.SigNode.DropText); at a non-mixed position stray
 // text must still fail validation, so it flows. New preserves the
-// deliver-everything behavior, including full per-plan DTD validation.
+// deliver-everything behavior, including full per-plan DTD validation;
+// it backs flux.RunAll's full-validation contract and serves the
+// differential tests as the output oracle.
+//
+// A Mux consumes the scan as a sax.BatchHandler only: Run and the
+// streaming lifecycle both drive the batched scanner.
 package mux
 
 import (
@@ -91,12 +94,11 @@ type Mux struct {
 
 	// Selective fan-out state (selective Muxes only).
 	selective bool
-	grouped   bool // route by per-group trie walks instead of the automaton
 	groups    []*fanGroup
 	slotGroup []int // slot index -> group index
 	depth     int   // open elements in the scan
 
-	// Automaton routing state (selective, non-grouped): the merged
+	// Automaton routing state (selective muxes): the merged
 	// machine (built by buildGroups, or installed by SetMachine from the
 	// executor's cache) and its per-scan matcher.
 	machine *autom.Machine
@@ -113,19 +115,13 @@ type Mux struct {
 	par      *parState
 }
 
-// fanGroup is one event-routing group: the plans sharing a signature,
-// its identity, and — under grouped routing — the trie cursor and skip
-// bookkeeping (the automaton's Matcher carries those itself).
+// fanGroup is one event-routing group: the plans sharing a signature
+// and its identity. The trie cursor and skip bookkeeping live in the
+// automaton's Matcher.
 type fanGroup struct {
 	members []int
 	key     string
 	sig     *engine.SigNode
-	stack   []*engine.SigNode
-	// skipUntil, when non-zero, is the depth of the element currently
-	// being skipped for this group; every event at a greater depth (and
-	// the element's own end tag) is withheld.
-	skipUntil int
-	skipped   int64
 }
 
 // New returns an empty multiplexer that delivers every event to every
@@ -139,22 +135,14 @@ func New() *Mux { return &Mux{} }
 // by the batch's merged path automaton.
 func NewSelective() *Mux { return &Mux{selective: true} }
 
-// NewSelectiveGrouped returns a selective multiplexer that routes by
-// walking each event-routing group's signature trie individually — the
-// pre-automaton selective path. Delivery decisions, results, and skip
-// counts are identical to NewSelective's; the constructor exists so
-// benchmarks and differential tests can pin the merged automaton
-// against the per-group walk.
-func NewSelectiveGrouped() *Mux { return &Mux{selective: true, grouped: true} }
-
 // SetMachine installs a prebuilt merged automaton (the executor caches
 // one per batch signature set). The machine must have been built from
 // exactly the group keys of the plans registered by Run time — one
 // Machine group per distinct GroupKey, no extras — otherwise it is
 // ignored and a fresh automaton is built. Call before Run; no-op on
-// all-fanout, grouped, and streaming muxes.
+// all-fanout and streaming muxes.
 func (m *Mux) SetMachine(mach *autom.Machine) {
-	if m.selective && !m.grouped && m.stream == nil {
+	if m.selective && m.stream == nil {
 		m.machine = mach
 	}
 }
@@ -212,11 +200,7 @@ func (m *Mux) Groups() []GroupStats {
 	}
 	out := make([]GroupStats, len(m.groups))
 	for i, g := range m.groups {
-		sk := g.skipped
-		if m.matcher != nil {
-			sk = m.matcher.Skipped(i)
-		}
-		out[i] = GroupStats{Queries: len(g.members), SkippedEvents: sk}
+		out[i] = GroupStats{Queries: len(g.members), SkippedEvents: m.matcher.Skipped(i)}
 	}
 	return out
 }
@@ -224,11 +208,10 @@ func (m *Mux) Groups() []GroupStats {
 // buildGroups partitions the registered plans into event-routing groups
 // by (schema, signature key): plans in one group make identical skip
 // decisions at every stream position, so routing is evaluated once per
-// group, not once per plan. Unless the Mux routes by per-group walks
-// (NewSelectiveGrouped), the groups are then compiled into one merged
-// path automaton — reusing an installed SetMachine machine when its
-// group-key set matches the batch exactly — and a per-scan matcher is
-// created.
+// group, not once per plan. The groups are then compiled into one
+// merged path automaton — reusing an installed SetMachine machine when
+// its group-key set matches the batch exactly — and a per-scan matcher
+// is created.
 func (m *Mux) buildGroups() {
 	if m.machine != nil && m.buildGroupsFromMachine() {
 		m.matcher = m.machine.NewMatcher()
@@ -243,19 +226,13 @@ func (m *Mux) buildGroups() {
 		if !ok {
 			gi = len(m.groups)
 			byKey[key] = gi
-			m.groups = append(m.groups, &fanGroup{
-				key:   key,
-				sig:   p.Signature(),
-				stack: []*engine.SigNode{p.Signature()},
-			})
+			m.groups = append(m.groups, &fanGroup{key: key, sig: p.Signature()})
 		}
 		m.groups[gi].members = append(m.groups[gi].members, i)
 		m.slotGroup[i] = gi
 	}
-	if !m.grouped {
-		m.machine = autom.Build(m.machineGroups())
-		m.matcher = m.machine.NewMatcher()
-	}
+	m.machine = autom.Build(m.machineGroups())
+	m.matcher = m.machine.NewMatcher()
 	if m.stream != nil {
 		m.stream.groupKeys = byKey // kept for mid-stream joins
 	}
@@ -314,8 +291,10 @@ func GroupKey(p *engine.Plan) string {
 var errAllFailed = errors.New("mux: all queries failed")
 
 // fail detaches slot i from the event flow, recording err and the stats
-// accumulated up to the failure. Called on the scan goroutine; parallel
-// workers use parFail, which additionally records the failure position.
+// accumulated up to the failure. Called on the scan goroutine or, under
+// the parallel pipeline, on the worker that routes the slot's group:
+// slot state (Result, live flag, session) is owner-exclusive, only the
+// live count is shared and atomic.
 func (m *Mux) fail(i int, err error) {
 	m.results[i].Err = err
 	m.results[i].Stats = m.sessions[i].Abort()
@@ -326,23 +305,11 @@ func (m *Mux) fail(i int, err error) {
 	}
 }
 
-// ctxPollMask batches per-slot cancellation polls: contexts are checked
-// once every 256 fanned events, bounding a canceled query's extra work
-// to one small event batch without a per-event ctx.Err() in the hot loop.
-const ctxPollMask = 255
-
-// pollCtxs detaches every live slot whose context is done. Called at
-// event-batch granularity from the per-event fan-out handlers.
+// pollCtxs detaches every live slot whose context is done. The batched
+// delivery path calls it once per batch, bounding a canceled query's
+// extra work to one event batch without a per-event ctx.Err() in the
+// hot loop.
 func (m *Mux) pollCtxs() {
-	if m.nctx == 0 || m.events&ctxPollMask != 0 {
-		return
-	}
-	m.pollCtxsNow()
-}
-
-// pollCtxsNow is pollCtxs without the event-count gate; the batched
-// delivery path calls it once per batch.
-func (m *Mux) pollCtxsNow() {
 	for i, ctx := range m.ctxs {
 		if ctx == nil || !m.live[i] {
 			continue
@@ -367,7 +334,7 @@ func (m *Mux) HandleBatch(b *sax.Batch) error {
 		return m.parHandleBatch(b)
 	}
 	if m.nctx > 0 {
-		m.pollCtxsNow()
+		m.pollCtxs()
 	}
 	if m.stream != nil {
 		// Streaming: route, then push every live session's buffered
@@ -427,84 +394,21 @@ func (m *Mux) routeBatch(b *sax.Batch) error {
 	return nil
 }
 
-// StartElement implements sax.Handler.
-func (m *Mux) StartElement(name string) error {
-	m.events++
-	m.pollCtxs()
-	if m.selective {
-		return m.routeStart(name)
-	}
-	for i, s := range m.sessions {
-		if !m.live[i] {
-			continue
-		}
-		if err := s.StartElement(name); err != nil {
-			m.fail(i, err)
-		}
-	}
-	if m.nlive.Load() == 0 {
-		return errAllFailed
-	}
-	return nil
-}
-
-// routeStart is StartElement under selective fan-out: each group either
-// descends the signature trie and receives the event, or — when no
-// signature path can match the subtree — collapses it into one
-// SkipSubtree step and withholds everything until the matching end tag.
-// Automaton routing makes the same decision for all groups in one
-// matcher step; grouped routing walks each group's own trie cursor.
+// routeStart routes a start tag: each group either descends the
+// signature trie and receives the event, or — when no signature path
+// can match the subtree — collapses it into one SkipSubtree step and
+// has everything withheld until the matching end tag. One matcher step
+// makes the decision for all groups.
 func (m *Mux) routeStart(name string) error {
 	m.depth++
 	if m.stream != nil && m.depth == 1 {
 		m.stream.rootName = name
 	}
-	if m.matcher != nil {
-		deliver, skip := m.matcher.Start(name)
-		for w, word := range skip {
-			for word != 0 {
-				g := m.groups[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-				for _, i := range g.members {
-					if !m.live[i] {
-						continue
-					}
-					if err := m.sessions[i].SkipSubtree(name); err != nil {
-						m.fail(i, err)
-					}
-				}
-			}
-		}
-		for w, word := range deliver {
-			for word != 0 {
-				g := m.groups[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-				for _, i := range g.members {
-					if !m.live[i] {
-						continue
-					}
-					if err := m.sessions[i].StartElement(name); err != nil {
-						m.fail(i, err)
-					}
-				}
-			}
-		}
-		if m.nlive.Load() == 0 && m.stream == nil {
-			return errAllFailed
-		}
-		return nil
-	}
-	for _, g := range m.groups {
-		if g.skipUntil != 0 {
-			g.skipped++
-			continue
-		}
-		cur := g.stack[len(g.stack)-1]
-		next := cur
-		if !cur.All {
-			next = cur.Kids[name]
-		}
-		if next == nil {
+	deliver, skip := m.matcher.Start(name)
+	for w, word := range skip {
+		for word != 0 {
+			g := m.groups[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
 			for _, i := range g.members {
 				if !m.live[i] {
 					continue
@@ -513,16 +417,19 @@ func (m *Mux) routeStart(name string) error {
 					m.fail(i, err)
 				}
 			}
-			g.skipUntil = m.depth
-			continue
 		}
-		g.stack = append(g.stack, next)
-		for _, i := range g.members {
-			if !m.live[i] {
-				continue
-			}
-			if err := m.sessions[i].StartElement(name); err != nil {
-				m.fail(i, err)
+	}
+	for w, word := range deliver {
+		for word != 0 {
+			g := m.groups[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for _, i := range g.members {
+				if !m.live[i] {
+					continue
+				}
+				if err := m.sessions[i].StartElement(name); err != nil {
+					m.fail(i, err)
+				}
 			}
 		}
 	}
@@ -532,120 +439,28 @@ func (m *Mux) routeStart(name string) error {
 	return nil
 }
 
-// Text implements sax.Handler.
-func (m *Mux) Text(data string) error {
-	m.events++
-	m.pollCtxs()
-	if m.selective {
-		return m.routeText(data)
-	}
-	for i, s := range m.sessions {
-		if !m.live[i] {
-			continue
-		}
-		if err := s.Text(data); err != nil {
-			m.fail(i, err)
-		}
-	}
-	if m.nlive.Load() == 0 {
-		return errAllFailed
-	}
-	return nil
-}
-
-// routeText delivers character data to every group not inside a
+// routeTextBytes delivers character data to every group not inside a
 // skipped subtree, except at spine positions whose production is mixed
 // (SigNode.DropText): there text is always legal and a spine position
 // consumes nothing, so the event is withheld and counted as skipped.
 // Non-mixed spine positions still get their text — in a valid document
 // that is only whitespace the scanner has not already dropped, and in an
 // invalid one it is stray character data that must fail validation
-// exactly as it does under all-fanout.
-func (m *Mux) routeText(data string) error {
-	if m.matcher != nil {
-		deliver := m.matcher.Text()
-		for w, word := range deliver {
-			for word != 0 {
-				g := m.groups[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-				for _, i := range g.members {
-					if !m.live[i] {
-						continue
-					}
-					if err := m.sessions[i].Text(data); err != nil {
-						m.fail(i, err)
-					}
-				}
-			}
-		}
-		if m.nlive.Load() == 0 && m.stream == nil {
-			return errAllFailed
-		}
-		return nil
-	}
-	for _, g := range m.groups {
-		if g.skipUntil != 0 {
-			g.skipped++
-			continue
-		}
-		if cur := g.stack[len(g.stack)-1]; !cur.All && cur.DropText {
-			g.skipped++
-			continue
-		}
-		for _, i := range g.members {
-			if !m.live[i] {
-				continue
-			}
-			if err := m.sessions[i].Text(data); err != nil {
-				m.fail(i, err)
-			}
-		}
-	}
-	if m.nlive.Load() == 0 && m.stream == nil {
-		return errAllFailed
-	}
-	return nil
-}
-
-// routeTextBytes is routeText for arena-backed batch payloads, fanning
-// the bytes to each group member without a string conversion.
+// exactly as it does under all-fanout. The arena-backed bytes reach
+// each group member without a string conversion.
 func (m *Mux) routeTextBytes(data []byte) error {
-	if m.matcher != nil {
-		deliver := m.matcher.Text()
-		for w, word := range deliver {
-			for word != 0 {
-				g := m.groups[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-				for _, i := range g.members {
-					if !m.live[i] {
-						continue
-					}
-					if err := m.sessions[i].TextBytes(data); err != nil {
-						m.fail(i, err)
-					}
+	deliver := m.matcher.Text()
+	for w, word := range deliver {
+		for word != 0 {
+			g := m.groups[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for _, i := range g.members {
+				if !m.live[i] {
+					continue
 				}
-			}
-		}
-		if m.nlive.Load() == 0 && m.stream == nil {
-			return errAllFailed
-		}
-		return nil
-	}
-	for _, g := range m.groups {
-		if g.skipUntil != 0 {
-			g.skipped++
-			continue
-		}
-		if cur := g.stack[len(g.stack)-1]; !cur.All && cur.DropText {
-			g.skipped++
-			continue
-		}
-		for _, i := range g.members {
-			if !m.live[i] {
-				continue
-			}
-			if err := m.sessions[i].TextBytes(data); err != nil {
-				m.fail(i, err)
+				if err := m.sessions[i].TextBytes(data); err != nil {
+					m.fail(i, err)
+				}
 			}
 		}
 	}
@@ -655,77 +470,56 @@ func (m *Mux) routeTextBytes(data []byte) error {
 	return nil
 }
 
-// EndElement implements sax.Handler.
-func (m *Mux) EndElement(name string) error {
-	m.events++
-	m.pollCtxs()
-	if m.selective {
-		return m.routeEnd(name)
-	}
-	for i, s := range m.sessions {
-		if !m.live[i] {
-			continue
-		}
-		if err := s.EndElement(name); err != nil {
-			m.fail(i, err)
-		}
-	}
-	if m.nlive.Load() == 0 {
-		return errAllFailed
-	}
-	return nil
-}
-
-// routeEnd is EndElement under selective fan-out: a skipping group
-// resumes routing when the skipped element's own end tag goes by (the
-// SkipSubtree step already accounted for the whole element).
+// routeEnd routes an end tag: a skipping group resumes routing when the
+// skipped element's own end tag goes by (the SkipSubtree step already
+// accounted for the whole element).
 func (m *Mux) routeEnd(name string) error {
-	if m.matcher != nil {
-		deliver := m.matcher.End()
-		for w, word := range deliver {
-			for word != 0 {
-				g := m.groups[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-				for _, i := range g.members {
-					if !m.live[i] {
-						continue
-					}
-					if err := m.sessions[i].EndElement(name); err != nil {
-						m.fail(i, err)
-					}
+	deliver := m.matcher.End()
+	for w, word := range deliver {
+		for word != 0 {
+			g := m.groups[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for _, i := range g.members {
+				if !m.live[i] {
+					continue
 				}
-			}
-		}
-		m.depth--
-		if m.stream != nil && m.depth == 0 {
-			m.stream.rootClosed = true
-		}
-		if m.nlive.Load() == 0 && m.stream == nil {
-			return errAllFailed
-		}
-		return nil
-	}
-	for _, g := range m.groups {
-		if g.skipUntil != 0 {
-			g.skipped++
-			if m.depth == g.skipUntil {
-				g.skipUntil = 0
-			}
-			continue
-		}
-		g.stack = g.stack[:len(g.stack)-1]
-		for _, i := range g.members {
-			if !m.live[i] {
-				continue
-			}
-			if err := m.sessions[i].EndElement(name); err != nil {
-				m.fail(i, err)
+				if err := m.sessions[i].EndElement(name); err != nil {
+					m.fail(i, err)
+				}
 			}
 		}
 	}
 	m.depth--
 	if m.stream != nil && m.depth == 0 {
 		m.stream.rootClosed = true
+	}
+	if m.nlive.Load() == 0 && m.stream == nil {
+		return errAllFailed
+	}
+	return nil
+}
+
+// routeSkip fans a scanner-pruned subtree (a SkipElement token) out as
+// one SkipSubtree step per live member of every group not already inside
+// a subtree it is skipping itself. The scan never tokenized the
+// element's interior, so each group's SkippedEvents counter advances by
+// one — the element itself — rather than by its (unknown) event count:
+// under scanner pruning the counter is a lower bound.
+func (m *Mux) routeSkip(name string) error {
+	deliver := m.matcher.Skip()
+	for w, word := range deliver {
+		for word != 0 {
+			g := m.groups[w<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for _, i := range g.members {
+				if !m.live[i] {
+					continue
+				}
+				if err := m.sessions[i].SkipSubtree(name); err != nil {
+					m.fail(i, err)
+				}
+			}
+		}
 	}
 	if m.nlive.Load() == 0 && m.stream == nil {
 		return errAllFailed
@@ -760,11 +554,7 @@ func (m *Mux) Run(ctx context.Context, r io.Reader, opt sax.Options) ([]Result, 
 		// bytes are consumed raw and arrive as single SkipElement tokens
 		// instead of being tokenized and routed token by token. Subtrees
 		// only some groups skip are still routed here.
-		if m.machine != nil {
-			opt.Prune = m.machine.Prune()
-		} else {
-			opt.Prune = m.unionPrune()
-		}
+		opt.Prune = m.machine.Prune()
 	}
 	for i, s := range m.sessions {
 		if !m.live[i] {
@@ -782,8 +572,8 @@ func (m *Mux) Run(ctx context.Context, r io.Reader, opt sax.Options) ([]Result, 
 			// All queries failed mid-stream. Sequential routing aborts at
 			// the exact failing token; the parallel producer may only
 			// notice at the next batch boundary, but either way the
-			// sequential-equivalent outcome is errAllFailed (parFillSkipped
-			// reconstructs the counters as of the true abort token).
+			// outcome is errAllFailed (SetParallel states what that does
+			// to SkippedEvents).
 			m.fillSkipped()
 			return m.results, errAllFailed
 		}
@@ -814,112 +604,14 @@ func (m *Mux) Run(ctx context.Context, r io.Reader, opt sax.Options) ([]Result, 
 	return m.results, nil
 }
 
-// unionPrune merges the groups' signature tries into one scanner prune
-// trie: a position is pruned only when no group's signature can match
-// anything inside it. Returns nil (no pruning) if any plan lacks a
-// signature.
-func (m *Mux) unionPrune() *sax.PruneNode {
-	sigs := make([]*engine.SigNode, len(m.groups))
-	for i, g := range m.groups {
-		if g.stack[0] == nil {
-			return nil
-		}
-		sigs[i] = g.stack[0]
-	}
-	return unionSigs(sigs)
-}
-
-func unionSigs(nodes []*engine.SigNode) *sax.PruneNode {
-	p := &sax.PruneNode{}
-	kids := make(map[string][]*engine.SigNode)
-	for _, n := range nodes {
-		if n.All {
-			// Some group consumes everything below here: nothing under this
-			// position may be pruned, and Kids are irrelevant.
-			return &sax.PruneNode{All: true}
-		}
-		for k, v := range n.Kids {
-			kids[k] = append(kids[k], v)
-		}
-	}
-	if len(kids) > 0 {
-		p.Kids = make(map[string]*sax.PruneNode, len(kids))
-		for k, vs := range kids {
-			p.Kids[k] = unionSigs(vs)
-		}
-	}
-	return p
-}
-
-// routeSkip fans a scanner-pruned subtree (a SkipElement token) out as
-// one SkipSubtree step per live member of every group not already inside
-// a subtree it is skipping itself. The scan never tokenized the
-// element's interior, so each group's SkippedEvents counter advances by
-// one — the element itself — rather than by its (unknown) event count:
-// under scanner pruning the counter is a lower bound.
-func (m *Mux) routeSkip(name string) error {
-	if m.matcher != nil {
-		deliver := m.matcher.Skip()
-		for w, word := range deliver {
-			for word != 0 {
-				g := m.groups[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-				for _, i := range g.members {
-					if !m.live[i] {
-						continue
-					}
-					if err := m.sessions[i].SkipSubtree(name); err != nil {
-						m.fail(i, err)
-					}
-				}
-			}
-		}
-		if m.nlive.Load() == 0 && m.stream == nil {
-			return errAllFailed
-		}
-		return nil
-	}
-	for _, g := range m.groups {
-		g.skipped++
-		if g.skipUntil != 0 {
-			continue
-		}
-		for _, i := range g.members {
-			if !m.live[i] {
-				continue
-			}
-			if err := m.sessions[i].SkipSubtree(name); err != nil {
-				m.fail(i, err)
-			}
-		}
-	}
-	if m.nlive.Load() == 0 && m.stream == nil {
-		return errAllFailed
-	}
-	return nil
-}
-
 // fillSkipped copies each routing group's skip counter onto its
 // members' Results.
 func (m *Mux) fillSkipped() {
 	if !m.selective {
 		return
 	}
-	if m.par != nil && m.par.fixup {
-		// All queries failed under the parallel pipeline: reconstruct the
-		// counters as of the true abort token, where sequential routing
-		// would have stopped (the producer's matcher ran further).
-		m.parFillSkipped()
-		return
-	}
-	if m.matcher != nil {
-		m.matcher.Flush()
-		for i := range m.results {
-			m.results[i].SkippedEvents = m.matcher.Skipped(m.slotGroup[i])
-		}
-		return
-	}
+	m.matcher.Flush()
 	for i := range m.results {
-		m.results[i].SkippedEvents = m.groups[m.slotGroup[i]].skipped
+		m.results[i].SkippedEvents = m.matcher.Skipped(m.slotGroup[i])
 	}
 }

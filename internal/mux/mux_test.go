@@ -306,6 +306,9 @@ func TestSelectiveMatchesAllFanout(t *testing.T) {
 			t.Errorf("plan %d tokens: selective %d > all-fanout %d",
 				i, selRes[i].Stats.Tokens, allRes[i].Stats.Tokens)
 		}
+		if allRes[i].SkippedEvents != 0 {
+			t.Errorf("plan %d: all-fanout SkippedEvents = %d, want 0", i, allRes[i].SkippedEvents)
+		}
 	}
 	// The narrow plans must have been delivered strictly fewer events and
 	// their skip counters must say so; the whole-document copy sees all.

@@ -32,18 +32,15 @@ package mux
 // parQueueDepth, though the batch ring's window is the binding limit in
 // practice.
 //
-// Error isolation. A worker records a member failure with parFail:
+// Error isolation. A worker records a member failure with fail:
 // per-slot Result fields are owner-exclusive (each slot belongs to
 // exactly one group, each group to exactly one worker), only the live
 // count is shared and atomic. Siblings in other groups stream on
 // undisturbed. When the last live slot dies, the producer notices at
-// the next batch boundary and aborts the scan with errAllFailed, like
-// the sequential router does at the failing token itself; the producer
-// has usually routed a little further by then, so each item carries a
-// checkpoint of the matcher's skip counters (SnapshotSkipped) and the
-// retention ring keeps the last few items' masks alive — parFillSkipped
-// reconstructs every group's SkippedEvents as of the true abort token,
-// keeping even the all-failed corner byte-identical to sequential.
+// the next batch boundary and aborts the scan with errAllFailed, where
+// the sequential router stops at the failing token itself; the producer
+// has usually routed a little further by then, which is the one place
+// the two differ (see SetParallel).
 //
 // Streaming. Mid-stream joins need the scan quiescent: at a sync point
 // with pending subscriptions the producer flushes the partial item,
@@ -55,7 +52,7 @@ package mux
 // (flushLive) moves onto the workers, each flushing its own members.
 //
 // Fallback. startParallel declines — leaving the Mux fully sequential —
-// when routing is not automaton-based (all-fanout, grouped), when
+// when routing is not automaton-based (all-fanout), when
 // GOMAXPROCS is 1, or when a batch Run has fewer than two groups (a
 // streaming mux parallelizes even with one group, pipelining scan
 // against evaluation, since groups may join later). Tiny token batches
@@ -80,12 +77,6 @@ const (
 	// ring already limits distinct batches in flight; the headroom above
 	// that covers items split at streaming sync points.
 	parQueueDepth = 8
-	// parRetain is the producer's item-retention window (batch mode): the
-	// masks and checkpoints of the last parRetain items stay readable so
-	// an all-failed abort can reconstruct skip counters at the abort
-	// token. It exceeds the largest possible producer overrun, which the
-	// batch ring caps at sax's ring size.
-	parRetain = 8
 	// maxParWorkers caps the worker pool; beyond this, per-batch dispatch
 	// overhead outweighs added parallelism for realistic group counts.
 	maxParWorkers = 16
@@ -95,27 +86,10 @@ const (
 // scan runs with SetParallel in effect.
 type parState struct {
 	workers []*parWorker
-	// ring retains recently issued items for parFillSkipped (batch mode
-	// only; nil for streams, which never abort on all-failed).
-	ring    []*parItem
-	ringPos int
 	// outstanding counts worker messages not yet fully processed; zero
 	// means every worker is idle and the producer may touch sessions
 	// inline (the atomic ordering makes the workers' writes visible).
 	outstanding atomic.Int64
-	// failPos records, per slot, the global token index at which a
-	// worker failed it (-1 = no worker failure). Batch mode only.
-	failPos []int64
-	// pos is the global token index the producer has routed through the
-	// parallel path (items' startPos are cut from it).
-	pos int64
-	// exactAbort is set when errAllFailed was raised by inline routing:
-	// the matcher stopped at the exact abort token, so the ordinary
-	// fillSkipped counters are already correct.
-	exactAbort bool
-	// fixup is set by stopParallel when an all-failed batch scan needs
-	// parFillSkipped's reconstruction instead of the matcher's counters.
-	fixup bool
 	// stopped makes stopParallel idempotent.
 	stopped bool
 }
@@ -146,34 +120,34 @@ type parItem struct {
 	// skip-start (meaningful for StartElement tokens only). Indexed by
 	// (tok - firstTok).
 	masks    []uint64
-	kinds    []byte // token kinds, for parFillSkipped's reconstruction
-	words    int    // mask width when the item was created
-	firstTok int    // first batch token this item covers
-	startPos int64  // global token index of firstTok
-	// skipAt is the matcher's per-group skip-counter snapshot taken
-	// before routing the item's first token (batch mode only).
-	skipAt []int64
-	// refs counts unprocessed worker messages referencing the item;
-	// retained items (batch mode) are recycled by the producer's
-	// retention ring instead of by the last release.
-	refs     atomic.Int32
-	retained bool
+	words    int // mask width when the item was created
+	firstTok int // first batch token this item covers
+	// refs counts unprocessed worker messages referencing the item; the
+	// last release recycles it.
+	refs atomic.Int32
 }
 
-// parItemPool recycles item shells (mask and kind buffers) across
-// batches and scans.
+// parItemPool recycles item shells (mask buffers) across batches and
+// scans.
 var parItemPool = sync.Pool{New: func() any { return &parItem{} }}
 
 // SetParallel requests parallel per-group evaluation for this Mux's
 // scan: session work moves onto a worker pool (one worker per
 // GOMAXPROCS core, at most maxParWorkers), fed per-batch by the scan
-// goroutine, with results, stats, skip counts, and error isolation
-// byte-identical to the sequential scan. It takes effect at Run or
-// BeginStream and silently stays sequential when it cannot help:
-// routing must be automaton-based (NewSelective or NewStreaming, not
-// grouped or all-fanout), GOMAXPROCS must exceed 1, and a batch Run
-// needs at least two routing groups. Callers must not share one writer
-// between plans of different routing groups when parallel is on.
+// goroutine. It takes effect at Run or BeginStream and silently stays
+// sequential when it cannot help: routing must be automaton-based
+// (NewSelective or NewStreaming, not all-fanout), GOMAXPROCS must
+// exceed 1, and a batch Run needs at least two routing groups. Callers
+// must not share one writer between plans of different routing groups
+// when parallel is on.
+//
+// Contract: a parallel scan equals the sequential scan on the stream
+// error, every per-query error, the output bytes and Stats always, and
+// on SkippedEvents whenever Run does not end in the all-queries-failed
+// abort. On that abort SkippedEvents is the producer's count where it
+// stopped — at least the sequential value, ahead of it by no more than
+// the scanner's batch ring, which bounds how far the producer can run
+// past the workers.
 func (m *Mux) SetParallel(on bool) { m.parallel = on }
 
 // ParallelActive reports whether the scan is (or, after Run/EndStream,
@@ -184,7 +158,7 @@ func (m *Mux) ParallelActive() bool { return m.par != nil }
 // startParallel spins up the worker pool if the Mux qualifies; called
 // after buildGroups and the sessions' Begin, before the first batch.
 func (m *Mux) startParallel() {
-	if !m.parallel || m.grouped || m.matcher == nil {
+	if !m.parallel || m.matcher == nil {
 		return
 	}
 	if runtime.GOMAXPROCS(0) < 2 {
@@ -204,13 +178,6 @@ func (m *Mux) startParallel() {
 		nw = 1
 	}
 	p := &parState{workers: make([]*parWorker, nw)}
-	if m.stream == nil {
-		p.ring = make([]*parItem, parRetain)
-		p.failPos = make([]int64, len(m.sessions))
-		for i := range p.failPos {
-			p.failPos[i] = -1
-		}
-	}
 	for wi := range p.workers {
 		p.workers[wi] = &parWorker{
 			ch:   make(chan parMsg, parQueueDepth),
@@ -254,8 +221,6 @@ func (m *Mux) stopParallel() {
 	for _, w := range p.workers {
 		<-w.done
 	}
-	p.fixup = m.stream == nil && len(m.sessions) > 0 &&
-		m.nlive.Load() == 0 && !p.exactAbort
 }
 
 // parQuiesce drains the pipeline without stopping it: a barrier message
@@ -280,8 +245,7 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 	p := m.par
 	if m.stream == nil && m.nlive.Load() == 0 {
 		// All queries failed in some earlier item; stop feeding. The
-		// sequential router aborted at the failing token itself —
-		// parFillSkipped squares the books.
+		// sequential router aborted at the failing token itself.
 		return errAllFailed
 	}
 	if len(b.Tokens) <= parInlineTokens && p.outstanding.Load() == 0 {
@@ -289,14 +253,9 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 		// scan — no dispatch overhead, and outstanding == 0 means the
 		// workers' session writes are visible here.
 		if m.nctx > 0 {
-			m.pollCtxsNow()
+			m.pollCtxs()
 		}
-		err := m.routeBatch(b)
-		p.pos += int64(len(b.Tokens))
-		if err != nil {
-			if err == errAllFailed {
-				p.exactAbort = true
-			}
+		if err := m.routeBatch(b); err != nil {
 			return err
 		}
 		if m.stream != nil {
@@ -313,7 +272,6 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 			// the batch goes into a fresh item sized for the (possibly
 			// wider) extended automaton.
 			m.parFlushRange(it, lo, i)
-			m.parRetire(it)
 			m.parQuiesce()
 			m.activatePending()
 			it = m.parNewItem(b, i)
@@ -341,11 +299,8 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 		default:
 			copy(it.masks[base:], m.matcher.Text())
 		}
-		it.kinds[i-it.firstTok] = byte(t.Kind)
-		p.pos++
 	}
 	m.parFlushRange(it, lo, len(b.Tokens))
-	m.parRetire(it)
 	return nil
 }
 
@@ -354,27 +309,16 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 func (m *Mux) parNewItem(b *sax.Batch, firstTok int) *parItem {
 	it := parItemPool.Get().(*parItem)
 	words := (m.machine.NumGroups() + 63) / 64
-	n := len(b.Tokens) - firstTok
-	need := n * 2 * words
+	need := (len(b.Tokens) - firstTok) * 2 * words
 	if cap(it.masks) < need {
 		it.masks = make([]uint64, need)
 	} else {
 		it.masks = it.masks[:need]
 	}
-	if cap(it.kinds) < n {
-		it.kinds = make([]byte, n)
-	} else {
-		it.kinds = it.kinds[:n]
-	}
 	it.batch = b
 	it.words = words
 	it.firstTok = firstTok
-	it.startPos = m.par.pos
-	it.retained = m.stream == nil
 	it.refs.Store(0)
-	if it.retained {
-		it.skipAt = m.matcher.SnapshotSkipped(it.skipAt[:0])
-	}
 	return it
 }
 
@@ -394,31 +338,6 @@ func (m *Mux) parFlushRange(it *parItem, lo, hi int) {
 	}
 }
 
-// parRetire files a fully issued item. Batch mode keeps it in the
-// retention ring for parFillSkipped, recycling the item the ring evicts
-// (whose workers are long done — the scanner's batch ring throttles the
-// producer far inside the retention window; if an evicted item is
-// somehow still referenced it is simply dropped to the GC). Streaming
-// items are recycled by their last release instead.
-func (m *Mux) parRetire(it *parItem) {
-	if !it.retained {
-		return
-	}
-	p := m.par
-	if old := p.ring[p.ringPos]; old != nil && old.refs.Load() == 0 {
-		putParItem(old)
-	}
-	p.ring[p.ringPos] = it
-	p.ringPos = (p.ringPos + 1) % len(p.ring)
-}
-
-// putParItem drops an item's batch reference and returns the shell to
-// the pool.
-func putParItem(it *parItem) {
-	it.batch = nil
-	parItemPool.Put(it)
-}
-
 // run is the worker loop: process items, honor quiesce barriers, exit
 // when the producer closes the queue.
 func (w *parWorker) run(m *Mux) {
@@ -433,13 +352,13 @@ func (w *parWorker) run(m *Mux) {
 	}
 }
 
-// parRelease undoes one message's retention of its item and batch. The
-// batch reference is saved before the item can be pooled: putParItem
-// clears it.batch.
+// parRelease undoes one message's retention of its item and batch; the
+// last release of an item returns its shell to the pool.
 func (m *Mux) parRelease(it *parItem) {
 	b := it.batch
-	if it.refs.Add(-1) == 0 && !it.retained {
-		putParItem(it)
+	if it.refs.Add(-1) == 0 {
+		it.batch = nil
+		parItemPool.Put(it)
 	}
 	b.Release()
 	m.par.outstanding.Add(-1)
@@ -467,7 +386,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 			}
 			if ctx := m.ctxs[slot]; ctx != nil {
 				if err := ctx.Err(); err != nil {
-					m.parFail(slot, err, it.startPos+int64(msg.lo-it.firstTok))
+					m.fail(slot, err)
 					continue
 				}
 			}
@@ -480,7 +399,6 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 			base := (ti-it.firstTok)*stride + wi
 			deliver := it.masks[base]&bit != 0
 			t := &it.batch.Tokens[ti]
-			pos := it.startPos + int64(ti-it.firstTok)
 			switch t.Kind {
 			case sax.StartElement:
 				if deliver {
@@ -489,7 +407,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 							continue
 						}
 						if err := m.sessions[slot].StartElement(t.Name); err != nil {
-							m.parFail(slot, err, pos)
+							m.fail(slot, err)
 						}
 					}
 				} else if it.masks[base+it.words]&bit != 0 {
@@ -498,7 +416,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 							continue
 						}
 						if err := m.sessions[slot].SkipSubtree(t.Name); err != nil {
-							m.parFail(slot, err, pos)
+							m.fail(slot, err)
 						}
 					}
 				}
@@ -509,7 +427,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 							continue
 						}
 						if err := m.sessions[slot].EndElement(t.Name); err != nil {
-							m.parFail(slot, err, pos)
+							m.fail(slot, err)
 						}
 					}
 				}
@@ -520,7 +438,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 							continue
 						}
 						if err := m.sessions[slot].SkipSubtree(t.Name); err != nil {
-							m.parFail(slot, err, pos)
+							m.fail(slot, err)
 						}
 					}
 				}
@@ -531,7 +449,7 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 							continue
 						}
 						if err := m.sessions[slot].TextBytes(t.Data); err != nil {
-							m.parFail(slot, err, pos)
+							m.fail(slot, err)
 						}
 					}
 				}
@@ -545,92 +463,9 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 					continue
 				}
 				if err := m.sessions[slot].Flush(); err != nil {
-					m.parFail(slot, err, it.startPos+int64(msg.hi-1-it.firstTok))
+					m.fail(slot, err)
 				}
 			}
 		}
-	}
-}
-
-// parFail is fail for worker goroutines: slot state (Result, live flag,
-// session) is owner-exclusive to the worker that routes the slot's
-// group, so only the live count needs an atomic. The failure's global
-// token position is recorded so an all-failed abort can locate the
-// token where the sequential scan would have stopped.
-func (m *Mux) parFail(slot int, err error, pos int64) {
-	m.results[slot].Err = err
-	m.results[slot].Stats = m.sessions[slot].Abort()
-	m.live[slot] = false
-	if fp := m.par.failPos; slot < len(fp) {
-		fp[slot] = pos
-	}
-	m.nlive.Add(-1)
-	if m.stream != nil && m.stream.onDetach != nil {
-		m.stream.onDetach(slot, err)
-	}
-}
-
-// parFillSkipped reconstructs every slot's SkippedEvents as of the
-// token where the sequential scan would have aborted with errAllFailed
-// — the last slot failure. The producer's matcher usually routed a few
-// batches past that token before noticing the pipeline was dead, so its
-// counters overshoot; the abort token's item carries a checkpoint of
-// the counters at its first token (skipAt) and the masks to replay
-// per-token increments up to the abort token exactly:
-//
-//	StartElement: +1 for groups neither delivered nor starting a skip
-//	EndElement:   +1 for groups not delivered
-//	Text:         +1 for groups not delivered (skipped or DropText)
-//	SkipElement:  +1 for every group
-//
-// which is precisely the matcher's interval accounting unrolled.
-func (m *Mux) parFillSkipped() {
-	p := m.par
-	abort := int64(-1)
-	for _, fp := range p.failPos {
-		if fp > abort {
-			abort = fp
-		}
-	}
-	var tgt *parItem
-	for _, it := range p.ring {
-		if it != nil && it.startPos <= abort && abort < it.startPos+int64(len(it.kinds)) {
-			tgt = it
-			break
-		}
-	}
-	if tgt == nil {
-		// Defensive: the abort token predates the retention window, which
-		// the batch ring's throttling should make impossible. Fall back
-		// to the matcher's end-of-routing counters.
-		m.matcher.Flush()
-		for i := range m.results {
-			m.results[i].SkippedEvents = m.matcher.Skipped(m.slotGroup[i])
-		}
-		return
-	}
-	counts := append([]int64(nil), tgt.skipAt...)
-	stride := 2 * tgt.words
-	for j := 0; int64(j) <= abort-tgt.startPos; j++ {
-		base := j * stride
-		kind := sax.Kind(tgt.kinds[j])
-		for g := range counts {
-			wi, bit := g>>6, uint64(1)<<(g&63)
-			switch kind {
-			case sax.StartElement:
-				if tgt.masks[base+wi]&bit == 0 && tgt.masks[base+tgt.words+wi]&bit == 0 {
-					counts[g]++
-				}
-			case sax.SkipElement:
-				counts[g]++
-			default: // EndElement, Text
-				if tgt.masks[base+wi]&bit == 0 {
-					counts[g]++
-				}
-			}
-		}
-	}
-	for i := range m.results {
-		m.results[i].SkippedEvents = counts[m.slotGroup[i]]
 	}
 }

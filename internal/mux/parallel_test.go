@@ -2,7 +2,7 @@ package mux_test
 
 // Tests for the parallel per-group evaluation pipeline (SetParallel):
 // equivalence with the sequential scan, the all-failed abort's skip
-// accounting, and the interleavings the pipeline makes interesting —
+// bound, and the interleavings the pipeline makes interesting —
 // cancellation and subscriber detach landing mid-batch on worker
 // goroutines. Run with -cpu 1,4: at GOMAXPROCS=1 the pipeline falls
 // back to sequential and the same assertions pin the fallback.
@@ -97,9 +97,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelAllFailedSkipCounts: when every query fails mid-stream the
-// parallel producer overruns the abort token before noticing; the
-// reconstruction must still report exactly the sequential scan's skip
-// counts and errors.
+// parallel producer overruns the abort token before noticing. Errors
+// must still match the sequential scan's; the skip counts are the
+// producer's where it stopped — at least the sequential values, ahead by
+// no more than the scanner's batch ring (4 batches of 1024 tokens).
 func TestParallelAllFailedSkipCounts(t *testing.T) {
 	// Both queries' DTD forbids <a> inside r, and the document buries its
 	// first <a> deep enough that the failure lands several batches in.
@@ -142,8 +143,8 @@ func TestParallelAllFailedSkipCounts(t *testing.T) {
 		if (parRes[i].Err != nil) != (seqRes[i].Err != nil) {
 			t.Errorf("query %d error: parallel %v, sequential %v", i, parRes[i].Err, seqRes[i].Err)
 		}
-		if parRes[i].SkippedEvents != seqRes[i].SkippedEvents {
-			t.Errorf("query %d skipped: parallel %d, sequential %d",
+		if d := parRes[i].SkippedEvents - seqRes[i].SkippedEvents; d < 0 || d > 4*1024 {
+			t.Errorf("query %d skipped: parallel %d, sequential %d; want sequential <= parallel <= sequential+4096",
 				i, parRes[i].SkippedEvents, seqRes[i].SkippedEvents)
 		}
 	}
@@ -325,21 +326,19 @@ func TestParallelStreamMidJoin(t *testing.T) {
 	}
 }
 
-// TestParallelFallback: constructions the pipeline cannot serve —
-// grouped routing, all-fanout — ignore SetParallel and stay sequential.
+// TestParallelFallback: an all-fanout mux, which the pipeline cannot
+// serve, ignores SetParallel and stays sequential.
 func TestParallelFallback(t *testing.T) {
-	for _, mk := range []func() *mux.Mux{mux.New, mux.NewSelectiveGrouped} {
-		m := mk()
-		m.SetParallel(true)
-		outs, _, err := runPlans(m, parPlans(t), wideDoc(50))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.ParallelActive() {
-			t.Error("parallel pipeline engaged on an unsupported mux")
-		}
-		if outs[3] != wideDoc(50) {
-			t.Error("fallback output wrong")
-		}
+	m := mux.New()
+	m.SetParallel(true)
+	outs, _, err := runPlans(m, parPlans(t), wideDoc(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ParallelActive() {
+		t.Error("parallel pipeline engaged on an all-fanout mux")
+	}
+	if outs[3] != wideDoc(50) {
+		t.Error("fallback output wrong")
 	}
 }

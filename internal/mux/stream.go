@@ -259,11 +259,7 @@ func (m *Mux) streamGroup(plan *engine.Plan) (int, bool) {
 	}
 	gi := len(m.groups)
 	m.stream.groupKeys[key] = gi
-	m.groups = append(m.groups, &fanGroup{
-		key:   key,
-		sig:   plan.Signature(),
-		stack: []*engine.SigNode{plan.Signature()},
-	})
+	m.groups = append(m.groups, &fanGroup{key: key, sig: plan.Signature()})
 	return gi, true
 }
 

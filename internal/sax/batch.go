@@ -167,9 +167,7 @@ func ScanBatchedContext(ctx context.Context, r io.Reader, h BatchHandler, opt Op
 	if err != nil && !s.bhFailed {
 		// Flush events emitted before the failure; the scan error, not a
 		// late handler error, remains the result.
-		if ferr := s.flushBatch(); ferr != nil && err == nil {
-			err = ferr
-		}
+		_ = s.flushBatch()
 	} else if err == nil {
 		err = s.flushBatch()
 	}

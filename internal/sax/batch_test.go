@@ -239,6 +239,12 @@ func TestScanBatchedHandlerError(t *testing.T) {
 	if err := ScanBatchedString(doc, &again, Options{}); err != nil {
 		t.Fatalf("scan after handler failure: %v", err)
 	}
+	// A handler error raised while the events before a syntax error are
+	// flushed does not displace the syntax error.
+	var syn *SyntaxError
+	if err := ScanBatchedString("<a><b/><c></a>", batchFunc(func(*Batch) error { return boom }), Options{}); !errors.As(err, &syn) {
+		t.Fatalf("scan returned %v, want the *SyntaxError", err)
+	}
 }
 
 // batchFunc adapts a function to BatchHandler.

@@ -21,8 +21,7 @@ type PruneNode struct {
 	Kids map[string]*PruneNode
 }
 
-// emitSkip appends a SkipElement token for a pruned element. Only called
-// in batched mode (pruning is ignored by per-event scans).
+// emitSkip appends a SkipElement token for a pruned element.
 func (s *scanner) emitSkip(name string) error {
 	b := s.curBatch()
 	if len(b.Tokens) >= maxBatchTokens {

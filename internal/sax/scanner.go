@@ -27,7 +27,7 @@ type Options struct {
 	// Prune, when non-nil, enables scanner-level subtree pruning for
 	// batched scans: an element with no entry in the trie is consumed
 	// raw and delivered as a single SkipElement token instead of being
-	// tokenized (see PruneNode). Per-event (Handler) scans ignore it —
+	// tokenized (see PruneNode). Per-event (Handler) scans clear it —
 	// the Handler interface has no skip event.
 	Prune *PruneNode
 
@@ -38,7 +38,7 @@ type Options struct {
 	// live feeds (StartChunked) turn it on, so events parsed from the
 	// bytes received so far reach the handler even when the next chunk
 	// is minutes away; the cost is smaller batches when the producer is
-	// slower than the scanner. Per-event scans ignore it.
+	// slower than the scanner.
 	EagerFlush bool
 }
 
@@ -88,18 +88,49 @@ func Scan(r io.Reader, h Handler, opt Options) error {
 // input-block granularity (every 64 KB consumed) and stops mid-stream
 // with ctx.Err() once the context is done, instead of burning through
 // the rest of the document. A nil ctx means the scan is never canceled.
+//
+// Handler scans run on the batched tokenizer: events reach h a batch at
+// a time, so when both h and the input fail, h's error wins if it was
+// raised by an event that precedes the input failure — even though the
+// scanner had already read past that event when it was delivered.
 func ScanContext(ctx context.Context, r io.Reader, h Handler, opt Options) error {
-	if ctx == nil {
-		ctx = context.Background()
+	opt.Prune = nil // a Handler cannot receive SkipElement
+	a := handlerAdapter{h: h}
+	err := ScanBatchedContext(ctx, r, &a, opt)
+	if a.err != nil {
+		return a.err
 	}
-	s := getScanner()
-	s.rd = r
-	s.h = h
-	s.opt = opt
-	s.ctx = ctx
-	err := s.run()
-	s.recycle()
 	return err
+}
+
+// handlerAdapter is the BatchHandler behind Scan: it unpacks each batch
+// into per-event Handler calls, copying text payloads out of the arena.
+type handlerAdapter struct {
+	h Handler
+	// err is the Handler's first error. ScanBatchedContext reports the
+	// scan error over a handler error raised while flushing the events
+	// before it; the Handler contract is the reverse, so ScanContext
+	// prefers this.
+	err error
+}
+
+// HandleBatch implements BatchHandler.
+func (a *handlerAdapter) HandleBatch(b *Batch) error {
+	for i := range b.Tokens {
+		t := &b.Tokens[i]
+		switch t.Kind {
+		case StartElement:
+			a.err = a.h.StartElement(t.Name)
+		case EndElement:
+			a.err = a.h.EndElement(t.Name)
+		default:
+			a.err = a.h.Text(string(t.Data))
+		}
+		if a.err != nil {
+			return a.err
+		}
+	}
+	return nil
 }
 
 func getScanner() *scanner {
@@ -118,7 +149,6 @@ func getScanner() *scanner {
 // corpus) unless it has grown past maxPooledNames.
 func (s *scanner) recycle() {
 	s.rd = nil
-	s.h = nil
 	s.bh = nil
 	s.ctx = nil
 	s.opt = Options{}
@@ -156,8 +186,7 @@ func ScanString(doc string, h Handler, opt Options) error {
 
 type scanner struct {
 	rd  io.Reader
-	h   Handler      // per-event delivery; nil in batched mode
-	bh  BatchHandler // batched delivery; nil in per-event mode
+	bh  BatchHandler
 	ctx context.Context
 	opt Options
 
@@ -182,10 +211,10 @@ type scanner struct {
 	buf       []byte // name/attribute scratch
 
 	// prune, when non-empty, is the prune-trie cursor stack alongside
-	// stack (batched scans with Options.Prune only; see prune.go).
+	// stack (scans with Options.Prune only; see prune.go).
 	prune []*PruneNode
 
-	// Batched-mode state (see batch.go).
+	// Batch delivery state (see batch.go).
 	ring     [batchRingSize]*Batch
 	ringPos  int
 	bhFailed bool // HandleBatch returned an error; do not flush again
@@ -229,7 +258,7 @@ func (s *scanner) refill() error {
 		s.readErr = cerr
 		return cerr
 	}
-	if s.opt.EagerFlush && s.bh != nil {
+	if s.opt.EagerFlush {
 		// About to read — possibly block — on a live feed: hand the
 		// events parsed so far to the handler first. A handler failure
 		// here is a delivery failure, not malformed input; recording it
@@ -310,14 +339,11 @@ func (s *scanner) intern(b []byte) string {
 
 // --- Event emission ------------------------------------------------------
 //
-// The scanner body is delivery-agnostic: it parses markup and calls the
-// emit* methods, which either invoke the per-event Handler or append
-// Tokens to the current Batch (copying text into the batch arena).
+// The scanner body parses markup and calls the emit* methods, which
+// append Tokens to the current Batch (copying text into the batch
+// arena) and flush a full batch to the BatchHandler.
 
 func (s *scanner) emitStart(name string) error {
-	if s.bh == nil {
-		return s.h.StartElement(name)
-	}
 	b := s.curBatch()
 	if len(b.Tokens) >= maxBatchTokens {
 		if err := s.flushBatch(); err != nil {
@@ -330,9 +356,6 @@ func (s *scanner) emitStart(name string) error {
 }
 
 func (s *scanner) emitEnd(name string) error {
-	if s.bh == nil {
-		return s.h.EndElement(name)
-	}
 	b := s.curBatch()
 	if len(b.Tokens) >= maxBatchTokens {
 		if err := s.flushBatch(); err != nil {
@@ -347,9 +370,6 @@ func (s *scanner) emitEnd(name string) error {
 // emitTextString delivers already-decoded character data held as a
 // string (attribute values under AttrsToSubelements).
 func (s *scanner) emitTextString(v string) error {
-	if s.bh == nil {
-		return s.h.Text(v)
-	}
 	if err := s.roomFor(len(v)); err != nil {
 		return err
 	}
@@ -373,17 +393,11 @@ func (s *scanner) flushText() error {
 
 // emitTextSeg delivers one complete character-data segment (t may point
 // into the input block or the text scratch; it is consumed before
-// return). In batched mode the decoded bytes go straight into the batch
-// arena: no string is allocated per text event.
+// return). The decoded bytes go straight into the batch arena: no
+// string is allocated per text event.
 func (s *scanner) emitTextSeg(t []byte) error {
 	if s.opt.SkipWhitespaceText && isAllSpaceBytes(t) {
 		return nil
-	}
-	if s.bh == nil {
-		if bytes.IndexByte(t, '&') < 0 {
-			return s.h.Text(string(t))
-		}
-		return s.h.Text(decodeEntities(string(t)))
 	}
 	// Decoding only ever shrinks (every reference is at least as long as
 	// its replacement), so len(t) bounds the arena bytes needed.
@@ -410,9 +424,6 @@ func (s *scanner) flushTextRaw() error {
 	s.text = s.text[:0]
 	if s.opt.SkipWhitespaceText && isAllSpaceBytes(t) {
 		return nil
-	}
-	if s.bh == nil {
-		return s.h.Text(string(t))
 	}
 	if err := s.roomFor(len(t)); err != nil {
 		return err
@@ -912,8 +923,9 @@ func decodeEntities(s string) string {
 }
 
 // appendDecoded is decodeEntities over byte slices, appending the decoded
-// text to dst — the batched path's allocation-free variant. The decoded
-// form is never longer than the input.
+// text to dst without allocating — character data takes this path,
+// attribute values the string one. The decoded form is never longer
+// than the input.
 func appendDecoded(dst, s []byte) []byte {
 	for len(s) > 0 {
 		if s[0] != '&' {

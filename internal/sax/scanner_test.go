@@ -193,6 +193,20 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want %v", err, boom)
 	}
+	// The handler's error also wins over a syntax error a few tokens
+	// later, which the tokenizer hits before the batch holding <b> is
+	// delivered.
+	err = ScanString("<a><b/><c></a>", HandlerFuncs{
+		Start: func(name string) error {
+			if name == "b" {
+				return boom
+			}
+			return nil
+		},
+	}, Options{})
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want %v over the later syntax error", err, boom)
+	}
 }
 
 func TestWriterRoundTrip(t *testing.T) {

@@ -161,7 +161,7 @@ var QueryNames = []string{"q1", "q8", "q11", "q13", "q20"}
 // FanoutQueries are narrow queries with pairwise-disjoint projected
 // paths — one per top-level branch of the site — so selective fan-out
 // can route each to a different slice of the document. They drive
-// BenchmarkSelectiveFanout and the fanout-all/fanout-selective
+// BenchmarkSelectiveFanout and the fanout-all/fanout-automaton
 // snapshot rows (internal/bench).
 var FanoutQueries = []string{
 	`<q> { for $i in /site/regions/australia/item return {$i/item_id} } </q>`,
@@ -201,8 +201,7 @@ var sharedPrefixTails = []string{
 // SharedPrefixQueries returns n queries that all iterate
 // /site/people/person and project two person subpaths each — maximal
 // path-prefix overlap across the batch, the workload where a merged
-// automaton's one-traversal dispatch pays off most over per-group trie
-// walks. The queries are pairwise distinct up to the number of subpath
+// automaton's one-traversal dispatch pays off most. The queries are pairwise distinct up to the number of subpath
 // pairs (the enumeration cycles beyond that). They drive the
 // fanout-wide bench rows (internal/bench).
 func SharedPrefixQueries(n int) []string {

@@ -4,11 +4,14 @@ package flux
 // the same random query batches and documents as the automaton
 // differential, run through mux.NewSelective with SetParallel against
 // the sequential automaton path. The parallel scan must agree exactly —
-// stream error, per-query errors, output bytes, and SkippedEvents — on
-// every input, including malformed documents and batches where every
-// query fails.
+// stream error, per-query errors, output bytes, Stats — on every input,
+// including malformed documents and batches where every query fails;
+// SkippedEvents too, except after the all-queries-failed abort, where
+// the parallel producer has routed past the abort token and may only
+// report more (mux.SetParallel states the contract).
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -16,6 +19,7 @@ import (
 
 	"flux/internal/dtd"
 	"flux/internal/mux"
+	"flux/internal/sax"
 )
 
 // newParallelMux constructs the selective mux with parallel evaluation
@@ -28,9 +32,18 @@ func newParallelMux() *mux.Mux {
 	return m
 }
 
+// allFailedAbort reports whether a batch run ended in the mux's
+// all-queries-failed abort: over in-memory input with no scan context,
+// the only other stream-level failure is malformed XML.
+func allFailedAbort(r batchRun) bool {
+	var syn *sax.SyntaxError
+	return r.err != nil && !errors.As(r.err, &syn)
+}
+
 // checkParallelAgainst demands exact agreement between a parallel and a
 // sequential run of the same batch: the pipeline reorders evaluation
-// across groups, never per-query observable behavior.
+// across groups, never per-query observable behavior. The one slack is
+// SkippedEvents after an all-failed abort.
 func checkParallelAgainst(t *testing.T, label string, par, seq batchRun) {
 	t.Helper()
 	if (par.err != nil) != (seq.err != nil) {
@@ -45,7 +58,7 @@ func checkParallelAgainst(t *testing.T, label string, par, seq batchRun) {
 			t.Fatalf("%s: query %d output differs under parallel evaluation\nparallel:   %q\nsequential: %q",
 				label, i, par.outs[i], seq.outs[i])
 		}
-		if pr.SkippedEvents != sr.SkippedEvents {
+		if pr.SkippedEvents < sr.SkippedEvents || (pr.SkippedEvents > sr.SkippedEvents && !allFailedAbort(par)) {
 			t.Fatalf("%s: query %d skipped %d events parallel, %d sequential",
 				label, i, pr.SkippedEvents, sr.SkippedEvents)
 		}
@@ -88,8 +101,8 @@ func TestParallelDifferential(t *testing.T) {
 
 // FuzzParallelDispatch fuzzes the document bytes under seeded query
 // batches: malformed XML, truncated documents, whatever — the parallel
-// pipeline must agree exactly with the sequential automaton scan,
-// including the all-queries-failed abort and its skip accounting.
+// pipeline must agree with the sequential automaton scan, exactly but
+// for the all-queries-failed abort's skip counts.
 func FuzzParallelDispatch(f *testing.F) {
 	for si := range fuzzSchemas {
 		schema := dtd.MustParse(fuzzSchemas[si])
