@@ -21,12 +21,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Fault-injection gate: the replica and rebalancer suites — worker
-# kills mid-burst and mid-copy, hysteresis under oscillating load, the
-# replicated fan-out differential — under the race detector, three
-# times, because the failures they hunt are interleaving-dependent.
+# Fault-injection gate: every suite of the one placement machine —
+# topology transitions, the epoch drain barrier, moves, replica adds
+# and drops (worker kills mid-burst, mid-copy and mid-drain, interrupted
+# drains), the rebalancer's hysteresis, the replicated fan-out
+# differential — under the race detector, three times, because the
+# failures they hunt are interleaving-dependent.
 race-fault:
-	$(GO) test ./internal/shard -race -count=3 -run 'Replica|Rebalancer'
+	$(GO) test ./internal/shard -race -count=3 -run 'Replica|Rebalancer|Migrate|Topology|EpochTracker'
 
 # Parallel-pipeline gate: the packages the multicore shared scan cuts
 # across (mux dispatch, streaming ingestion, the root-level

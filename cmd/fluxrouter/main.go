@@ -53,19 +53,18 @@
 // With -admin (the endpoints move documents and reveal deployment
 // detail, so they are opt-in, exactly like fluxd's worker admin):
 //
-//	GET  /admin/shards     topology: current epoch, pending migrations,
-//	                       and per shard id, address, liveness, assigned
+//	GET  /admin/shards     topology: current epoch, pending placement
+//	                       changes (replica adds, moves, drops), and per
+//	                       shard id, address, liveness, assigned
 //	                       documents, live load, last error
 //	POST /admin/migrate?doc=X&from=A&to=B
 //	                       live migration: copy the document to shard B,
-//	                       cut routing over at the next topology epoch,
-//	                       drain in-flight queries, retire the copy on
-//	                       shard A — queries never fail and results stay
-//	                       byte-identical throughout. External workers
-//	                       must run fluxd -admin for the copy endpoints.
-//	POST /admin/rebalance  one automatic rebalancing step: migrate the
-//	                       busiest (document, shard) pair's document to
-//	                       the least-loaded shard without a replica
+//	                       publish routing to B at the next topology
+//	                       epoch, drain in-flight queries, retire the
+//	                       copy on shard A — queries never fail and
+//	                       results stay byte-identical throughout.
+//	                       External workers must run fluxd -admin for
+//	                       the copy endpoints.
 //	GET  /admin/rebalancer the autonomous control plane's status:
 //	                       configuration, tick/action/failure counters,
 //	                       the last action and decision, cooldown state,
@@ -103,7 +102,7 @@ func main() {
 		shardsCSV = flag.String("shards", "", "comma-separated base URLs of external shard workers, in shard-id order")
 		mapFile   = flag.String("shard-map", "", "optional placement override file (doc: shard[,shard...] per line)")
 		healthInt = flag.Duration("health-interval", shard.DefaultHealthInterval, "background shard health-probe period")
-		admin     = flag.Bool("admin", false, "expose the mutating /admin/* endpoints (migrate, rebalance, topology); they move documents between shards, so enable only on trusted networks")
+		admin     = flag.Bool("admin", false, "expose the /admin/* endpoints (migrate, topology, rebalancer status); migrate moves documents between shards, so enable only on trusted networks")
 		rebalInt  = flag.Duration("rebalance-interval", 0, "run the autonomous rebalancer with this tick period (0 = off; needs -admin)")
 		rebalThr  = flag.Float64("rebalance-threshold", 8, "minimum per-window load imbalance between hottest and coldest shard before the rebalancer acts")
 
@@ -206,7 +205,7 @@ func main() {
 	defer rt.Close()
 	adminNote := "admin disabled"
 	if *admin {
-		adminNote = "admin enabled (migrate/rebalance live)"
+		adminNote = "admin enabled (migrate live)"
 	}
 	if *rebalInt > 0 {
 		if !*admin {

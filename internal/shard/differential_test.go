@@ -88,7 +88,7 @@ func TestRouterReplicaDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Doc != "hotdoc" || rep.On != 1 {
+	if rep.Doc != "hotdoc" || rep.To != 1 {
 		t.Fatalf("AddReplica report = %+v", rep)
 	}
 

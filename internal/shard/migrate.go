@@ -1,36 +1,39 @@
 package shard
 
-// Live document migration: the router-driven protocol that moves a
-// document between shards with zero dropped queries and byte-identical
-// results throughout.
+// Live placement changes: the router-driven protocol that adds, moves
+// and drops document copies with zero dropped queries and byte-
+// identical results throughout. A move is a replica add that drops its
+// source, so one function (Router.place) drives all three over the
+// Topology's Change:
 //
-// The protocol, over the Topology state machine:
+//  1. Register — validate and register {doc, gain, lose} (routing
+//                untouched);
+//  2. copy     — when a shard gains a copy, stream the document bytes
+//                and DTD from an owning worker (/admin/fetch) into the
+//                gaining one (/admin/install), which registers the copy
+//                into its live catalog;
+//  3. Publish  — publish owners ∪ {gain} ∖ {lose} in one epoch: new
+//                queries route on the new owner set while queries
+//                admitted under earlier epochs finish where they were
+//                routed;
+//  4. drain    — when a copy lost routing, wait until the router's
+//                per-epoch in-flight counts for every earlier epoch
+//                reach zero, then unregister that copy (/admin/retire);
+//  5. Release  — forget the change.
 //
-//  1. Migrate   — validate and register the move (topology untouched);
-//  2. copy      — stream the document bytes and DTD from the source
-//                 worker (/admin/fetch) into the target
-//                 (/admin/install), which registers the copy into its
-//                 live catalog;
-//  3. Cutover   — publish the next epoch: new queries route to the
-//                 target while queries admitted under earlier epochs
-//                 finish on the source (dual ownership);
-//  4. drain     — wait until the router's per-epoch in-flight counts
-//                 for every pre-cutover epoch reach zero;
-//  5. retire    — unregister the source copy (/admin/retire) and
-//                 Commit.
-//
-// A copy failure aborts before any routing change; a drain that the
-// operator gives up on rolls routing back (Abort) and leaves the target
-// copy installed so a rerun can resume; a retire failure after a clean
-// drain is reported as a warning but does not undo the migration — no
-// query routes to the source copy anymore.
+// A copy failure releases the change before any routing change. A drain
+// that ends early (its ctx is done) keeps the published routing — every
+// new owner holds a complete copy — and leaves the losing copy
+// installed but unrouted, with a warning; a later add onto that shard
+// replaces it rather than trusting it. A retire failure after a clean
+// drain is a warning too: no query routes to that copy anymore.
 //
 // The protocol assumes this router is the tier's only query path: the
 // epoch accounting and drain barrier cover the queries *this* process
 // proxies. A second router over the same workers (or clients querying
 // workers directly) is not covered — its traffic can still reach a
-// source copy after the retire. Run one router per tier when using
-// migration, or put the migration-driving router in front of the rest.
+// losing copy after the retire. Run one router per tier when changing
+// placement live, or put the driving router in front of the rest.
 
 import (
 	"context"
@@ -136,187 +139,142 @@ func (t *epochTracker) wait(ctx context.Context, upTo int64) error {
 	}
 }
 
-// MigrateReport is the /admin/migrate response: what a completed
-// migration did.
+// MigrateReport is what one live placement change did: the
+// /admin/migrate response, and the result of AddReplica and
+// DropReplica.
 type MigrateReport struct {
-	// Doc is the migrated document.
+	// Doc is the document whose placement changed.
 	Doc string `json:"doc"`
-	// From is the shard that lost its copy.
+	// From is the shard that lost its copy (a move or a drop), or that
+	// the new copy was fetched from (an add).
 	From int `json:"from"`
-	// To is the shard that gained one.
+	// To is the shard that gained a copy; -1 for a drop.
 	To int `json:"to"`
-	// Epoch is the topology epoch published at cutover — the first
-	// epoch under which the document routes to the target.
+	// Epoch is the topology epoch the change published — the first
+	// epoch under which the new owner set routes.
 	Epoch int64 `json:"epoch"`
-	// Resumed reports that the target already held an unrouted copy
-	// under the name (a previously aborted migration); the stale copy
-	// was retired and replaced with a fresh one — never trusted — so
-	// an intervening hot-swap on the source cannot leak old bytes
-	// through the rerun.
+	// Resumed reports that the gaining shard already held an unrouted
+	// copy under the name (left by an earlier change); the stale copy
+	// was retired and replaced with a fresh one — never trusted — so an
+	// intervening hot-swap on the source cannot leak old bytes through.
 	Resumed bool `json:"resumed,omitempty"`
-	// Warning reports non-fatal trouble, e.g. a source retire that
-	// failed because the source died after the drain; the migration is
-	// committed regardless.
+	// Warning reports non-fatal trouble after routing changed: a drain
+	// that ended early or a retire that failed, each leaving an unrouted
+	// copy on the losing shard. The change stands regardless.
 	Warning string `json:"warning,omitempty"`
 }
 
-// MigrateDoc moves doc from shard `from` to shard `to` live: copy,
-// cutover, drain, retire, commit — queries keep answering with
-// byte-identical results throughout, because every request routes on a
-// consistent topology view and the source copy outlives every query
-// routed to it. ctx bounds the whole protocol; if it ends mid-drain,
-// routing is rolled back and the installed target copy is left in
-// place — a rerun retires and re-copies it (Resumed) rather than
-// trusting bytes the source may have swapped out from under it.
+// MigrateDoc moves doc from shard `from` to shard `to` live: a replica
+// add on `to` that drops `from` — copy, publish, drain, retire. Queries
+// keep answering with byte-identical results throughout, because every
+// request routes on a consistent topology view and the source copy
+// outlives every query routed to it. ctx bounds the whole change; if it
+// ends mid-drain, routing stays on the target and the source copy is
+// left installed but unrouted (see MigrateReport.Warning).
 func (rt *Router) MigrateDoc(ctx context.Context, doc string, from, to int) (MigrateReport, error) {
-	rep := MigrateReport{Doc: doc, From: from, To: to}
-	mig, err := rt.topo.Migrate(doc, from, to)
-	if err != nil {
-		return rep, err
+	if from < 0 || to < 0 {
+		return MigrateReport{Doc: doc, From: from, To: to}, fmt.Errorf("shard: migrate %q: shard ids must be non-negative (from %d, to %d)", doc, from, to)
 	}
-	src, dst := rt.backends[from], rt.backends[to]
-	copyFail := func(err error) (MigrateReport, error) {
-		rt.topo.Abort(mig)
-		return rep, fmt.Errorf("%w: copying %q from shard %d to %d: %v", errMigrateCopy, doc, from, to, err)
-	}
-	if err := copyDoc(ctx, doc, src.client, dst.client); err != nil {
-		if !errors.Is(err, ErrAlreadyInstalled) {
-			return copyFail(err)
-		}
-		// The target holds a copy under the name already — a previously
-		// aborted migration left it behind (the topology guarantees the
-		// target is not a routing owner, so nothing routes to it now).
-		// It cannot be trusted: the source may have been hot-swapped
-		// since. Retire it and copy fresh — but first drain every epoch
-		// before the current one, because queries admitted during the
-		// aborted drain window may still be queued on the target and
-		// would 404 if the copy vanished under them.
-		rep.Resumed = true
-		if err := rt.inflight.wait(ctx, rt.topo.Epoch()-1); err != nil {
-			return copyFail(fmt.Errorf("draining before replacing stale target copy: %v", err))
-		}
-		if err := dst.client.Retire(ctx, doc); err != nil {
-			return copyFail(fmt.Errorf("replacing stale target copy: %v", err))
-		}
-		if err := copyDoc(ctx, doc, src.client, dst.client); err != nil {
-			return copyFail(err)
-		}
-	}
-	drainUpTo, err := rt.topo.Cutover(mig)
-	if err != nil {
-		rt.topo.Abort(mig)
-		return rep, err
-	}
-	// Our own cutover epoch, not the global current one — a concurrent
-	// migration of another document may already have published further
-	// epochs.
-	rep.Epoch = drainUpTo + 1
-	if err := rt.inflight.wait(ctx, drainUpTo); err != nil {
-		// The operator gave up mid-drain. Flip routing back; the target
-		// copy stays installed, so rerunning the migration resumes
-		// instead of re-copying.
-		rt.topo.Abort(mig)
-		return rep, fmt.Errorf("draining epochs <= %d: %w (routing rolled back, target copy left installed)", drainUpTo, err)
-	}
-	if err := src.client.Retire(ctx, doc); err != nil {
-		// The drain passed: nothing routes to the source copy and no
-		// routed query is in flight there. A retire failure — typically
-		// a source that died mid-migration — must not undo the move.
-		rep.Warning = fmt.Sprintf("source retire failed: %v (unrouted copy may remain on shard %d)", err, from)
-	}
-	if err := rt.topo.Commit(mig); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// ReplicaReport is what a completed replica add or drop did.
-type ReplicaReport struct {
-	// Doc is the replicated document.
-	Doc string `json:"doc"`
-	// From is the shard the copy was fetched from (add) or that keeps
-	// serving the document (drop). Not omitempty: shard 0 is legitimate.
-	From int `json:"from"`
-	// On is the shard that gained (add) or lost (drop) the replica.
-	On int `json:"on"`
-	// Epoch is the topology epoch published when the replica set
-	// changed — the first epoch under which the new set routes.
-	Epoch int64 `json:"epoch"`
-	// Resumed reports that the target already held an unrouted copy
-	// (a previously failed replica add); the stale copy was retired and
-	// replaced with a fresh one rather than trusted.
-	Resumed bool `json:"resumed,omitempty"`
-	// Warning reports non-fatal trouble, e.g. a retire of the dropped
-	// copy that failed after routing already moved on.
-	Warning string `json:"warning,omitempty"`
+	return rt.place(ctx, doc, to, from)
 }
 
 // AddReplica gives doc an additional replica on shard `to`, live: the
-// copy is fetched from the least-loaded live owner and installed over
-// the same /admin/fetch → /admin/install machinery migration rides on,
-// and only once the install succeeded does the topology publish the
-// grown replica set. A copy failure — source dead, target dead,
-// anything — aborts with the topology unchanged; the rebalancer (or an
-// operator) simply retries later. Like MigrateDoc, a stale unrouted
-// copy on the target is retired and re-fetched rather than trusted.
-func (rt *Router) AddReplica(ctx context.Context, doc string, to int) (ReplicaReport, error) {
-	rep := ReplicaReport{Doc: doc, On: to}
-	view := rt.topo.View()
-	from := rt.replicaSource(view, doc, to)
-	if from < 0 {
-		return rep, fmt.Errorf("shard: replicate %q: no owner to copy from (owners %v)", doc, view.Owners(doc))
-	}
-	rep.From = from
-	mig, err := rt.topo.AddReplica(doc, from, to)
+// copy is fetched from the least-loaded live owner, and only once the
+// install succeeded does the topology publish the grown replica set. A
+// copy failure — source dead, target dead, anything — leaves the
+// topology unchanged; the rebalancer (or an operator) simply retries.
+func (rt *Router) AddReplica(ctx context.Context, doc string, to int) (MigrateReport, error) {
+	return rt.place(ctx, doc, to, noShard)
+}
+
+// DropReplica removes doc's replica from shard `on`, live: the shrunk
+// replica set is published first, then every query admitted under an
+// earlier epoch is drained (it may still be scanning the dropped copy),
+// and only then is the copy retired. The last owner cannot be dropped.
+func (rt *Router) DropReplica(ctx context.Context, doc string, on int) (MigrateReport, error) {
+	return rt.place(ctx, doc, noShard, on)
+}
+
+// place drives one placement change of doc — shard gain gains a copy,
+// shard lose loses one, either noShard when absent — through the
+// protocol in this file's header: register, copy, publish, drain and
+// retire, release. An error means routing did not change; trouble after
+// the publish is a report warning.
+func (rt *Router) place(ctx context.Context, doc string, gain, lose int) (MigrateReport, error) {
+	rep := MigrateReport{Doc: doc, From: lose, To: gain}
+	c, err := rt.topo.Register(doc, gain, lose)
 	if err != nil {
 		return rep, err
 	}
-	src, dst := rt.backends[from], rt.backends[to]
-	copyFail := func(err error) (ReplicaReport, error) {
-		rt.topo.Abort(mig)
-		return rep, fmt.Errorf("%w: replicating %q from shard %d to %d: %v", errMigrateCopy, doc, from, to, err)
-	}
-	if err := copyDoc(ctx, doc, src.client, dst.client); err != nil {
-		if !errors.Is(err, ErrAlreadyInstalled) {
-			return copyFail(err)
+	defer rt.topo.Release(c)
+	if gain != noShard {
+		// A move copies from the shard it drains; an add from the
+		// least-loaded owner. The owner set cannot change under a
+		// registered change, so the source stays valid.
+		src := lose
+		if src == noShard {
+			src = rt.replicaSource(doc)
+			rep.From = src
 		}
-		// Same reasoning as MigrateDoc's resume path: the unrouted copy a
-		// failed earlier attempt left behind cannot be trusted (the source
-		// may have been hot-swapped since), and queries admitted under old
-		// epochs may still be queued on the target, so drain before
-		// retiring it.
-		rep.Resumed = true
-		if err := rt.inflight.wait(ctx, rt.topo.Epoch()-1); err != nil {
-			return copyFail(fmt.Errorf("draining before replacing stale target copy: %v", err))
-		}
-		if err := dst.client.Retire(ctx, doc); err != nil {
-			return copyFail(fmt.Errorf("replacing stale target copy: %v", err))
-		}
-		if err := copyDoc(ctx, doc, src.client, dst.client); err != nil {
-			return copyFail(err)
+		if rep.Resumed, err = rt.copyInto(ctx, doc, src, gain); err != nil {
+			return rep, fmt.Errorf("%w: copying %q from shard %d to %d: %v", errMigrateCopy, doc, src, gain, err)
 		}
 	}
-	epoch, err := rt.topo.CommitReplica(mig)
+	drainUpTo, err := rt.topo.Publish(c)
 	if err != nil {
-		rt.topo.Abort(mig)
 		return rep, err
 	}
-	rep.Epoch = epoch
+	// Our own epoch, not the global current one — a concurrent change of
+	// another document may already have published further epochs.
+	rep.Epoch = drainUpTo + 1
+	if lose == noShard {
+		return rep, nil
+	}
+	if err := rt.inflight.wait(ctx, drainUpTo); err != nil {
+		// Routing already moved on; the copy stays installed (harmless,
+		// unrouted) rather than being retired under in-flight queries.
+		rep.Warning = fmt.Sprintf("drain interrupted: %v (unrouted copy left on shard %d)", err, lose)
+		return rep, nil
+	}
+	if err := rt.backends[lose].client.Retire(ctx, doc); err != nil {
+		// Typically a source that died mid-drain; it must not undo the
+		// change — nothing routes to the copy anymore.
+		rep.Warning = fmt.Sprintf("retire failed: %v (unrouted copy may remain on shard %d)", err, lose)
+	}
 	return rep, nil
 }
 
-// replicaSource picks the owner to fetch a replica copy from: live
-// owners before dead ones (a dead source still gets tried — the fetch
-// fails fast and the add aborts cleanly), less loaded before more.
-// Returns -1 when the document has no owners other than the target.
-func (rt *Router) replicaSource(view *View, doc string, to int) int {
+// copyInto installs a fresh copy of doc from shard src on shard dst and
+// reports whether a stale copy had to be replaced first. A same-name
+// copy already on dst was left behind by an earlier change (the
+// registered change guarantees dst is not an owner, so nothing routes
+// to it now). It cannot be trusted — the source may have been
+// hot-swapped since — so it is retired and copied fresh, but only after
+// every epoch before the current one has drained: queries admitted
+// while it was still routed may be queued on it and would 404 if it
+// vanished under them.
+func (rt *Router) copyInto(ctx context.Context, doc string, src, dst int) (resumed bool, err error) {
+	from, to := rt.backends[src].client, rt.backends[dst].client
+	if err := copyDoc(ctx, doc, from, to); !errors.Is(err, ErrAlreadyInstalled) {
+		return false, err
+	}
+	if err := rt.inflight.wait(ctx, rt.topo.Epoch()-1); err != nil {
+		return true, fmt.Errorf("draining before replacing stale target copy: %v", err)
+	}
+	if err := to.Retire(ctx, doc); err != nil {
+		return true, fmt.Errorf("replacing stale target copy: %v", err)
+	}
+	return true, copyDoc(ctx, doc, from, to)
+}
+
+// replicaSource picks the owner of doc to fetch a replica copy from:
+// live owners before dead ones (a dead source still gets tried — the
+// fetch fails fast and the add fails cleanly), less loaded before more.
+func (rt *Router) replicaSource(doc string) int {
 	best := -1
 	var bestDead bool
 	var bestScore int64
-	for _, id := range view.Owners(doc) {
-		if id == to {
-			continue
-		}
+	for _, id := range rt.topo.View().Owners(doc) {
 		b := rt.backends[id]
 		dead, score := !b.alive.Load(), b.load.Load()+b.inflight.Load()
 		if best < 0 || (bestDead && !dead) || (bestDead == dead && score < bestScore) {
@@ -324,34 +282,6 @@ func (rt *Router) replicaSource(view *View, doc string, to int) int {
 		}
 	}
 	return best
-}
-
-// DropReplica removes doc's replica from shard `on`, live: the shrunk
-// replica set is published first, then every query admitted under a
-// pre-drop epoch is drained (it may still be scanning the dropped
-// copy), and only then is the copy retired. A retire failure after a
-// clean drain is a warning, not an error — nothing routes to the copy
-// anymore.
-func (rt *Router) DropReplica(ctx context.Context, doc string, on int) (ReplicaReport, error) {
-	rep := ReplicaReport{Doc: doc, On: on}
-	drainUpTo, err := rt.topo.DropReplica(doc, on)
-	if err != nil {
-		return rep, err
-	}
-	rep.Epoch = drainUpTo + 1
-	if rest := rt.topo.View().Owners(doc); len(rest) > 0 {
-		rep.From = rest[0]
-	}
-	if err := rt.inflight.wait(ctx, drainUpTo); err != nil {
-		// Routing already moved on; the copy stays installed (harmless,
-		// unrouted) rather than being retired under in-flight queries.
-		rep.Warning = fmt.Sprintf("drain interrupted: %v (unrouted copy left on shard %d)", err, on)
-		return rep, nil
-	}
-	if err := rt.backends[on].client.Retire(ctx, doc); err != nil {
-		rep.Warning = fmt.Sprintf("retire failed: %v (unrouted copy may remain on shard %d)", err, on)
-	}
-	return rep, nil
 }
 
 // copyDoc streams a document and its DTD from the source worker into
@@ -373,8 +303,9 @@ func copyDoc(ctx context.Context, doc string, src, dst *Client) error {
 
 // handleMigrate serves POST /admin/migrate?doc=X&from=A&to=B: the
 // operator entry point to MigrateDoc. Validation problems answer 400
-// (409 for a document already migrating); copy/drain failures answer
-// 502 with the protocol step in the message.
+// (409 for a document already changing placement); copy failures answer
+// 502 with the protocol step in the message. Trouble after routing
+// changed answers 200 with the report's warning.
 func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST /admin/migrate?doc=name&from=A&to=B", http.StatusMethodNotAllowed)
@@ -389,138 +320,28 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := rt.MigrateDoc(r.Context(), doc, from, to)
 	if err != nil {
-		http.Error(w, err.Error(), migrateErrStatus(err, rep))
+		http.Error(w, err.Error(), migrateErrStatus(err))
 		return
 	}
 	writeJSON(w, rep)
 }
 
 // migrateErrStatus maps a MigrateDoc failure to its HTTP status: 409
-// for a document already migrating, 502 when a worker failed (copy) or
-// the drain never finished — problems upstream of the router — and 400
-// for request validation (unknown doc, bad shard ids).
-func migrateErrStatus(err error, rep MigrateReport) int {
+// for a document whose placement is already changing, 502 when a worker
+// failed the copy — a problem upstream of the router — and 400 for
+// request validation (unknown doc, bad shard ids).
+func migrateErrStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrMigrationPending):
 		return http.StatusConflict
-	case errors.Is(err, errMigrateCopy) || rep.Epoch != 0:
+	case errors.Is(err, errMigrateCopy):
 		return http.StatusBadGateway
 	default:
 		return http.StatusBadRequest
 	}
 }
 
-// errMigrateCopy marks a migration that failed while copying the
-// document to the target — an upstream worker problem, not a bad
+// errMigrateCopy marks a placement change that failed while copying the
+// document to the gaining shard — an upstream worker problem, not a bad
 // request.
 var errMigrateCopy = errors.New("shard: migration copy failed")
-
-// RebalanceReport is the /admin/rebalance response: what
-// MigrateForBalance decided and, when it moved a document, the
-// migration's report.
-type RebalanceReport struct {
-	// Moved reports whether a migration ran.
-	Moved bool `json:"moved"`
-	// Reason explains a no-op (nothing busy, no eligible target, ...).
-	Reason string `json:"reason,omitempty"`
-	// Doc is the chosen document.
-	Doc string `json:"doc,omitempty"`
-	// From is the shard the document was busiest on. Not omitempty:
-	// shard 0 is a legitimate value, and Moved already marks no-ops.
-	From int `json:"from"`
-	// To is the chosen target shard.
-	To int `json:"to"`
-	// Queries is the cumulative query count that made the (doc, shard)
-	// pair the busiest.
-	Queries int64 `json:"queries,omitempty"`
-	// Migration is the executed migration's report when Moved.
-	Migration *MigrateReport `json:"migration,omitempty"`
-}
-
-// MigrateForBalance is the tier's first automatic rebalancing knob: it
-// merges the live workers' /stats, picks the busiest (document, shard)
-// pair by cumulative served queries, and migrates that document to the
-// least-loaded live shard that does not already own a replica. One call
-// moves at most one document; an operator (or a cron) calls it
-// repeatedly to chase hot spots. It reports a no-op when nothing has
-// served queries yet or every live shard already owns the busy
-// document.
-func (rt *Router) MigrateForBalance(ctx context.Context) (RebalanceReport, error) {
-	// Bound the stats fan-out like every other collectStats caller: one
-	// wedged worker must not hang the rebalance endpoint forever.
-	statsCtx, cancel := context.WithTimeout(ctx, probeTimeout)
-	per, _ := rt.collectStats(statsCtx)
-	cancel()
-	view := rt.topo.View()
-
-	var rep RebalanceReport
-	var busyQueries int64
-	for idStr, st := range per {
-		id, err := strconv.Atoi(idStr)
-		if err != nil {
-			continue
-		}
-		for doc, d := range st.Docs {
-			// Only placements the current epoch still routes count: a
-			// worker's counters outlive a document it already handed off.
-			if !containsInt(view.Owners(doc), id) {
-				continue
-			}
-			if d.Queries > busyQueries {
-				busyQueries = d.Queries
-				rep.Doc, rep.From, rep.Queries = doc, id, d.Queries
-			}
-		}
-	}
-	if busyQueries == 0 {
-		rep.Reason = "no (document, shard) pair has served queries yet"
-		return rep, nil
-	}
-
-	owners := view.Owners(rep.Doc)
-	target := -1
-	var targetScore int64
-	for _, b := range rt.backends {
-		if !b.alive.Load() || containsInt(owners, b.id) {
-			continue
-		}
-		score := b.load.Load() + b.inflight.Load()
-		if target < 0 || score < targetScore {
-			target, targetScore = b.id, score
-		}
-	}
-	if target < 0 {
-		rep.Reason = fmt.Sprintf("no live shard without a replica of %q", rep.Doc)
-		return rep, nil
-	}
-	rep.To = target
-	mig, err := rt.MigrateDoc(ctx, rep.Doc, rep.From, rep.To)
-	if err != nil {
-		// Keep the partial migration report: it carries how far the
-		// protocol got, which classifies the failure for callers.
-		rep.Migration = &mig
-		return rep, err
-	}
-	rep.Moved = true
-	rep.Migration = &mig
-	return rep, nil
-}
-
-// handleRebalance serves POST /admin/rebalance: one MigrateForBalance
-// step.
-func (rt *Router) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST /admin/rebalance", http.StatusMethodNotAllowed)
-		return
-	}
-	rep, err := rt.MigrateForBalance(r.Context())
-	if err != nil {
-		var mrep MigrateReport
-		if rep.Migration != nil {
-			mrep = *rep.Migration
-		}
-		http.Error(w, err.Error(), migrateErrStatus(err, mrep))
-		return
-	}
-	writeJSON(w, rep)
-}

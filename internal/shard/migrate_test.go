@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -319,6 +320,72 @@ func TestMigrateSourceKilledMidDrain(t *testing.T) {
 	}
 }
 
+// TestMigrateDrainInterrupted: a move whose drain ends early (its ctx
+// is canceled while an old-epoch query holds the drain open) publishes
+// no rollback. Routing stays on the target, which holds a complete
+// copy; the change is released; the source copy stays installed but
+// unrouted, so the held query still completes on it; the report warns.
+// A move back onto the source then replaces that leftover (resumed)
+// rather than trusting it.
+func TestMigrateDrainInterrupted(t *testing.T) {
+	shards, rt, ts := spawnTier(t, testDocs, 2, "alpha: 0\nbeta: 1\ngamma: 1\n")
+	_, wantBody := post(t, ts.URL+"/query?doc=alpha", testQueries[0])
+	epoch1 := getTopology(t, ts.URL).Epoch
+
+	held := holdQuery(ts.URL, "alpha", testQueries[0])
+	// Unblock the held request if the test fails first, so the
+	// server can shut down.
+	t.Cleanup(func() { held.pw.Close() })
+	waitTopology(t, ts.URL, "held query entering epoch accounting", func(topo TopologyStatus) bool {
+		return inflightUnder(topo, epoch1) >= 1
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	type result struct {
+		rep MigrateReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := rt.MigrateDoc(ctx, "alpha", 0, 1)
+		done <- result{rep, err}
+	}()
+	waitTopology(t, ts.URL, "drain window", func(topo TopologyStatus) bool {
+		return len(topo.Pending) == 1 && topo.Pending[0].State == "draining"
+	})
+	cancel()
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("interrupted drain returned an error: %v", res.err)
+	}
+	if res.rep.Warning == "" || res.rep.Epoch != epoch1+1 {
+		t.Fatalf("report = %+v, want a warning and epoch %d", res.rep, epoch1+1)
+	}
+	if got := rt.Topology().View().Owners("alpha"); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("owners = %v, want [1] (no rollback)", got)
+	}
+	if topo := getTopology(t, ts.URL); len(topo.Pending) != 0 || topo.Epoch != epoch1+1 {
+		t.Fatalf("topology after interrupted drain: %+v", topo)
+	}
+	if docs := shards[0].Worker().Catalog().Docs(); !containsString(docs, "alpha") {
+		t.Fatalf("source copy retired under an in-flight query: %v", docs)
+	}
+	if out := held.release(); out.err != nil || out.status != http.StatusOK || out.body != wantBody || out.shard != "0" {
+		t.Fatalf("held query: %+v, want 200 from the source with identical body", out)
+	}
+
+	back, err := rt.MigrateDoc(context.Background(), "alpha", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Resumed || back.Warning != "" {
+		t.Fatalf("move back = %+v, want resumed without warning", back)
+	}
+	resp, body := post(t, ts.URL+"/query?doc=alpha", testQueries[0])
+	if resp.StatusCode != http.StatusOK || body != wantBody || resp.Header.Get("X-Flux-Shard") != "0" {
+		t.Fatalf("post-move-back query: status %d shard %q identical %v", resp.StatusCode, resp.Header.Get("X-Flux-Shard"), body == wantBody)
+	}
+}
+
 // TestMigrateAbortsOnCopyFailure: a migration whose target is dead
 // fails in the copy step and aborts cleanly — no epoch change, no
 // pending state, the source keeps serving.
@@ -479,7 +546,7 @@ func TestRouterAdminGate(t *testing.T) {
 		}
 	})
 
-	for _, ep := range []string{"/admin/shards", "/admin/migrate?doc=alpha&from=0&to=1", "/admin/rebalance", "/admin/anything"} {
+	for _, ep := range []string{"/admin/shards", "/admin/migrate?doc=alpha&from=0&to=1", "/admin/rebalancer", "/admin/anything"} {
 		resp, body := post(t, ts.URL+ep, "")
 		if resp.StatusCode != http.StatusForbidden {
 			t.Errorf("POST %s without -admin: status %d (%s), want 403", ep, resp.StatusCode, body)
@@ -497,44 +564,5 @@ func TestRouterAdminGate(t *testing.T) {
 	// The read-only serving surface stays open.
 	if resp, _ := post(t, ts.URL+"/query?doc=alpha", testQueries[0]); resp.StatusCode != http.StatusOK {
 		t.Errorf("/query gated by accident: %d", resp.StatusCode)
-	}
-}
-
-// TestRebalanceMovesBusiestDoc: MigrateForBalance picks the (doc,
-// shard) pair with the most served queries and moves the document to
-// the least-loaded shard without a replica.
-func TestRebalanceMovesBusiestDoc(t *testing.T) {
-	_, rt, ts := spawnTier(t, testDocs, 2, "alpha: 0\nbeta: 0\ngamma: 1\n")
-
-	// Make alpha the hot document.
-	for i := 0; i < 6; i++ {
-		if resp, _ := post(t, ts.URL+"/query?doc=alpha", testQueries[0]); resp.StatusCode != http.StatusOK {
-			t.Fatal("warm-up query failed")
-		}
-	}
-	post(t, ts.URL+"/query?doc=beta", testQueries[0])
-
-	// Rebalance needs fresh probe data for liveness; wait a beat for
-	// the background probes that spawnTier configures.
-	time.Sleep(50 * time.Millisecond)
-
-	resp, body := post(t, ts.URL+"/admin/rebalance", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rebalance status %d: %s", resp.StatusCode, body)
-	}
-	var rep RebalanceReport
-	if err := json.Unmarshal([]byte(body), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Moved || rep.Doc != "alpha" || rep.From != 0 || rep.To != 1 {
-		t.Fatalf("rebalance = %+v, want alpha moved 0->1", rep)
-	}
-	if got := rt.Topology().View().Owners("alpha"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("alpha owners after rebalance = %v, want [1]", got)
-	}
-	// The moved document still answers, from its new shard.
-	qresp, _ := post(t, ts.URL+"/query?doc=alpha", testQueries[0])
-	if qresp.StatusCode != http.StatusOK || qresp.Header.Get("X-Flux-Shard") != "1" {
-		t.Fatalf("post-rebalance query: status %d, shard %q", qresp.StatusCode, qresp.Header.Get("X-Flux-Shard"))
 	}
 }

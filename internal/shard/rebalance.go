@@ -26,13 +26,12 @@ package shard
 //               hot in aggregate. When no add/move is due, check the
 //               release rule: a replicated document whose total decayed
 //               signal has sat below ReleaseThreshold for a full
-//               cooldown window sheds one excess replica
-//               (Topology.DropReplica), reclaiming the capacity a
-//               faded burst left pinned;
-//  4. act     — run the placement change over the live protocols. A
-//               failure (dead source, dead target, copy error) leaves
-//               the topology unchanged and does NOT engage the
-//               cooldown, so the next tick retries.
+//               cooldown window sheds one excess replica (a drop),
+//               reclaiming the capacity a faded burst left pinned;
+//  4. act     — run the placement change over the live protocol
+//               (Router.place). A failure (dead source, dead target,
+//               copy error) leaves the topology unchanged and does NOT
+//               engage the cooldown, so the next tick retries.
 //
 // The release rule is hysteresis-symmetric with the add rule: a
 // replica is added only when the imbalance exceeds Threshold, dropped
@@ -90,16 +89,15 @@ func (s *loadSignal) drain() map[loadKey]int64 {
 }
 
 // tierControl is the slice of the Router the Rebalancer drives:
-// topology view, liveness, the observed load window, and the two live
-// placement protocols. Hysteresis tests substitute a fake that records
-// decisions instead of copying documents.
+// topology view, liveness, the observed load window, and the live
+// placement change (shard gain gains a copy of doc, shard lose loses
+// one, either noShard when absent). Hysteresis tests substitute a fake
+// that records decisions instead of copying documents.
 type tierControl interface {
 	view() *View
 	liveShards() []int
 	takeLoad() map[loadKey]int64
-	migrateDoc(ctx context.Context, doc string, from, to int) (int64, error)
-	replicateDoc(ctx context.Context, doc string, to int) (int64, error)
-	dropReplica(ctx context.Context, doc string, on int) (int64, error)
+	place(ctx context.Context, doc string, gain, lose int) (MigrateReport, error)
 }
 
 // RebalancerOptions configures a Rebalancer. The zero value of every
@@ -272,8 +270,9 @@ func (rb *Rebalancer) Close() {
 }
 
 // loop ticks until Close. Each tick's action runs under a context that
-// Close cancels, so a stop mid-drain rolls the action back rather than
-// blocking shutdown.
+// Close cancels, so a stop mid-drain ends the drain early rather than
+// blocking shutdown: the published placement stands and the losing
+// copy stays installed, unrouted.
 func (rb *Rebalancer) loop() {
 	defer rb.wg.Done()
 	t := time.NewTicker(rb.opt.Interval)
@@ -329,21 +328,19 @@ func (rb *Rebalancer) Tick(ctx context.Context) bool {
 	}
 	rb.mu.Unlock()
 
-	var epoch int64
-	var err error
+	gain, lose := act.To, act.From
 	switch act.Kind {
 	case ActionReplicate:
-		epoch, err = rb.tier.replicateDoc(ctx, act.Doc, act.To)
+		lose = noShard
 	case ActionDrop:
-		epoch, err = rb.tier.dropReplica(ctx, act.Doc, act.To)
-	default:
-		epoch, err = rb.tier.migrateDoc(ctx, act.Doc, act.From, act.To)
+		gain = noShard
 	}
+	rep, err := rb.tier.place(ctx, act.Doc, gain, lose)
 
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	act.Time = rb.now()
-	act.Epoch = epoch
+	act.Epoch = rep.Epoch
 	rb.last = act
 	if err != nil {
 		// The tier did not change; leave the cooldown disengaged so the
@@ -369,9 +366,9 @@ func (rb *Rebalancer) Tick(ctx context.Context) bool {
 	}
 	rb.lastAction = act.Time
 	if act.Kind == ActionDrop {
-		rb.reason = fmt.Sprintf("%s %q: replica dropped from shard %d (epoch %d)", act.Kind, act.Doc, act.To, epoch)
+		rb.reason = fmt.Sprintf("%s %q: replica dropped from shard %d (epoch %d)", act.Kind, act.Doc, act.To, rep.Epoch)
 	} else {
-		rb.reason = fmt.Sprintf("%s %q: shard %d -> %d (epoch %d)", act.Kind, act.Doc, act.From, act.To, epoch)
+		rb.reason = fmt.Sprintf("%s %q: shard %d -> %d (epoch %d)", act.Kind, act.Doc, act.From, act.To, rep.Epoch)
 	}
 	return true
 }
@@ -518,7 +515,7 @@ func (rb *Rebalancer) decide() (*RebalanceAction, string) {
 // RebalanceAction is one placement action the rebalancer attempted, as
 // /admin/rebalancer reports it.
 type RebalanceAction struct {
-	// Kind is ActionMigrate or ActionReplicate.
+	// Kind is ActionMigrate, ActionReplicate or ActionDrop.
 	Kind string `json:"kind"`
 	// Doc is the hot document acted on.
 	Doc string `json:"doc"`
@@ -670,24 +667,6 @@ func (rt *Router) liveShards() []int {
 // takeLoad drains the per-(doc, shard) counts observed since the last
 // rebalancer tick.
 func (rt *Router) takeLoad() map[loadKey]int64 { return rt.loads.drain() }
-
-// migrateDoc adapts MigrateDoc to the rebalancer's narrow interface.
-func (rt *Router) migrateDoc(ctx context.Context, doc string, from, to int) (int64, error) {
-	rep, err := rt.MigrateDoc(ctx, doc, from, to)
-	return rep.Epoch, err
-}
-
-// replicateDoc adapts AddReplica to the rebalancer's narrow interface.
-func (rt *Router) replicateDoc(ctx context.Context, doc string, to int) (int64, error) {
-	rep, err := rt.AddReplica(ctx, doc, to)
-	return rep.Epoch, err
-}
-
-// dropReplica adapts DropReplica to the rebalancer's narrow interface.
-func (rt *Router) dropReplica(ctx context.Context, doc string, on int) (int64, error) {
-	rep, err := rt.DropReplica(ctx, doc, on)
-	return rep.Epoch, err
-}
 
 // handleRebalancer serves GET /admin/rebalancer: the control plane's
 // status report, or {"enabled": false} when the router runs without a

@@ -45,52 +45,25 @@ func (f *fakeTier) takeLoad() map[loadKey]int64 {
 	return nil
 }
 
-func (f *fakeTier) migrateDoc(ctx context.Context, doc string, from, to int) (int64, error) {
-	f.acts = append(f.acts, RebalanceAction{Kind: ActionMigrate, Doc: doc, From: from, To: to})
+func (f *fakeTier) place(ctx context.Context, doc string, gain, lose int) (MigrateReport, error) {
+	kind := ActionMigrate
+	switch {
+	case lose == noShard:
+		kind = ActionReplicate
+	case gain == noShard:
+		kind = ActionDrop
+	}
+	f.acts = append(f.acts, RebalanceAction{Kind: kind, Doc: doc, From: lose, To: gain})
 	if f.failErr != nil {
-		return 0, f.failErr
+		return MigrateReport{}, f.failErr
 	}
-	mig, err := f.topo.Migrate(doc, from, to)
+	c, err := f.topo.Register(doc, gain, lose)
 	if err != nil {
-		return 0, err
+		return MigrateReport{}, err
 	}
-	drainBelow, err := f.topo.Cutover(mig)
-	if err != nil {
-		return 0, err
-	}
-	if err := f.topo.Commit(mig); err != nil {
-		return 0, err
-	}
-	return drainBelow + 1, nil
-}
-
-func (f *fakeTier) dropReplica(ctx context.Context, doc string, on int) (int64, error) {
-	f.acts = append(f.acts, RebalanceAction{Kind: ActionDrop, Doc: doc, From: on, To: on})
-	if f.failErr != nil {
-		return 0, f.failErr
-	}
-	drainBelow, err := f.topo.DropReplica(doc, on)
-	if err != nil {
-		return 0, err
-	}
-	return drainBelow + 1, nil
-}
-
-func (f *fakeTier) replicateDoc(ctx context.Context, doc string, to int) (int64, error) {
-	owners := f.topo.View().Owners(doc)
-	from := -1
-	if len(owners) > 0 {
-		from = owners[0]
-	}
-	f.acts = append(f.acts, RebalanceAction{Kind: ActionReplicate, Doc: doc, From: from, To: to})
-	if f.failErr != nil {
-		return 0, f.failErr
-	}
-	mig, err := f.topo.AddReplica(doc, from, to)
-	if err != nil {
-		return 0, err
-	}
-	return f.topo.CommitReplica(mig)
+	defer f.topo.Release(c)
+	drainBelow, err := f.topo.Publish(c)
+	return MigrateReport{Epoch: drainBelow + 1}, err
 }
 
 // newFakeTier builds two shards with "a" on 0 and "b" on 1, both live.
@@ -551,6 +524,29 @@ func TestRebalancerStatusWithoutRebalancer(t *testing.T) {
 	}
 	if _, err := NewRebalancer(rt, RebalancerOptions{}); err == nil {
 		t.Fatal("second NewRebalancer on the same router succeeded")
+	}
+}
+
+// TestRebalancerAttachedAfterTrafficStartsEmpty: a router without a
+// rebalancer keeps no load signal — nothing would ever drain it — so a
+// rebalancer attached after traffic starts from an empty window instead
+// of folding every query since router start into its first tick.
+func TestRebalancerAttachedAfterTrafficStartsEmpty(t *testing.T) {
+	_, rt, ts := spawnTier(t, testDocs, 2, "alpha: 0\nbeta: 1\ngamma: 1\n")
+	for i := 0; i < 20; i++ {
+		if resp, _ := post(t, ts.URL+"/query?doc=alpha", testQueries[0]); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d failed: %d", i, resp.StatusCode)
+		}
+	}
+	rb, err := NewRebalancer(rt, RebalancerOptions{Threshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Tick(context.Background()) {
+		t.Fatalf("first tick acted on pre-attach traffic: %+v", rb.Status().LastAction)
+	}
+	if st := rb.Status(); len(st.Signal) != 0 {
+		t.Fatalf("signal after attach = %+v, want empty", st.Signal)
 	}
 }
 

@@ -1,12 +1,12 @@
 package shard
 
 // Tests for the replica half of the control plane: the Topology's
-// AddReplica/CommitReplica/DropReplica transitions, the Router's live
-// replica protocol over the fetch/install/retire machinery, the
-// dead-target fault injection (a failed copy must leave the topology
-// untouched), and the placement round-trip — a replica added at
-// runtime must be indistinguishable from one declared in a shard-map
-// file.
+// Register/Publish/Release transitions for adds and drops, the
+// Router's live replica protocol over the fetch/install/retire
+// machinery, the dead-target fault injection (a failed copy must leave
+// the topology untouched), and the placement round-trip — a replica
+// added at runtime must be indistinguishable from one declared in a
+// shard-map file.
 
 import (
 	"context"
@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // replicaTopology builds the placement the transition tests share:
@@ -30,13 +31,14 @@ func replicaTopology(t *testing.T) *Topology {
 	return NewTopology(m)
 }
 
-// TestTopologyAddReplicaProtocol walks the replica-add state machine:
-// register (routing untouched, pending visible), commit (epoch
-// published, owner set grown, sorted), and the validation fences.
+// TestTopologyAddReplicaProtocol walks a replica add — a change that
+// gains a shard and loses none: register (routing untouched, pending
+// visible), publish (epoch published, owner set grown, sorted),
+// release, and the validation fences.
 func TestTopologyAddReplicaProtocol(t *testing.T) {
 	topo := replicaTopology(t)
 
-	mig, err := topo.AddReplica("a", 0, 2)
+	c, err := topo.Register("a", 2, noShard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,108 +49,109 @@ func TestTopologyAddReplicaProtocol(t *testing.T) {
 		t.Fatalf("registering a replica changed routing: owners %v", got)
 	}
 	pend := topo.Pending()
-	if len(pend) != 1 || pend[0].State != "replicating" || pend[0].Doc != "a" || pend[0].From != 0 || pend[0].To != 2 {
-		t.Fatalf("pending = %+v, want one replicating entry for a 0->2", pend)
+	if len(pend) != 1 || pend[0].State != "copying" || pend[0].Doc != "a" || pend[0].From != noShard || pend[0].To != 2 {
+		t.Fatalf("pending = %+v, want one copying entry for a ->2", pend)
 	}
 
 	// The pending copy conflicts with any other placement change of the
-	// same document, in both directions.
-	if _, err := topo.Migrate("a", 0, 1); !errors.Is(err, ErrMigrationPending) {
-		t.Fatalf("Migrate during replica copy: %v, want ErrMigrationPending", err)
+	// same document.
+	if _, err := topo.Register("a", 1, 0); !errors.Is(err, ErrMigrationPending) {
+		t.Fatalf("move during replica copy: %v, want ErrMigrationPending", err)
 	}
-	if _, err := topo.AddReplica("a", 0, 1); !errors.Is(err, ErrMigrationPending) {
-		t.Fatalf("second AddReplica during copy: %v, want ErrMigrationPending", err)
+	if _, err := topo.Register("a", 1, noShard); !errors.Is(err, ErrMigrationPending) {
+		t.Fatalf("second add during copy: %v, want ErrMigrationPending", err)
 	}
 
-	epoch, err := topo.CommitReplica(mig)
+	drainBelow, err := topo.Publish(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 2 || topo.Epoch() != 2 {
-		t.Fatalf("commit published epoch %d (topology %d), want 2", epoch, topo.Epoch())
+	if drainBelow != 1 || topo.Epoch() != 2 {
+		t.Fatalf("publish returned barrier %d (topology epoch %d), want 1 and 2", drainBelow, topo.Epoch())
 	}
 	if got := topo.View().Owners("a"); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("owners after commit = %v, want [0 2]", got)
+		t.Fatalf("owners after publish = %v, want [0 2]", got)
 	}
+	topo.Release(c)
 	if len(topo.Pending()) != 0 {
-		t.Fatalf("commit left pending state: %+v", topo.Pending())
+		t.Fatalf("release left pending state: %+v", topo.Pending())
 	}
-	if _, err := topo.CommitReplica(mig); err == nil {
-		t.Fatal("double commit succeeded")
+	if _, err := topo.Publish(c); err == nil {
+		t.Fatal("publish after release succeeded")
 	}
 
 	// With "a" on two shards, a fresh pending copy blocks a drop too.
-	mig2, err := topo.AddReplica("a", 0, 1)
+	c2, err := topo.Register("a", 1, noShard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topo.DropReplica("a", 0); !errors.Is(err, ErrMigrationPending) {
-		t.Fatalf("DropReplica during copy: %v, want ErrMigrationPending", err)
+	if _, err := topo.Register("a", noShard, 0); !errors.Is(err, ErrMigrationPending) {
+		t.Fatalf("drop during copy: %v, want ErrMigrationPending", err)
 	}
-	if err := topo.Abort(mig2); err != nil {
-		t.Fatal(err)
-	}
+	topo.Release(c2)
 
 	// Validation fences.
 	for _, tc := range []struct {
-		name     string
-		doc      string
-		from, to int
+		name string
+		doc  string
+		gain int
 	}{
-		{"unknown document", "nope", 0, 1},
-		{"source not an owner", "b", 0, 2},
-		{"target already an owner", "a", 0, 2},
-		{"source equals target", "b", 1, 1},
-		{"source out of range", "a", -1, 1},
-		{"target out of range", "a", 0, 9},
+		{"unknown document", "nope", 1},
+		{"target already an owner", "a", 2},
+		{"target out of range", "a", 9},
 	} {
-		if _, err := topo.AddReplica(tc.doc, tc.from, tc.to); err == nil {
-			t.Errorf("%s: AddReplica(%q, %d, %d) succeeded", tc.name, tc.doc, tc.from, tc.to)
+		if _, err := topo.Register(tc.doc, tc.gain, noShard); err == nil {
+			t.Errorf("%s: Register(%q, %d, none) succeeded", tc.name, tc.doc, tc.gain)
 		}
 	}
 }
 
-// TestTopologyAddReplicaAbort: aborting a replica copy forgets it
-// without any routing change — there is nothing to roll back.
+// TestTopologyAddReplicaAbort: releasing a replica copy before Publish
+// forgets it without any routing change — there is nothing to roll
+// back.
 func TestTopologyAddReplicaAbort(t *testing.T) {
 	topo := replicaTopology(t)
-	mig, err := topo.AddReplica("b", 1, 0)
+	c, err := topo.Register("b", 0, noShard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.Abort(mig); err != nil {
-		t.Fatal(err)
-	}
+	topo.Release(c)
 	if topo.Epoch() != 1 {
-		t.Fatalf("abort changed the epoch to %d", topo.Epoch())
+		t.Fatalf("release changed the epoch to %d", topo.Epoch())
 	}
 	if got := topo.View().Owners("b"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("abort changed routing: owners %v", got)
+		t.Fatalf("release changed routing: owners %v", got)
 	}
 	if len(topo.Pending()) != 0 {
-		t.Fatalf("abort left pending state: %+v", topo.Pending())
+		t.Fatalf("release left pending state: %+v", topo.Pending())
 	}
 	// The document is free again.
-	if _, err := topo.AddReplica("b", 1, 2); err != nil {
-		t.Fatalf("AddReplica after abort: %v", err)
+	if _, err := topo.Register("b", 2, noShard); err != nil {
+		t.Fatalf("add after release: %v", err)
 	}
 }
 
-// TestTopologyDropReplica: dropping publishes the shrunk set in one
-// step and hands back the old epoch as the drain barrier; the last
-// owner can never be dropped.
+// TestTopologyDropReplica: a drop — a change that loses a shard and
+// gains none — publishes the shrunk set in one step, hands back the old
+// epoch as the drain barrier, and holds the document until released;
+// the last owner can never be dropped.
 func TestTopologyDropReplica(t *testing.T) {
 	topo := replicaTopology(t)
-	mig, err := topo.AddReplica("a", 0, 2)
+	c, err := topo.Register("a", 2, noShard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topo.CommitReplica(mig); err != nil {
+	if _, err := topo.Publish(c); err != nil {
 		t.Fatal(err)
 	}
+	topo.Release(c)
 
 	before := topo.Epoch() // 2
-	drainBelow, err := topo.DropReplica("a", 0)
+	drop, err := topo.Register("a", noShard, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainBelow, err := topo.Publish(drop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +164,18 @@ func TestTopologyDropReplica(t *testing.T) {
 	if got := topo.View().Owners("a"); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("owners after drop = %v, want [2]", got)
 	}
+	if p := topo.Pending(); len(p) != 1 || p[0].State != "draining" || p[0].From != 0 || p[0].To != noShard {
+		t.Fatalf("pending = %+v, want the drop of a from 0 draining", p)
+	}
+	topo.Release(drop)
 
-	if _, err := topo.DropReplica("a", 2); err == nil {
+	if _, err := topo.Register("a", noShard, 2); err == nil {
 		t.Fatal("dropped the last owner")
 	}
-	if _, err := topo.DropReplica("a", 1); err == nil {
+	if _, err := topo.Register("a", noShard, 1); err == nil {
 		t.Fatal("dropped a non-owner")
 	}
-	if _, err := topo.DropReplica("nope", 0); err == nil {
+	if _, err := topo.Register("nope", noShard, 0); err == nil {
 		t.Fatal("dropped a replica of an unknown document")
 	}
 }
@@ -187,7 +194,7 @@ func TestRouterReplicaLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Doc != "alpha" || rep.From != 0 || rep.On != 1 || rep.Epoch != before.Epoch+1 || rep.Resumed {
+	if rep.Doc != "alpha" || rep.From != 0 || rep.To != 1 || rep.Epoch != before.Epoch+1 || rep.Resumed {
 		t.Fatalf("report = %+v", rep)
 	}
 	if got := rt.Topology().View().Owners("alpha"); len(got) != 2 || got[0] != 0 || got[1] != 1 {
@@ -214,7 +221,7 @@ func TestRouterReplicaLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drop.On != 0 || drop.From != 1 || drop.Warning != "" {
+	if drop.From != 0 || drop.To != noShard || drop.Epoch != before.Epoch+2 || drop.Warning != "" {
 		t.Fatalf("drop report = %+v", drop)
 	}
 	if got := rt.Topology().View().Owners("alpha"); len(got) != 1 || got[0] != 1 {
@@ -251,6 +258,69 @@ func TestAddReplicaDeadTargetLeavesTopology(t *testing.T) {
 	}
 	if resp, _ := post(t, ts.URL+"/query?doc=alpha", testQueries[0]); resp.StatusCode != http.StatusOK {
 		t.Fatalf("source stopped serving after failed replica add: %d", resp.StatusCode)
+	}
+}
+
+// TestReplicaPendingHeldThroughDrain: a change that dropped a copy —
+// a DropReplica, or a move, which drops its source — holds the
+// document's pending slot until that copy is retired. While the drain
+// waits on an old-epoch query, adding a replica back onto the shard
+// that lost the copy is refused with ErrMigrationPending (it would race
+// the retire), and /admin/migrate answers 409.
+func TestReplicaPendingHeldThroughDrain(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		overrides string
+		change    func(rt *Router) error // drops alpha's copy on shard 0
+	}{
+		{"drop", "alpha: 0,1\nbeta: 1\ngamma: 1\n", func(rt *Router) error {
+			_, err := rt.DropReplica(context.Background(), "alpha", 0)
+			return err
+		}},
+		{"move", "alpha: 0\nbeta: 1\ngamma: 1\n", func(rt *Router) error {
+			_, err := rt.MigrateDoc(context.Background(), "alpha", 0, 1)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, rt, ts := spawnTier(t, testDocs, 2, tc.overrides)
+			epoch1 := getTopology(t, ts.URL).Epoch
+			held := holdQuery(ts.URL, "alpha", testQueries[0])
+			// Unblock the held request if the test fails first, so the
+			// server can shut down.
+			t.Cleanup(func() { held.pw.Close() })
+			waitTopology(t, ts.URL, "held query entering epoch accounting", func(topo TopologyStatus) bool {
+				return inflightUnder(topo, epoch1) >= 1
+			})
+			done := make(chan error, 1)
+			go func() { done <- tc.change(rt) }()
+			waitTopology(t, ts.URL, "drain window", func(topo TopologyStatus) bool {
+				return len(topo.Pending) == 1 && topo.Pending[0].State == "draining"
+			})
+
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if _, err := rt.AddReplica(ctx, "alpha", 0); !errors.Is(err, ErrMigrationPending) {
+				t.Fatalf("AddReplica onto the draining shard: %v, want ErrMigrationPending", err)
+			}
+			if resp, body := post(t, migrateURL(ts.URL, "alpha", 1, 0), ""); resp.StatusCode != http.StatusConflict {
+				t.Fatalf("migrate mid-drain: status %d (%s), want 409", resp.StatusCode, body)
+			}
+
+			if out := held.release(); out.err != nil || out.status != http.StatusOK {
+				t.Fatalf("held query: %+v", out)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if got := rt.Topology().View().Owners("alpha"); len(got) != 1 || got[0] != 1 {
+				t.Fatalf("owners = %v, want [1]", got)
+			}
+			// Released after the retire: the add goes through now.
+			if _, err := rt.AddReplica(ctx, "alpha", 0); err != nil {
+				t.Fatalf("AddReplica after the drain: %v", err)
+			}
+		})
 	}
 }
 

@@ -9,9 +9,10 @@
 //     hash of the name by default, operator overrides (including
 //     replication) via a shard-map file;
 //   - Topology versions the map: epoch-stamped, copy-on-write placement
-//     snapshots advanced by the Migrate/Cutover/Commit/Abort protocol,
-//     so a document can move between shards while queries keep routing
-//     on consistent views;
+//     snapshots advanced by one placement change at a time per document
+//     (Register/Publish/Release: a replica add, a move — an add that
+//     drops its source — or a drop), so copies can come and go while
+//     queries keep routing on consistent views;
 //   - Server is one worker's HTTP surface (the same veneer cmd/fluxd
 //     serves standalone), extended with a /shardz identity endpoint so
 //     a router can verify topology, and — admin-gated — the
@@ -24,8 +25,8 @@
 //     response through, trailers included), retries idempotent reads on
 //     a dead shard, health-checks workers in the background, and — when
 //     its admin surface is enabled — drives live migrations
-//     (/admin/migrate, /admin/rebalance) and reports topology
-//     (/admin/shards) and control-plane state (/admin/rebalancer);
+//     (/admin/migrate) and reports topology (/admin/shards) and
+//     control-plane state (/admin/rebalancer);
 //   - Rebalancer is the autonomous control plane: a background router
 //     loop that watches a decaying per-(doc, shard) load signal and,
 //     with hysteresis, migrates the hottest document or adds a replica
@@ -69,10 +70,10 @@ import (
 //
 // Placement is versioned: every request routes on one immutable
 // Topology view, each proxied query is counted against the epoch it
-// routed under, and the live-migration protocol (MigrateDoc) uses those
-// per-epoch counts as its drain barrier — the source copy of a moved
-// document is only retired once no query routed under a pre-cutover
-// epoch is still in flight.
+// routed under, and the live placement protocol (MigrateDoc,
+// AddReplica, DropReplica) uses those per-epoch counts as its drain
+// barrier — a copy that lost routing is only retired once no query
+// routed under an earlier epoch is still in flight.
 type Router struct {
 	topo     *Topology
 	backends []*backend
@@ -115,11 +116,11 @@ type RouterOptions struct {
 	// DefaultHealthInterval, negative disables background probing
 	// (probes then happen only via proxy failures).
 	HealthInterval time.Duration
-	// Admin exposes the mutating /admin/* endpoints (migrate,
-	// rebalance) and the /admin/shards topology report; without it
-	// every /admin/* request answers 403, exactly like a fluxd running
-	// without -admin. Migration additionally needs the workers' own
-	// admin surfaces enabled.
+	// Admin exposes the mutating /admin/migrate endpoint, the
+	// /admin/shards topology report and the /admin/rebalancer status;
+	// without it every /admin/* request answers 403, exactly like a
+	// fluxd running without -admin. Migration additionally needs the
+	// workers' own admin surfaces enabled.
 	Admin bool
 }
 
@@ -186,7 +187,6 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 	if opt.Admin {
 		rt.routes.HandleFunc("/admin/shards", rt.handleShards)
 		rt.routes.HandleFunc("/admin/migrate", rt.handleMigrate)
-		rt.routes.HandleFunc("/admin/rebalance", rt.handleRebalance)
 		rt.routes.HandleFunc("/admin/rebalancer", rt.handleRebalancer)
 	} else {
 		rt.routes.HandleFunc("/admin/", rt.handleAdminDisabled)
@@ -378,8 +378,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			// The worker accepted the scan: count it into the control
 			// plane's load signal before streaming (a mid-stream abort
-			// still cost the worker the scan).
-			rt.loads.observe(doc, b.id)
+			// still cost the worker the scan). Without an attached
+			// rebalancer nothing drains the signal, so nothing fills it.
+			if rt.rebal.Load() != nil {
+				rt.loads.observe(doc, b.id)
+			}
 			rt.stream(w, resp, b)
 			return true
 		}()
@@ -556,23 +559,25 @@ type ShardStatus struct {
 }
 
 // TopologyStatus is the /admin/shards payload: the current placement
-// epoch, the migrations in progress, and one ShardStatus per worker.
+// epoch, the placement changes in progress, and one ShardStatus per
+// worker.
 type TopologyStatus struct {
 	// Epoch is the current topology epoch; it advances by one per
-	// published placement change (migration cutovers and rollbacks).
+	// published placement change (a replica add, a move or a drop).
 	Epoch int64 `json:"epoch"`
-	// Pending lists the in-progress migrations, sorted by document.
+	// Pending lists the in-progress placement changes, sorted by
+	// document.
 	Pending []MigrationStatus `json:"pending_migrations,omitempty"`
 	// InflightByEpoch counts the queries currently in flight per
 	// topology epoch (keys are decimal epochs). Entries under old epochs
-	// are what a pending migration's drain barrier is waiting on.
+	// are what a draining placement change is waiting on.
 	InflightByEpoch map[string]int64 `json:"inflight_by_epoch,omitempty"`
 	// Shards holds one row per worker, in shard-id order.
 	Shards []ShardStatus `json:"shards"`
 }
 
 // handleShards reports the router's topology view: epoch, pending
-// migrations, and one ShardStatus per worker.
+// placement changes, and one ShardStatus per worker.
 func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 	view := rt.topo.View()
 	out := TopologyStatus{Epoch: view.Epoch(), Pending: rt.topo.Pending()}

@@ -9,43 +9,33 @@ import (
 
 // Topology is the versioned placement table of the sharded tier: an
 // epoch-stamped sequence of immutable Map snapshots, advanced copy-on-
-// write by live document migrations. Readers (the router's query path)
+// write by live placement changes. Readers (the router's query path)
 // call View once per request and route on a consistent snapshot without
-// locking; writers (the migration protocol) clone the current map, edit
-// the clone, and publish it under the next epoch.
+// locking; writers clone the current map, edit the clone, and publish it
+// under the next epoch.
 //
-// A migration walks a small state machine, one Topology transition per
-// step of the tier-level protocol:
+// Every placement change — a replica add, a document move, a replica
+// drop — is one pending Change {doc, gain, lose}, either side of which
+// may be absent (a move is a replica add that drops its source). It
+// walks three transitions:
 //
-//	Migrate(doc, from, to)  validate and register the migration; the
-//	                        document is being copied to the target, and
-//	                        routing is untouched ("copying")
-//	Cutover(mig)            publish epoch N+1 where doc routes to the
-//	                        target instead of the source; queries
-//	                        admitted under epochs <= N may still be
-//	                        scanning the source copy ("draining")
-//	Commit(mig)             the drain barrier has passed and the source
-//	                        copy is retired; the migration is done
-//	Abort(mig)              roll back: when already cut over, publish a
-//	                        further epoch restoring the source; either
-//	                        way the migration is forgotten
+//	Register(doc, gain, lose)  validate and register the change; routing
+//	                           is untouched while the gaining shard
+//	                           installs its copy ("copying")
+//	Publish(c)                 publish owners ∪ {gain} ∖ {lose} in one
+//	                           epoch; queries admitted under earlier
+//	                           epochs may still be scanning the losing
+//	                           shard's copy ("draining")
+//	Release(c)                 forget the change — once the copy that lost
+//	                           routing is retired, or before Publish when
+//	                           the copy failed (no routing ever changed)
 //
-// Replica changes ride the same machinery. AddReplica registers a
-// pending copy ("replicating") exactly like Migrate registers a move,
-// CommitReplica publishes the epoch under which the target joins the
-// replica set, and Abort forgets a replica copy that failed — no
-// routing ever changed, so there is nothing to roll back. DropReplica
-// is the inverse cutover: it publishes the shrunk replica set in one
-// step and hands back the old epoch as a drain barrier, because
-// queries admitted under earlier epochs may still be scanning the
-// dropped copy.
-//
-// Only one migration per document may be pending at a time; migrations
-// of distinct documents may proceed concurrently.
+// Only one change per document may be pending at a time, from Register
+// to Release; changes of distinct documents may proceed concurrently.
 type Topology struct {
 	mu      sync.Mutex
 	view    atomic.Pointer[View]
-	pending map[string]*Migration
+	pending map[string]*Change
 }
 
 // View is one immutable epoch of the placement table. All read methods
@@ -79,48 +69,38 @@ func (v *View) DocsFor(id int) []string { return v.m.DocsFor(id) }
 // shard-map file losslessly.
 func (v *View) Placement() map[string][]int { return v.m.Placement() }
 
-// Migration is one pending placement change — a document move (Migrate)
-// or a replica add (AddReplica). It is created by the registering
-// transition and retired by Commit, CommitReplica or Abort; the
-// exported fields are fixed at creation.
-type Migration struct {
-	// Doc is the document being moved or replicated.
-	Doc string
-	// From is the shard losing its copy (for a replica add: the copy
-	// source, which keeps its copy), To the shard gaining one.
-	From, To int
-
-	state      migState
-	startEpoch int64 // epoch current when the migration began
-	drainEpoch int64 // epoch whose in-flight queries must drain; 0 until cutover
+// Change is one pending placement change, created by Register and
+// forgotten by Release.
+type Change struct {
+	doc        string
+	gain, lose int         // shard gaining / losing a copy; noShard when absent
+	state      changeState // copying until Publish, draining after
+	startEpoch int64       // epoch current at Register
+	drainEpoch int64       // last epoch that may route to lose; 0 until Publish
 }
 
-// migState is a Migration's position in the protocol.
-type migState int
+// noShard marks the absent side of a Change: a replica add loses no
+// copy, a replica drop gains none.
+const noShard = -1
+
+// changeState is a Change's position in the protocol.
+type changeState int
 
 const (
-	migCopying     migState = iota // document copying to the target; routing untouched
-	migDraining                    // routing flipped; old-epoch queries finishing on the source
-	migReplicating                 // replica copying to the target; routing untouched
-	migDone                        // committed or aborted
+	changeCopying  changeState = iota // gaining shard installing its copy; routing untouched
+	changeDraining                    // published; old-epoch queries may still scan the losing copy
 )
 
 // String renders the state the way /admin/shards reports it.
-func (s migState) String() string {
-	switch s {
-	case migCopying:
-		return "copying"
-	case migDraining:
+func (s changeState) String() string {
+	if s == changeDraining {
 		return "draining"
-	case migReplicating:
-		return "replicating"
-	default:
-		return "done"
 	}
+	return "copying"
 }
 
-// ErrMigrationPending is returned by Migrate when the document already
-// has a migration in progress; only one move per document may be
+// ErrMigrationPending is returned by Register when the document already
+// has a placement change in progress; only one per document may be
 // pending at a time.
 var ErrMigrationPending = fmt.Errorf("shard: migration already pending")
 
@@ -128,7 +108,7 @@ var ErrMigrationPending = fmt.Errorf("shard: migration already pending")
 // not be mutated by the caller afterwards (ApplyOverrides before, not
 // after, handing it over).
 func NewTopology(m *Map) *Topology {
-	t := &Topology{pending: make(map[string]*Migration)}
+	t := &Topology{pending: make(map[string]*Change)}
 	t.view.Store(&View{epoch: 1, m: m})
 	return t
 }
@@ -141,277 +121,121 @@ func (t *Topology) View() *View { return t.view.Load() }
 // Epoch returns the current epoch.
 func (t *Topology) Epoch() int64 { return t.View().epoch }
 
-// publish installs owners as the next epoch. Caller holds t.mu.
-func (t *Topology) publish(m *Map) *View {
-	v := &View{epoch: t.view.Load().epoch + 1, m: m}
-	t.view.Store(v)
-	return v
-}
-
-// Migrate validates and registers a move of doc from shard `from` to
-// shard `to`. Routing is not changed yet — the document is only being
-// copied — so a failure between here and Cutover needs no routing
-// rollback. It fails when the document is unknown, from is not an
-// owner, to already is one, either id is out of range, or another
-// migration of the same document is pending.
-func (t *Topology) Migrate(doc string, from, to int) (*Migration, error) {
+// Register validates and registers a placement change of doc: shard
+// gain will gain a copy and shard lose will lose one, either being -1
+// when absent. Routing is not changed yet, so a failure before Publish
+// needs no rollback beyond Release. It fails when another change of the
+// document is pending (ErrMigrationPending), the document is unknown,
+// both sides are absent, an id is out of range, gain already owns a
+// copy, lose owns none, or lose is the last owner and nothing is gained
+// — a document must always route somewhere.
+func (t *Topology) Register(doc string, gain, lose int) (*Change, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.view.Load()
-	if from < 0 || from >= v.Shards() {
-		return nil, fmt.Errorf("shard: migrate %q: source shard %d out of range [0, %d)", doc, from, v.Shards())
-	}
-	if to < 0 || to >= v.Shards() {
-		return nil, fmt.Errorf("shard: migrate %q: target shard %d out of range [0, %d)", doc, to, v.Shards())
-	}
-	if from == to {
-		return nil, fmt.Errorf("shard: migrate %q: source and target are both shard %d", doc, from)
-	}
-	owners := v.Owners(doc)
-	if owners == nil {
-		return nil, fmt.Errorf("shard: migrate %q: unknown document", doc)
-	}
-	if !containsInt(owners, from) {
-		return nil, fmt.Errorf("shard: migrate %q: shard %d is not an owner (owners %v)", doc, from, owners)
-	}
-	if containsInt(owners, to) {
-		return nil, fmt.Errorf("shard: migrate %q: shard %d already owns a replica", doc, to)
-	}
 	if old, dup := t.pending[doc]; dup {
-		return nil, fmt.Errorf("%w: %q is migrating %d->%d (%s)", ErrMigrationPending, doc, old.From, old.To, old.state)
+		return nil, fmt.Errorf("%w: %q is changing (gain %d, lose %d, %s)", ErrMigrationPending, doc, old.gain, old.lose, old.state)
 	}
-	mig := &Migration{Doc: doc, From: from, To: to, state: migCopying, startEpoch: v.epoch}
-	t.pending[doc] = mig
-	return mig, nil
+	v := t.view.Load()
+	owners := v.Owners(doc)
+	switch {
+	case owners == nil:
+		return nil, fmt.Errorf("shard: place %q: unknown document", doc)
+	case gain == noShard && lose == noShard:
+		return nil, fmt.Errorf("shard: place %q: no shard gains or loses a copy", doc)
+	case gain < noShard || gain >= v.Shards():
+		return nil, fmt.Errorf("shard: place %q: target shard %d out of range [0, %d)", doc, gain, v.Shards())
+	case lose < noShard || lose >= v.Shards():
+		return nil, fmt.Errorf("shard: place %q: source shard %d out of range [0, %d)", doc, lose, v.Shards())
+	case gain != noShard && containsInt(owners, gain):
+		return nil, fmt.Errorf("shard: place %q: shard %d already owns a replica", doc, gain)
+	case lose != noShard && !containsInt(owners, lose):
+		return nil, fmt.Errorf("shard: place %q: shard %d is not an owner (owners %v)", doc, lose, owners)
+	case gain == noShard && len(owners) == 1:
+		return nil, fmt.Errorf("shard: place %q: shard %d is the last owner", doc, lose)
+	}
+	c := &Change{doc: doc, gain: gain, lose: lose, state: changeCopying, startEpoch: v.epoch}
+	t.pending[doc] = c
+	return c, nil
 }
 
-// Cutover publishes the dual-ownership drain epoch: from here on new
-// queries for the document route to the target replica set (owners with
-// the source replaced by the target), while queries admitted under
-// earlier epochs may still be scanning the source copy. It returns the
-// epoch whose in-flight queries must drain to zero before the source
-// copy can be retired — every epoch <= the returned value.
-func (t *Topology) Cutover(mig *Migration) (drainBelow int64, err error) {
+// Publish installs the changed owner set — owners ∪ {gain} ∖ {lose} —
+// as the next epoch, in one step. It returns the previous epoch as the
+// drain barrier: queries admitted under epochs <= the returned value
+// may still be scanning the losing shard's copy, and the caller must
+// wait them out before retiring it. The change stays registered until
+// Release.
+func (t *Topology) Publish(c *Change) (drainBelow int64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.expectState(mig, migCopying); err != nil {
-		return 0, err
+	if t.pending[c.doc] != c || c.state != changeCopying {
+		return 0, fmt.Errorf("shard: change of %q is not pending publication", c.doc)
 	}
 	old := t.view.Load()
 	next := old.m.clone()
-	next.owners[mig.Doc] = replaceOwner(next.owners[mig.Doc], mig.From, mig.To)
-	t.publish(next)
-	mig.state = migDraining
-	mig.drainEpoch = old.epoch
+	var ids []int
+	for _, id := range next.owners[c.doc] {
+		if id != c.lose {
+			ids = append(ids, id)
+		}
+	}
+	if c.gain != noShard {
+		ids = append(ids, c.gain)
+		sort.Ints(ids)
+	}
+	next.owners[c.doc] = ids
+	t.view.Store(&View{epoch: old.epoch + 1, m: next})
+	c.state, c.drainEpoch = changeDraining, old.epoch
 	return old.epoch, nil
 }
 
-// Commit retires a drained migration: the source copy is gone, the
-// routing published at Cutover is final, and the document may migrate
-// again.
-func (t *Topology) Commit(mig *Migration) error {
+// Release forgets a pending change, freeing the document for the next
+// one. It never touches routing: released before Publish, the change
+// leaves none behind; released after, its published epoch is final.
+// Releasing a change that is no longer pending does nothing — in
+// particular it cannot free a later change of the same document.
+func (t *Topology) Release(c *Change) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.expectState(mig, migDraining); err != nil {
-		return err
+	if t.pending[c.doc] == c {
+		delete(t.pending, c.doc)
 	}
-	mig.state = migDone
-	delete(t.pending, mig.Doc)
-	return nil
 }
 
-// Abort rolls a pending placement change back from any live state. A
-// migration still copying — and a replica add, which never publishes
-// before CommitReplica — needs no routing change; a migration already
-// cut over gets a further epoch restoring the source replica set, so
-// queries that arrived during the drain window keep completing on the
-// target (its copy is intact) while new ones return to the source.
-func (t *Topology) Abort(mig *Migration) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if mig.state == migDone {
-		return fmt.Errorf("shard: migration of %q already finished", mig.Doc)
-	}
-	if t.pending[mig.Doc] != mig {
-		return fmt.Errorf("shard: migration of %q is not pending", mig.Doc)
-	}
-	if mig.state == migDraining {
-		next := t.view.Load().m.clone()
-		next.owners[mig.Doc] = replaceOwner(next.owners[mig.Doc], mig.To, mig.From)
-		t.publish(next)
-	}
-	mig.state = migDone
-	delete(t.pending, mig.Doc)
-	return nil
-}
-
-// AddReplica validates and registers a replica add: shard `to` will
-// gain a copy of doc fetched from owning shard `from`. Routing is not
-// changed — the copy is only being installed — so a failure before
-// CommitReplica needs no rollback beyond Abort. It fails when the
-// document is unknown, from is not an owner, to already is one, either
-// id is out of range, or another placement change of the same document
-// is pending (replica copies and migrations conflict: both assume the
-// target holds no routed copy).
-func (t *Topology) AddReplica(doc string, from, to int) (*Migration, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.view.Load()
-	if from < 0 || from >= v.Shards() {
-		return nil, fmt.Errorf("shard: replicate %q: source shard %d out of range [0, %d)", doc, from, v.Shards())
-	}
-	if to < 0 || to >= v.Shards() {
-		return nil, fmt.Errorf("shard: replicate %q: target shard %d out of range [0, %d)", doc, to, v.Shards())
-	}
-	if from == to {
-		return nil, fmt.Errorf("shard: replicate %q: source and target are both shard %d", doc, from)
-	}
-	owners := v.Owners(doc)
-	if owners == nil {
-		return nil, fmt.Errorf("shard: replicate %q: unknown document", doc)
-	}
-	if !containsInt(owners, from) {
-		return nil, fmt.Errorf("shard: replicate %q: shard %d is not an owner (owners %v)", doc, from, owners)
-	}
-	if containsInt(owners, to) {
-		return nil, fmt.Errorf("shard: replicate %q: shard %d already owns a replica", doc, to)
-	}
-	if old, dup := t.pending[doc]; dup {
-		return nil, fmt.Errorf("%w: %q is changing %d->%d (%s)", ErrMigrationPending, doc, old.From, old.To, old.state)
-	}
-	mig := &Migration{Doc: doc, From: from, To: to, state: migReplicating, startEpoch: v.epoch}
-	t.pending[doc] = mig
-	return mig, nil
-}
-
-// CommitReplica publishes the epoch under which the target shard joins
-// the document's replica set — the copy is installed and may serve
-// queries. Unlike a migration cutover there is no drain to wait for:
-// no existing owner lost its copy, so every in-flight query keeps
-// scanning a copy that still exists. The returned epoch is the first
-// under which the new replica routes.
-func (t *Topology) CommitReplica(mig *Migration) (int64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.expectState(mig, migReplicating); err != nil {
-		return 0, err
-	}
-	next := t.view.Load().m.clone()
-	next.owners[mig.Doc] = addOwner(next.owners[mig.Doc], mig.To)
-	v := t.publish(next)
-	mig.state = migDone
-	delete(t.pending, mig.Doc)
-	return v.epoch, nil
-}
-
-// DropReplica publishes the epoch under which shard `on` leaves the
-// document's replica set, in one step — there is no copy phase, so no
-// pending registration. It returns the old epoch as the drain barrier:
-// queries admitted under epochs <= the returned value may still be
-// scanning the dropped copy, and the caller must wait them out before
-// retiring it. Dropping the last owner is refused — a document must
-// always route somewhere.
-func (t *Topology) DropReplica(doc string, on int) (drainBelow int64, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.view.Load()
-	owners := v.Owners(doc)
-	if owners == nil {
-		return 0, fmt.Errorf("shard: drop replica %q: unknown document", doc)
-	}
-	if !containsInt(owners, on) {
-		return 0, fmt.Errorf("shard: drop replica %q: shard %d is not an owner (owners %v)", doc, on, owners)
-	}
-	if len(owners) == 1 {
-		return 0, fmt.Errorf("shard: drop replica %q: shard %d is the last owner", doc, on)
-	}
-	if old, dup := t.pending[doc]; dup {
-		return 0, fmt.Errorf("%w: %q is changing %d->%d (%s)", ErrMigrationPending, doc, old.From, old.To, old.state)
-	}
-	next := v.m.clone()
-	next.owners[doc] = removeOwner(next.owners[doc], on)
-	t.publish(next)
-	return v.epoch, nil
-}
-
-// expectState verifies mig is the document's pending migration in the
-// given state. Caller holds t.mu.
-func (t *Topology) expectState(mig *Migration, want migState) error {
-	if t.pending[mig.Doc] != mig {
-		return fmt.Errorf("shard: migration of %q is not pending", mig.Doc)
-	}
-	if mig.state != want {
-		return fmt.Errorf("shard: migration of %q is %s, want %s", mig.Doc, mig.state, want)
-	}
-	return nil
-}
-
-// MigrationStatus is one pending migration as /admin/shards reports it.
+// MigrationStatus is one pending placement change as /admin/shards
+// reports it.
 type MigrationStatus struct {
-	// Doc is the migrating document.
+	// Doc is the document whose placement is changing.
 	Doc string `json:"doc"`
-	// From is the shard losing its copy.
+	// From is the shard losing its copy (a move or a drop); -1 for a
+	// replica add.
 	From int `json:"from"`
-	// To is the shard gaining one.
+	// To is the shard gaining one (an add or a move); -1 for a drop.
 	To int `json:"to"`
-	// State is "copying" (target copy being installed, routing
-	// untouched), "draining" (routing flipped, old-epoch queries
-	// finishing on the source), or "replicating" (replica copy being
-	// installed, routing untouched).
+	// State is "copying" (the gaining shard's copy being installed,
+	// routing untouched) or "draining" (routing published; queries
+	// admitted under earlier epochs finishing before the losing shard's
+	// copy is retired).
 	State string `json:"state"`
-	// StartEpoch is the epoch current when the migration began.
+	// StartEpoch is the epoch current when the change was registered.
 	StartEpoch int64 `json:"start_epoch"`
-	// DrainEpoch is the epoch whose in-flight queries gate the source
-	// retire; 0 until cutover.
+	// DrainEpoch is the epoch whose in-flight queries gate the retire of
+	// the losing copy; 0 until published.
 	DrainEpoch int64 `json:"drain_epoch,omitempty"`
 }
 
-// Pending reports the in-progress migrations, sorted by document.
+// Pending reports the in-progress placement changes, sorted by
+// document.
 func (t *Topology) Pending() []MigrationStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]MigrationStatus, 0, len(t.pending))
-	for _, mig := range t.pending {
+	for _, c := range t.pending {
 		out = append(out, MigrationStatus{
-			Doc: mig.Doc, From: mig.From, To: mig.To,
-			State: mig.state.String(), StartEpoch: mig.startEpoch, DrainEpoch: mig.drainEpoch,
+			Doc: c.doc, From: c.lose, To: c.gain,
+			State: c.state.String(), StartEpoch: c.startEpoch, DrainEpoch: c.drainEpoch,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Doc < out[j].Doc })
-	return out
-}
-
-// replaceOwner swaps one shard id for another in a replica list,
-// keeping it sorted.
-func replaceOwner(ids []int, old, new int) []int {
-	out := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if id != old {
-			out = append(out, id)
-		}
-	}
-	out = append(out, new)
-	sort.Ints(out)
-	return out
-}
-
-// addOwner inserts a shard id into a replica list, keeping it sorted.
-func addOwner(ids []int, id int) []int {
-	out := make([]int, 0, len(ids)+1)
-	out = append(out, ids...)
-	out = append(out, id)
-	sort.Ints(out)
-	return out
-}
-
-// removeOwner deletes a shard id from a replica list, preserving order.
-func removeOwner(ids []int, id int) []int {
-	out := make([]int, 0, len(ids))
-	for _, v := range ids {
-		if v != id {
-			out = append(out, v)
-		}
-	}
 	return out
 }
 

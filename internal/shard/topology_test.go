@@ -24,9 +24,10 @@ func topo3(t *testing.T) *Topology {
 	return NewTopology(m)
 }
 
-// TestTopologyMigrateProtocol walks the happy path: Migrate leaves
-// routing untouched, Cutover publishes the next epoch routing the
-// document to the target, Commit finalizes. Old views stay frozen.
+// TestTopologyMigrateProtocol walks a move — a change that gains the
+// target and loses the source — through the machine: Register leaves
+// routing untouched, Publish swaps the owner in one epoch and holds the
+// change draining, Release frees the document. Old views stay frozen.
 func TestTopologyMigrateProtocol(t *testing.T) {
 	topo := topo3(t)
 	v1 := topo.View()
@@ -34,18 +35,18 @@ func TestTopologyMigrateProtocol(t *testing.T) {
 		t.Fatalf("initial epoch = %d, want 1", v1.Epoch())
 	}
 
-	mig, err := topo.Migrate("alpha", 0, 1)
+	c, err := topo.Register("alpha", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := topo.View().Owners("alpha"); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("owners changed before cutover: %v", got)
+		t.Fatalf("owners changed before publish: %v", got)
 	}
-	if p := topo.Pending(); len(p) != 1 || p[0].State != "copying" || p[0].Doc != "alpha" {
-		t.Fatalf("pending = %+v, want alpha copying", p)
+	if p := topo.Pending(); len(p) != 1 || p[0].State != "copying" || p[0].Doc != "alpha" || p[0].From != 0 || p[0].To != 1 {
+		t.Fatalf("pending = %+v, want alpha 0->1 copying", p)
 	}
 
-	drainUpTo, err := topo.Cutover(mig)
+	drainUpTo, err := topo.Publish(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +55,12 @@ func TestTopologyMigrateProtocol(t *testing.T) {
 	}
 	v2 := topo.View()
 	if v2.Epoch() != 2 {
-		t.Fatalf("post-cutover epoch = %d, want 2", v2.Epoch())
+		t.Fatalf("post-publish epoch = %d, want 2", v2.Epoch())
 	}
 	if got := v2.Owners("alpha"); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("post-cutover owners = %v, want [1]", got)
+		t.Fatalf("post-publish owners = %v, want [1]", got)
 	}
-	// The pre-cutover view is immutable — a request that took it keeps
+	// The pre-publish view is immutable — a request that took it keeps
 	// routing to the source.
 	if got := v1.Owners("alpha"); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("old view mutated: %v", got)
@@ -67,28 +68,30 @@ func TestTopologyMigrateProtocol(t *testing.T) {
 	if p := topo.Pending(); len(p) != 1 || p[0].State != "draining" || p[0].DrainEpoch != 1 {
 		t.Fatalf("pending = %+v, want alpha draining from epoch 1", p)
 	}
+	// The slot is held through the drain: nothing else may change alpha.
+	if _, err := topo.Register("alpha", 0, noShard); !errors.Is(err, ErrMigrationPending) {
+		t.Fatalf("add back onto the source mid-drain: %v, want ErrMigrationPending", err)
+	}
 
-	if err := topo.Commit(mig); err != nil {
-		t.Fatal(err)
-	}
+	topo.Release(c)
 	if p := topo.Pending(); len(p) != 0 {
-		t.Fatalf("pending after commit = %+v", p)
+		t.Fatalf("pending after release = %+v", p)
 	}
-	// The document may migrate again.
-	if _, err := topo.Migrate("alpha", 1, 2); err != nil {
-		t.Fatalf("second migration refused: %v", err)
+	// The document may move again.
+	if _, err := topo.Register("alpha", 2, 1); err != nil {
+		t.Fatalf("second move refused: %v", err)
 	}
 }
 
-// TestTopologyMigrateReplicated: migrating one replica of a replicated
+// TestTopologyMigrateReplicated: moving one replica of a replicated
 // document swaps only that replica.
 func TestTopologyMigrateReplicated(t *testing.T) {
 	topo := topo3(t)
-	mig, err := topo.Migrate("gamma", 0, 1)
+	c, err := topo.Register("gamma", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topo.Cutover(mig); err != nil {
+	if _, err := topo.Publish(c); err != nil {
 		t.Fatal(err)
 	}
 	if got := topo.View().Owners("gamma"); !reflect.DeepEqual(got, []int{1, 2}) {
@@ -96,24 +99,26 @@ func TestTopologyMigrateReplicated(t *testing.T) {
 	}
 }
 
-// TestTopologyMigrateValidation: every bad transition is refused with a
+// TestTopologyMigrateValidation: every bad change is refused with a
 // named reason and leaves the topology untouched.
 func TestTopologyMigrateValidation(t *testing.T) {
 	topo := topo3(t)
 	cases := []struct {
-		name     string
-		doc      string
-		from, to int
+		name       string
+		doc        string
+		gain, lose int
 	}{
-		{"unknown doc", "nope", 0, 1},
-		{"not an owner", "alpha", 1, 2},
-		{"already an owner", "gamma", 0, 2},
-		{"source out of range", "alpha", -1, 1},
-		{"target out of range", "alpha", 0, 3},
+		{"unknown doc", "nope", 1, 0},
+		{"not an owner", "alpha", 2, 1},
+		{"already an owner", "gamma", 2, 0},
+		{"source out of range", "alpha", 1, -2},
+		{"target out of range", "alpha", 3, 0},
 		{"self move", "alpha", 0, 0},
+		{"nothing to change", "alpha", noShard, noShard},
+		{"drop the last owner", "alpha", noShard, 0},
 	}
 	for _, tc := range cases {
-		if _, err := topo.Migrate(tc.doc, tc.from, tc.to); err == nil {
+		if _, err := topo.Register(tc.doc, tc.gain, tc.lose); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -121,62 +126,64 @@ func TestTopologyMigrateValidation(t *testing.T) {
 		t.Fatalf("failed validations mutated the topology: epoch %d, pending %v", topo.Epoch(), topo.Pending())
 	}
 
-	// Only one migration per document at a time.
-	mig, err := topo.Migrate("alpha", 0, 1)
-	if err != nil {
+	// Only one change per document at a time.
+	if _, err := topo.Register("alpha", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topo.Migrate("alpha", 0, 2); !errors.Is(err, ErrMigrationPending) {
-		t.Fatalf("concurrent migration of one doc: err = %v, want ErrMigrationPending", err)
+	if _, err := topo.Register("alpha", 2, 0); !errors.Is(err, ErrMigrationPending) {
+		t.Fatalf("concurrent move of one doc: err = %v, want ErrMigrationPending", err)
 	}
-	// Distinct documents may migrate concurrently.
-	if _, err := topo.Migrate("beta", 1, 0); err != nil {
-		t.Fatalf("concurrent migration of another doc refused: %v", err)
+	// Distinct documents may change concurrently.
+	if _, err := topo.Register("beta", 0, 1); err != nil {
+		t.Fatalf("concurrent move of another doc refused: %v", err)
 	}
-	_ = mig
 }
 
-// TestTopologyAbort: aborting before cutover changes nothing; aborting
-// mid-drain publishes a rollback epoch restoring the source.
+// TestTopologyAbort: releasing a change before Publish changes nothing;
+// releasing one after Publish keeps its epoch — there is no rollback
+// epoch — and a released change cannot transition again or free a
+// later change of the same document.
 func TestTopologyAbort(t *testing.T) {
 	topo := topo3(t)
-	mig, err := topo.Migrate("alpha", 0, 1)
+	c, err := topo.Register("alpha", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.Abort(mig); err != nil {
-		t.Fatal(err)
-	}
+	topo.Release(c)
 	if topo.Epoch() != 1 || len(topo.Pending()) != 0 {
-		t.Fatalf("abort before cutover left epoch %d, pending %v", topo.Epoch(), topo.Pending())
+		t.Fatalf("release before publish left epoch %d, pending %v", topo.Epoch(), topo.Pending())
+	}
+	if _, err := topo.Publish(c); err == nil {
+		t.Error("publish after release accepted")
 	}
 
-	mig, err = topo.Migrate("alpha", 0, 1)
+	c, err = topo.Register("alpha", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := topo.Cutover(mig); err != nil {
+	if _, err := topo.Publish(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.Abort(mig); err != nil {
+	if _, err := topo.Publish(c); err == nil {
+		t.Error("double publish accepted")
+	}
+	topo.Release(c)
+	if topo.Epoch() != 2 {
+		t.Fatalf("epoch after publish and release = %d, want 2 (no rollback)", topo.Epoch())
+	}
+	if got := topo.View().Owners("alpha"); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("owners after release = %v, want the published [1]", got)
+	}
+	// A stale release cannot free a later change of the document.
+	next, err := topo.Register("alpha", 2, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Epoch() != 3 {
-		t.Fatalf("rollback epoch = %d, want 3 (cutover then rollback)", topo.Epoch())
+	topo.Release(c)
+	if _, err := topo.Register("alpha", 0, noShard); !errors.Is(err, ErrMigrationPending) {
+		t.Fatalf("stale release freed the pending change: %v", err)
 	}
-	if got := topo.View().Owners("alpha"); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("rollback owners = %v, want the source restored", got)
-	}
-	// A finished migration cannot transition again.
-	if err := topo.Abort(mig); err == nil {
-		t.Error("double abort accepted")
-	}
-	if _, err := topo.Cutover(mig); err == nil {
-		t.Error("cutover after abort accepted")
-	}
-	if err := topo.Commit(mig); err == nil {
-		t.Error("commit after abort accepted")
-	}
+	topo.Release(next)
 }
 
 // TestMapOwnersAliasing: Owners returns a copy — mutating the result
