@@ -30,14 +30,16 @@ vet:
 race-fault:
 	$(GO) test ./internal/shard -race -count=3 -run 'Replica|Rebalancer|Migrate|Topology|EpochTracker'
 
-# Parallel-pipeline gate: the packages the multicore shared scan cuts
-# across (mux dispatch, streaming ingestion, the root-level
-# sequential-vs-parallel differential) at GOMAXPROCS 1 and 4, under
-# the race detector — 1 pins the sequential fallback, 4 actually
-# interleaves producer and workers even on a smaller CI machine.
+# Streaming-pipeline gate: everything a live ingest's worker pool cuts
+# across — mux dispatch, the stream hub, the root-level streaming vs
+# batch-scan differential, and the shard workers' ingest and subscribe
+# endpoints, which host hubs — at GOMAXPROCS 1 and 4, under the race
+# detector. 1 pins the inline streaming path; 4 interleaves the scan
+# goroutine and the workers even on a smaller CI machine.
 race-cpu:
 	$(GO) test -race -cpu 1,4 ./internal/mux ./internal/stream
 	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming' .
+	$(GO) test -race -cpu 1,4 -run 'Stream|Ingest|Subscribe' ./internal/shard
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

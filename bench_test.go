@@ -285,48 +285,7 @@ func BenchmarkSharedPrefixFanout(b *testing.B) {
 	benchFanout(b, doc, queries)
 }
 
-// BenchmarkParallelFanout is the shared-prefix 64-query batch through
-// the merged automaton, sequential versus the per-group worker pool
-// (SetParallel). Outputs and token counts are identical by construction
-// — the pipeline only moves group evaluation off the scan goroutine —
-// so the comparison is pure wall clock, meaningful at GOMAXPROCS ≥ 2
-// (at 1 the parallel run falls back to sequential and the sub-benchmarks
-// coincide).
-func BenchmarkParallelFanout(b *testing.B) {
-	doc := benchDocument(b)
-	texts := xmark.SharedPrefixQueries(64)
-	queries := make([]*Query, len(texts))
-	for i, qt := range texts {
-		q, err := Prepare(qt, xmark.DTD)
-		if err != nil {
-			b.Fatalf("query %d: %v", i, err)
-		}
-		queries[i] = q
-	}
-	benchFanoutModes(b, doc, queries, []fanoutMode{
-		{"sequential", mux.NewSelective},
-		{"parallel", func() *mux.Mux {
-			m := mux.NewSelective()
-			m.SetParallel(true)
-			return m
-		}},
-	})
-}
-
-// fanoutMode names one routing variant of a fan-out benchmark.
-type fanoutMode struct {
-	name   string
-	newMux func() *mux.Mux
-}
-
 func benchFanout(b *testing.B, doc string, queries []*Query) {
-	benchFanoutModes(b, doc, queries, []fanoutMode{
-		{"all", mux.New},
-		{"automaton", mux.NewSelective},
-	})
-}
-
-func benchFanoutModes(b *testing.B, doc string, queries []*Query, modes []fanoutMode) {
 	run := func(b *testing.B, newMux func() *mux.Mux) {
 		b.SetBytes(int64(len(doc)))
 		var delivered int64
@@ -349,7 +308,6 @@ func benchFanoutModes(b *testing.B, doc string, queries []*Query, modes []fanout
 		}
 		b.ReportMetric(float64(delivered)/float64(len(queries)), "events-per-query")
 	}
-	for _, fm := range modes {
-		b.Run(fm.name, func(b *testing.B) { run(b, fm.newMux) })
-	}
+	b.Run("all", func(b *testing.B) { run(b, mux.New) })
+	b.Run("automaton", func(b *testing.B) { run(b, mux.NewSelective) })
 }

@@ -80,7 +80,10 @@
 // when over the limit; the admission byte charge is the static
 // prediction scaled by the observed-peak calibration factor. A client
 // that disconnects mid-result is detached from its shared scan at the
-// next event batch; sibling queries keep streaming.
+// next event batch; sibling queries keep streaming. On a multicore host
+// each live ingest evaluates its subscriptions on a worker pool,
+// pipelined against its scan; shared scans of stored documents route
+// inline, since concurrent batches already fill the cores.
 package main
 
 import (
@@ -126,7 +129,6 @@ type config struct {
 	batchBudget int64  // cap on a scan's summed predicted buffer bytes (0 = unlimited)
 	maxScansDoc int    // admission: concurrent scans per document (0 = unlimited)
 	maxResident int64  // admission: total resident predicted buffer bytes (0 = unlimited)
-	parGroups   bool   // parallel per-group evaluation on shared scans
 	shardID     int    // shard identity asserted at /shardz (-1 = standalone)
 	advertise   string // reachable address reported at /shardz
 }
@@ -148,7 +150,6 @@ func buildConfig(dtdFile, docFile, docroot string, window time.Duration, maxBatc
 		window: window, maxBatch: maxBatch, attrs: attrs, cacheCap: cacheCap, admin: admin,
 		batchBudget: sched.batchBudget, maxScansDoc: sched.maxScansDoc,
 		maxResident: sched.maxResident,
-		parGroups:   sched.parallelGroups,
 		shardID:     id.shardID, advertise: id.advertise,
 	}
 	if sched.batchBudget < 0 {
@@ -253,10 +254,9 @@ func docName(path string) string {
 
 // schedConfig bundles the scheduling and admission flag values.
 type schedConfig struct {
-	batchBudget    int64
-	maxScansDoc    int
-	maxResident    int64
-	parallelGroups bool
+	batchBudget int64
+	maxScansDoc int
+	maxResident int64
 }
 
 // shardConfig bundles the shard-identity flag values.
@@ -299,7 +299,6 @@ func main() {
 		batchBudget = flag.Int64("batch-buffer-budget", 0, "cap on one scan's summed predicted peak buffer bytes; over-budget batches split into sequential scans (0 = unlimited)")
 		maxScansDoc = flag.Int("max-scans-per-doc", 0, "admission control: concurrent scans per document; excess scans queue (0 = unlimited)")
 		maxResident = flag.Int64("max-resident-buffer", 0, "admission control: total predicted resident buffer bytes across all scans; excess scans queue (0 = unlimited)")
-		parGroups   = flag.Bool("parallel-groups", false, "evaluate a shared scan's event-routing groups on a worker pool (one worker per GOMAXPROCS core) instead of inline on the scan goroutine; results are identical, wall-clock drops on multicore hosts (no effect at GOMAXPROCS=1)")
 
 		shardID   = flag.Int("shard-id", -1, "shard index this worker asserts at /shardz, for fluxrouter supervision (-1 = standalone)")
 		advertise = flag.String("advertise", "", "reachable base URL reported at /shardz, when the listen address is not routable as written")
@@ -312,10 +311,9 @@ func main() {
 	flag.Parse()
 
 	cfg, err := buildConfig(*dtdFile, *docFile, *docroot, *window, *maxBatch, *cacheCap, *attrs, *admin, schedConfig{
-		batchBudget:    *batchBudget,
-		maxScansDoc:    *maxScansDoc,
-		maxResident:    *maxResident,
-		parallelGroups: *parGroups,
+		batchBudget: *batchBudget,
+		maxScansDoc: *maxScansDoc,
+		maxResident: *maxResident,
 	}, shardConfig{shardID: *shardID, advertise: *advertise}, streamFlags{streamDocs: streamDocs, tails: tails})
 	if err != nil {
 		fatal(err)

@@ -49,17 +49,14 @@ func newServer(cfg config) (*shard.Server, error) {
 		MaxBatch:           cfg.maxBatch,
 		AttrsToSubelements: cfg.attrs,
 		BatchBufferBudget:  cfg.batchBudget,
-		ParallelGroups:     cfg.parGroups,
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Built here rather than defaulted inside shard.NewServer so -attrs
-	// and -parallel-groups apply to ingested streams exactly as they do
-	// to file scans.
+	// applies to ingested streams exactly as it does to file scans.
 	hub := stream.NewHub(cat, stream.Options{
 		AttrsToSubelements: cfg.attrs,
-		ParallelGroups:     cfg.parGroups,
 	})
 	return shard.NewServer(ex, shard.ServerOptions{
 		Admin:     cfg.admin,

@@ -111,7 +111,6 @@ func main() {
 		batchBudget = flag.Int64("batch-buffer-budget", 0, "embedded shards: cap on one scan's summed predicted peak buffer bytes (0 = unlimited)")
 		maxScansDoc = flag.Int("max-scans-per-doc", 0, "embedded shards: concurrent scans per document (0 = unlimited)")
 		maxResident = flag.Int64("max-resident-buffer", 0, "embedded shards: total predicted resident buffer bytes (0 = unlimited)")
-		parGroups   = flag.Bool("parallel-groups", false, "embedded shards: evaluate each shared scan's event-routing groups on a worker pool instead of inline on the scan goroutine (no effect at GOMAXPROCS=1)")
 	)
 	flag.Parse()
 
@@ -157,7 +156,6 @@ func main() {
 				Window:            *window,
 				MaxBatch:          *maxBatch,
 				BatchBufferBudget: *batchBudget,
-				ParallelGroups:    *parGroups,
 			},
 			Catalog: flux.CatalogOptions{
 				MaxScansPerDoc:         *maxScansDoc,

@@ -93,15 +93,6 @@ type ExecutorOptions struct {
 	// A single query predicting more than the whole budget still runs,
 	// alone. 0 means unlimited.
 	BatchBufferBudget int64
-	// ParallelGroups evaluates each scan's event-routing groups on a
-	// worker pool instead of inline on the scan goroutine: the scan keeps
-	// tokenizing and routing through the merged automaton while engine
-	// work for different groups proceeds on other cores. Results, stats,
-	// and error isolation are identical to the sequential scan. Scans
-	// that cannot benefit — GOMAXPROCS=1, a single routing group —
-	// silently run sequentially (DocStats.ParallelScans counts the scans
-	// that actually ran parallel).
-	ParallelGroups bool
 }
 
 // Defaults for ExecutorOptions zero values.
@@ -390,7 +381,6 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	defer f.Close()
 
 	m := mux.NewSelective()
-	m.SetParallel(e.opt.ParallelGroups)
 	if mach, hit := e.machineFor(doc, reqs); mach != nil {
 		m.SetMachine(mach)
 		c.autoStates.Store(int64(mach.States()))
@@ -405,9 +395,6 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 		SkipWhitespaceText: true,
 		AttrsToSubelements: e.opt.AttrsToSubelements,
 	})
-	if m.ParallelActive() {
-		c.parallelScans.Add(1)
-	}
 	if results == nil {
 		fail(err)
 		return
@@ -529,12 +516,6 @@ type DocStats struct {
 	// AutomatonHits counts scans that reused a cached merged automaton
 	// instead of compiling one.
 	AutomatonHits int64 `json:"automaton_hits"`
-	// ParallelScans counts scans that ran the parallel per-group
-	// evaluation pipeline (ExecutorOptions.ParallelGroups); scans that
-	// fell back to sequential dispatch — one routing group, GOMAXPROCS=1
-	// — are excluded, so the gap to Scans shows how often the option
-	// actually engaged.
-	ParallelScans int64 `json:"parallel_scans"`
 }
 
 type docCounters struct {
@@ -548,7 +529,6 @@ type docCounters struct {
 	deferred      atomic.Int64
 	autoStates    atomic.Int64
 	autoHits      atomic.Int64
-	parallelScans atomic.Int64
 }
 
 func (e *Executor) counters(doc string) *docCounters {
@@ -576,7 +556,6 @@ func (e *Executor) Stats() map[string]DocStats {
 			Deferred:        c.deferred.Load(),
 			AutomatonStates: c.autoStates.Load(),
 			AutomatonHits:   c.autoHits.Load(),
-			ParallelScans:   c.parallelScans.Load(),
 		}
 		return true
 	})

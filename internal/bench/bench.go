@@ -53,20 +53,11 @@ const (
 	// xmark.FanoutQueries run under the synthetic query name "fanout" in
 	// both modes; the 64-query shared-prefix set
 	// (xmark.SharedPrefixQueries) runs under "fanout-wide" in the
-	// automaton mode and the parallel pipeline (ModeFanoutParallel
-	// below). Tokens is the summed events delivered across the batch —
-	// the quantity selective routing shrinks, gated by CheckFanout.
+	// automaton mode. Tokens is the summed events delivered across the
+	// batch — the quantity selective routing shrinks, gated by
+	// CheckFanout.
 	ModeFanoutAll       Mode = "fanout-all"
 	ModeFanoutAutomaton Mode = "fanout-automaton"
-	// ModeFanoutParallel is ModeFanoutAutomaton with the per-group worker
-	// pool (ExecutorOptions.ParallelGroups): the scan goroutine keeps
-	// tokenizing and running the merged automaton while group evaluation
-	// fans out across GOMAXPROCS workers. It runs on the fanout-wide set
-	// only — parallelism pays on wide batches, and equivalence is what the
-	// row exists to witness: CheckParallelEquivalence holds it to the
-	// automaton row's exact output bytes and token counts, and to strictly
-	// less wall clock when the snapshot machine has ≥ 4 CPUs.
-	ModeFanoutParallel Mode = "fanout-parallel"
 	// ModeServedLatency is the open-loop latency measurement of the
 	// serving tier: requests are fired at a fixed arrival rate derived
 	// from a warmup estimate — independent of completions, so queueing
@@ -329,7 +320,7 @@ func RunContext(ctx context.Context, cfg Config) ([]Row, error) {
 				{FanoutQueryName, xmark.FanoutQueries,
 					[]Mode{ModeFanoutAll, ModeFanoutAutomaton}},
 				{FanoutWideQueryName, xmark.SharedPrefixQueries(fanoutWideQueries),
-					[]Mode{ModeFanoutAutomaton, ModeFanoutParallel}},
+					[]Mode{ModeFanoutAutomaton}},
 			}
 			for _, set := range fanoutSets {
 				for _, mode := range set.modes {
@@ -1146,9 +1137,8 @@ func runFanout(ctx context.Context, docPath string, sizeMB int, docBytes int64, 
 		return row, err
 	}
 	ex, err := flux.NewExecutor(cat, flux.ExecutorOptions{
-		Window:         30 * time.Second, // dispatch on MaxBatch, not the window
-		MaxBatch:       len(queries),
-		ParallelGroups: mode == ModeFanoutParallel,
+		Window:   30 * time.Second, // dispatch on MaxBatch, not the window
+		MaxBatch: len(queries),
 	})
 	if err != nil {
 		return row, err

@@ -243,63 +243,6 @@ func CheckFanout(snap *Snapshot) error {
 	return nil
 }
 
-// parallelMinCPUs is the machine width below which
-// CheckParallelEquivalence does not gate wall clock: with fewer cores
-// the worker pool multiplexes instead of overlapping, so the parallel
-// row's timing carries no signal (on a 1-CPU runner it is pure
-// overhead). Equivalence of output and tokens is gated regardless.
-const parallelMinCPUs = 4
-
-// CheckParallelEquivalence verifies the parallel-pipeline invariant
-// within one snapshot: on every (query, size) cell where both a
-// fanout-automaton row and a fanout-parallel row exist, the worker-pool
-// run must have produced byte-identical output and delivered exactly
-// the same token count — moving group evaluation off the scan goroutine
-// must not change a single observable — and, when the snapshot's
-// machine has at least parallelMinCPUs CPUs, strictly less wall clock
-// than the sequential automaton row (both are min-of-N measurements, so
-// a loss on a wide machine means the pipeline serialized, not jitter).
-// Returns an error naming the offending cell and values, or nil when
-// the invariant holds (vacuously for snapshots without parallel rows).
-func CheckParallelEquivalence(snap *Snapshot) error {
-	type cell struct {
-		query string
-		size  int
-	}
-	auto := make(map[cell]SnapshotRow)
-	par := make(map[cell]SnapshotRow)
-	for _, r := range snap.Rows {
-		if r.Skipped {
-			continue
-		}
-		switch r.Mode {
-		case ModeFanoutAutomaton:
-			auto[cell{r.Query, r.SizeMB}] = r
-		case ModeFanoutParallel:
-			par[cell{r.Query, r.SizeMB}] = r
-		}
-	}
-	for c, p := range par {
-		a, ok := auto[c]
-		if !ok {
-			continue
-		}
-		if p.OutputBytes != a.OutputBytes {
-			return fmt.Errorf("%s %dMB: parallel produced %d output bytes, sequential automaton %d; outputs must be identical",
-				c.query, c.size, p.OutputBytes, a.OutputBytes)
-		}
-		if p.TokensDelivered != a.TokensDelivered {
-			return fmt.Errorf("%s %dMB: parallel delivered %d events, sequential automaton %d; delivery must be identical",
-				c.query, c.size, p.TokensDelivered, a.TokensDelivered)
-		}
-		if snap.NumCPU >= parallelMinCPUs && p.ElapsedNS >= a.ElapsedNS {
-			return fmt.Errorf("%s %dMB: parallel took %dns, sequential automaton %dns on a %d-CPU machine; the worker pool must win wall clock at ≥%d CPUs",
-				c.query, c.size, p.ElapsedNS, a.ElapsedNS, snap.NumCPU, parallelMinCPUs)
-		}
-	}
-	return nil
-}
-
 // CheckSharded verifies the sharded-serving invariant within one
 // snapshot: wherever both served rows exist for a size, the sharded
 // tier must have produced exactly the single node's output bytes and

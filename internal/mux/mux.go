@@ -87,8 +87,8 @@ type Mux struct {
 	events   int64
 	ran      bool
 
-	// nlive is atomic because under parallel dispatch slot failures are
-	// recorded on worker goroutines; sequential muxes pay one uncontended
+	// nlive is atomic because a streaming mux's worker pool records slot
+	// failures on worker goroutines; inline routing pays one uncontended
 	// atomic op where a plain int decrement used to be.
 	nlive atomic.Int32
 
@@ -109,10 +109,9 @@ type Mux struct {
 	// scan that survives having no live sessions. See stream.go.
 	stream *streamState
 
-	// parallel requests the multicore evaluation pipeline (SetParallel);
-	// par is non-nil while a scan actually runs parallel. See parallel.go.
-	parallel bool
-	par      *parState
+	// par is non-nil while a streaming scan runs its worker pool. See
+	// parallel.go.
+	par *parState
 }
 
 // fanGroup is one event-routing group: the plans sharing a signature
@@ -291,8 +290,8 @@ func GroupKey(p *engine.Plan) string {
 var errAllFailed = errors.New("mux: all queries failed")
 
 // fail detaches slot i from the event flow, recording err and the stats
-// accumulated up to the failure. Called on the scan goroutine or, under
-// the parallel pipeline, on the worker that routes the slot's group:
+// accumulated up to the failure. Called on the scan goroutine or, in a
+// streaming mux's worker pool, on the worker that routes the slot's group:
 // slot state (Result, live flag, session) is owner-exclusive, only the
 // live count is shared and atomic.
 func (m *Mux) fail(i int, err error) {
@@ -329,8 +328,8 @@ func (m *Mux) pollCtxs() {
 func (m *Mux) HandleBatch(b *sax.Batch) error {
 	m.events += int64(len(b.Tokens))
 	if m.par != nil {
-		// Parallel pipeline: the producer half runs the matcher and feeds
-		// the worker pool; workers poll per-slot cancellation themselves.
+		// Streaming worker pool: the producer half runs the matcher and
+		// feeds the workers; they poll per-slot cancellation themselves.
 		return m.parHandleBatch(b)
 	}
 	if m.nctx > 0 {
@@ -565,15 +564,10 @@ func (m *Mux) Run(ctx context.Context, r io.Reader, opt sax.Options) ([]Result, 
 		}
 	}
 	if m.nlive.Load() > 0 {
-		m.startParallel()
 		err := sax.ScanBatchedContext(ctx, r, m, opt)
-		m.stopParallel()
 		if m.nlive.Load() == 0 {
-			// All queries failed mid-stream. Sequential routing aborts at
-			// the exact failing token; the parallel producer may only
-			// notice at the next batch boundary, but either way the
-			// outcome is errAllFailed (SetParallel states what that does
-			// to SkippedEvents).
+			// All queries failed mid-stream; routing aborted at the
+			// failing token.
 			m.fillSkipped()
 			return m.results, errAllFailed
 		}

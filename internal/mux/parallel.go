@@ -1,6 +1,6 @@
 package mux
 
-// Parallel per-group evaluation: the multicore shared scan.
+// Parallel per-group evaluation: the multicore streaming scan.
 //
 // A sequential shared scan runs three stages on one goroutine: the
 // scanner tokenizes, the merged automaton (internal/autom) decides
@@ -11,53 +11,50 @@ package mux
 // state, so their engine work can proceed independently once the
 // delivery decision for a token is known.
 //
-// SetParallel splits the scan accordingly. The scan goroutine (the
-// producer) keeps tokenizing and running the Matcher, but instead of
-// calling into sessions it copies each token's delivery masks into a
-// per-batch item and hands the item to a small pool of workers, each
-// owning a disjoint set of routing groups. A worker walks its groups
-// over the item's token range, delivering StartElement / EndElement /
-// TextBytes / SkipSubtree to its groups' live members exactly as the
-// sequential router would — same calls, same order per session — so
-// outputs, per-query stats, and error isolation are byte-identical to
-// the sequential path.
+// Which scans split. The kind of scan decides, not a setting: a
+// streaming mux (NewStreaming) runs the pipeline whenever GOMAXPROCS is
+// at least 2 — a lone ingest gains by overlapping its scan with its
+// subscribers' evaluation — while the batch muxes (New, NewSelective)
+// always route inline, because their callers (the Executor) already run
+// concurrent scans that fill the cores. At GOMAXPROCS=1 a streaming
+// mux routes inline too.
+//
+// The split. The scan goroutine (the producer) keeps tokenizing and
+// running the Matcher, but instead of calling into sessions it copies
+// each token's delivery masks into a per-batch item and hands the item
+// to a small pool of workers, each owning a disjoint set of routing
+// groups. A worker walks its groups over the item's token range,
+// delivering StartElement / EndElement / TextBytes / SkipSubtree to its
+// groups' live members exactly as the sequential router would — same
+// calls, same order per session — so outputs, per-query stats, and
+// error isolation are byte-identical to the sequential path.
 //
 // Lifetime and backpressure. Tokens reference the sax.Batch's arena, so
 // every item retains its batch (sax.Batch.Retain) once per worker
 // message and each worker releases after processing. The scanner's
 // batch ring will not reuse a retained batch's storage: when workers
 // fall behind, the producer blocks inside sax's flushBatch — that is
-// the backpressure edge, and it propagates all the way to a streaming
-// ingest's Write. Worker queues are additionally bounded at
-// parQueueDepth, though the batch ring's window is the binding limit in
-// practice.
+// the backpressure edge, and it propagates all the way to the ingest's
+// Write. Worker queues are additionally bounded at parQueueDepth,
+// though the batch ring's window is the binding limit in practice.
 //
 // Error isolation. A worker records a member failure with fail:
 // per-slot Result fields are owner-exclusive (each slot belongs to
 // exactly one group, each group to exactly one worker), only the live
 // count is shared and atomic. Siblings in other groups stream on
-// undisturbed. When the last live slot dies, the producer notices at
-// the next batch boundary and aborts the scan with errAllFailed, where
-// the sequential router stops at the failing token itself; the producer
-// has usually routed a little further by then, which is the one place
-// the two differ (see SetParallel).
+// undisturbed; a stream outlives its last live slot, so there is no
+// all-failed abort to race.
 //
-// Streaming. Mid-stream joins need the scan quiescent: at a sync point
-// with pending subscriptions the producer flushes the partial item,
-// sends a quiesce barrier through every worker queue, and only then
-// runs activatePending — machine rebuild, Matcher.Extend, session
-// replay all happen while no worker holds an item. Fresh groups are
-// assigned to workers round-robin; subsequent items carry the widened
-// masks (items record their own mask width). Per-batch output flushing
-// (flushLive) moves onto the workers, each flushing its own members.
-//
-// Fallback. startParallel declines — leaving the Mux fully sequential —
-// when routing is not automaton-based (all-fanout), when
-// GOMAXPROCS is 1, or when a batch Run has fewer than two groups (a
-// streaming mux parallelizes even with one group, pipelining scan
-// against evaluation, since groups may join later). Tiny token batches
-// with no items in flight are routed inline on the producer, skipping
-// the dispatch overhead the sequential path never paid.
+// Joins. Mid-stream joins need the scan quiescent: at a sync point with
+// pending subscriptions the producer flushes the partial item, sends a
+// quiesce barrier through every worker queue, and only then runs
+// activatePending — machine rebuild, Matcher.Extend, session replay all
+// happen while no worker holds an item. Fresh groups are assigned to
+// workers round-robin; subsequent items carry the widened masks (items
+// record their own mask width). Per-batch output flushing (flushLive)
+// moves onto the workers, each flushing its own members. Tiny token
+// batches with no items in flight are routed inline on the producer,
+// skipping the dispatch overhead the sequential path never paid.
 
 import (
 	"runtime"
@@ -83,7 +80,7 @@ const (
 )
 
 // parState is the Mux's parallel-pipeline state, non-nil only while a
-// scan runs with SetParallel in effect.
+// streaming scan runs its worker pool.
 type parState struct {
 	workers []*parWorker
 	// outstanding counts worker messages not yet fully processed; zero
@@ -131,51 +128,23 @@ type parItem struct {
 // scans.
 var parItemPool = sync.Pool{New: func() any { return &parItem{} }}
 
-// SetParallel requests parallel per-group evaluation for this Mux's
-// scan: session work moves onto a worker pool (one worker per
-// GOMAXPROCS core, at most maxParWorkers), fed per-batch by the scan
-// goroutine. It takes effect at Run or BeginStream and silently stays
-// sequential when it cannot help: routing must be automaton-based
-// (NewSelective or NewStreaming, not all-fanout), GOMAXPROCS must
-// exceed 1, and a batch Run needs at least two routing groups. Callers
-// must not share one writer between plans of different routing groups
-// when parallel is on.
-//
-// Contract: a parallel scan equals the sequential scan on the stream
-// error, every per-query error, the output bytes and Stats always, and
-// on SkippedEvents whenever Run does not end in the all-queries-failed
-// abort. On that abort SkippedEvents is the producer's count where it
-// stopped — at least the sequential value, ahead of it by no more than
-// the scanner's batch ring, which bounds how far the producer can run
-// past the workers.
-func (m *Mux) SetParallel(on bool) { m.parallel = on }
-
-// ParallelActive reports whether the scan is (or, after Run/EndStream,
-// was) actually using the parallel evaluation pipeline rather than
-// having fallen back to sequential dispatch.
+// ParallelActive reports whether the scan is (or, after EndStream, was)
+// evaluating on the worker pool: true for a streaming mux begun at
+// GOMAXPROCS ≥ 2, false for every other mux.
 func (m *Mux) ParallelActive() bool { return m.par != nil }
 
-// startParallel spins up the worker pool if the Mux qualifies; called
-// after buildGroups and the sessions' Begin, before the first batch.
+// startParallel spins up the worker pool on a multicore host; called
+// only by BeginStream, after the sessions' Begin and before the first
+// batch. A stream starts the pool even with one group
+// or none — pipelining scan against evaluation pays on its own, and
+// groups may join later.
 func (m *Mux) startParallel() {
-	if !m.parallel || m.matcher == nil {
-		return
-	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		return
-	}
-	if m.stream == nil && len(m.groups) < 2 {
-		return
-	}
 	nw := runtime.GOMAXPROCS(0)
+	if nw < 2 {
+		return
+	}
 	if nw > maxParWorkers {
 		nw = maxParWorkers
-	}
-	if m.stream == nil && nw > len(m.groups) {
-		nw = len(m.groups)
-	}
-	if nw < 1 {
-		nw = 1
 	}
 	p := &parState{workers: make([]*parWorker, nw)}
 	for wi := range p.workers {
@@ -206,9 +175,9 @@ func (m *Mux) parAddGroup(gi int) {
 }
 
 // stopParallel closes the worker queues and waits for every worker to
-// drain — the completion barrier before Finish, EndStream, or failure
-// collection touches the sessions on this goroutine. Idempotent; no-op
-// when the scan never went parallel.
+// drain — the completion barrier before EndStream finishes or fails
+// the sessions on this goroutine. Idempotent; no-op when the scan never
+// went parallel.
 func (m *Mux) stopParallel() {
 	p := m.par
 	if p == nil || p.stopped {
@@ -239,15 +208,10 @@ func (m *Mux) parQuiesce() {
 // parHandleBatch is HandleBatch under the parallel pipeline: the
 // producer half of the scan. It runs the matcher over the batch,
 // records each token's delivery masks in an item, and feeds the workers
-// — splitting the item at streaming sync points, where activation needs
-// a quiescent pipeline.
+// — splitting the item at sync points, where activation needs a
+// quiescent pipeline.
 func (m *Mux) parHandleBatch(b *sax.Batch) error {
 	p := m.par
-	if m.stream == nil && m.nlive.Load() == 0 {
-		// All queries failed in some earlier item; stop feeding. The
-		// sequential router aborted at the failing token itself.
-		return errAllFailed
-	}
 	if len(b.Tokens) <= parInlineTokens && p.outstanding.Load() == 0 {
 		// Tiny batch, idle pipeline: route inline like the sequential
 		// scan — no dispatch overhead, and outstanding == 0 means the
@@ -258,15 +222,13 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 		if err := m.routeBatch(b); err != nil {
 			return err
 		}
-		if m.stream != nil {
-			m.flushLive()
-		}
+		m.flushLive()
 		return nil
 	}
 	it := m.parNewItem(b, 0)
 	lo := 0
 	for i := range b.Tokens {
-		if m.stream != nil && m.depth <= 1 && m.stream.npend.Load() > 0 {
+		if m.depth <= 1 && m.stream.npend.Load() > 0 {
 			// Sync point with pending subscriptions: ship what this item
 			// has, drain the pipeline, and admit the joiners; the rest of
 			// the batch goes into a fresh item sized for the (possibly
@@ -282,7 +244,7 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 		switch t.Kind {
 		case sax.StartElement:
 			m.depth++
-			if m.stream != nil && m.depth == 1 {
+			if m.depth == 1 {
 				m.stream.rootName = t.Name
 			}
 			deliver, skip := m.matcher.Start(t.Name)
@@ -291,7 +253,7 @@ func (m *Mux) parHandleBatch(b *sax.Batch) error {
 		case sax.EndElement:
 			copy(it.masks[base:], m.matcher.End())
 			m.depth--
-			if m.stream != nil && m.depth == 0 {
+			if m.depth == 0 {
 				m.stream.rootClosed = true
 			}
 		case sax.SkipElement:
@@ -367,9 +329,9 @@ func (m *Mux) parRelease(it *parItem) {
 // parProcess evaluates one message for every group the worker owns:
 // the worker-side half of routeBatch. Per group it polls member
 // contexts once (the same batch granularity the sequential scan uses),
-// then walks the token range delivering exactly what the masks say; in
-// streaming mode it finishes by flushing its members' buffered output,
-// the per-batch visibility point flushLive provided sequentially.
+// then walks the token range delivering exactly what the masks say; it
+// finishes by flushing its members' buffered output, the per-batch
+// visibility point flushLive provides sequentially.
 func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 	it := msg.it
 	stride := 2 * it.words
@@ -456,15 +418,13 @@ func (m *Mux) parProcess(w *parWorker, msg parMsg) {
 			}
 		}
 	}
-	if m.stream != nil {
-		for _, gi := range w.groups {
-			for _, slot := range m.groups[gi].members {
-				if !m.live[slot] {
-					continue
-				}
-				if err := m.sessions[slot].Flush(); err != nil {
-					m.fail(slot, err)
-				}
+	for _, gi := range w.groups {
+		for _, slot := range m.groups[gi].members {
+			if !m.live[slot] {
+				continue
+			}
+			if err := m.sessions[slot].Flush(); err != nil {
+				m.fail(slot, err)
 			}
 		}
 	}

@@ -1,11 +1,11 @@
 package mux_test
 
-// Tests for the parallel per-group evaluation pipeline (SetParallel):
-// equivalence with the sequential scan, the all-failed abort's skip
-// bound, and the interleavings the pipeline makes interesting —
-// cancellation and subscriber detach landing mid-batch on worker
-// goroutines. Run with -cpu 1,4: at GOMAXPROCS=1 the pipeline falls
-// back to sequential and the same assertions pin the fallback.
+// Tests for the parallel per-group evaluation pipeline, which a
+// streaming mux runs on a multicore host: which muxes run it, equivalence
+// with the batch scan, and the interleavings the pipeline makes
+// interesting — cancellation and subscriber detach landing mid-batch on
+// worker goroutines. Run with -cpu 1,4: at GOMAXPROCS=1 a streaming mux
+// routes inline and the same assertions pin that path.
 
 import (
 	"context"
@@ -21,7 +21,7 @@ import (
 )
 
 // parPlans returns several plans with distinct signatures, so the
-// parallel mux forms enough routing groups to engage its worker pool.
+// stream forms several routing groups spread over the workers.
 func parPlans(t *testing.T) []*engine.Plan {
 	t.Helper()
 	return selPlans(t)
@@ -61,123 +61,78 @@ func runPlans(m *mux.Mux, plans []*engine.Plan, doc string) ([]string, []mux.Res
 	return ss, results, err
 }
 
-// TestParallelMatchesSequential: the parallel pipeline must be
-// observably identical to the sequential selective scan — outputs,
-// stats, and skip counts, per query.
-func TestParallelMatchesSequential(t *testing.T) {
-	plans := parPlans(t)
-	doc := wideDoc(300)
+// TestParallelChosenByScanKind: the kind of scan picks the path — a
+// streaming mux runs the worker pool whenever GOMAXPROCS ≥ 2, a batch
+// mux (New or NewSelective) never does.
+func TestParallelChosenByScanKind(t *testing.T) {
+	doc := wideDoc(50)
+	for _, bm := range []struct {
+		name string
+		m    *mux.Mux
+	}{{"New", mux.New()}, {"NewSelective", mux.NewSelective()}} {
+		if _, _, err := runPlans(bm.m, parPlans(t), doc); err != nil {
+			t.Fatal(err)
+		}
+		if bm.m.ParallelActive() {
+			t.Errorf("%s: batch scan ran the worker pool", bm.name)
+		}
+	}
+	m := mux.NewStreaming()
+	for _, p := range parPlans(t) {
+		m.Add(p, io.Discard)
+	}
+	for i, r := range feedStream(t, m, doc, 4<<10) {
+		if r.Err != nil {
+			t.Fatalf("slot %d: %v", i, r.Err)
+		}
+	}
+	if want := runtime.GOMAXPROCS(0) >= 2; m.ParallelActive() != want {
+		t.Errorf("streaming mux at GOMAXPROCS=%d: ParallelActive = %v, want %v",
+			runtime.GOMAXPROCS(0), m.ParallelActive(), want)
+	}
+}
 
-	seqOut, seqRes, seqErr := runPlans(mux.NewSelective(), plans, doc)
+// TestParallelMatchesSequential: a streaming scan — on the worker pool
+// at GOMAXPROCS ≥ 2 — must be observably identical to the batch
+// selective scan: outputs and stats, per query.
+func TestParallelMatchesSequential(t *testing.T) {
+	doc := wideDoc(300)
+	seqOut, seqRes, seqErr := runPlans(mux.NewSelective(), parPlans(t), doc)
 	if seqErr != nil {
 		t.Fatal(seqErr)
 	}
 
-	pm := mux.NewSelective()
-	pm.SetParallel(true)
-	parOut, parRes, parErr := runPlans(pm, plans, doc)
-	if parErr != nil {
-		t.Fatal(parErr)
+	plans := parPlans(t)
+	m := mux.NewStreaming()
+	outs := make([]*strings.Builder, len(plans))
+	for i, p := range plans {
+		outs[i] = &strings.Builder{}
+		m.Add(p, outs[i])
 	}
-	if runtime.GOMAXPROCS(0) >= 2 && !pm.ParallelActive() {
-		t.Fatal("parallel pipeline did not engage at GOMAXPROCS >= 2")
-	}
+	res := feedStream(t, m, doc, 4<<10)
 	for i := range plans {
-		if parOut[i] != seqOut[i] {
-			t.Errorf("query %d output: parallel %q, sequential %q", i, parOut[i], seqOut[i])
+		if res[i].Err != nil {
+			t.Fatalf("query %d: %v", i, res[i].Err)
 		}
-		if parRes[i].Stats != seqRes[i].Stats {
-			t.Errorf("query %d stats: parallel %+v, sequential %+v", i, parRes[i].Stats, seqRes[i].Stats)
+		if outs[i].String() != seqOut[i] {
+			t.Errorf("query %d output: streaming %q, batch %q", i, outs[i].String(), seqOut[i])
 		}
-		if parRes[i].SkippedEvents != seqRes[i].SkippedEvents {
-			t.Errorf("query %d skipped: parallel %d, sequential %d",
-				i, parRes[i].SkippedEvents, seqRes[i].SkippedEvents)
-		}
-	}
-}
-
-// TestParallelAllFailedSkipCounts: when every query fails mid-stream the
-// parallel producer overruns the abort token before noticing. Errors
-// must still match the sequential scan's; the skip counts are the
-// producer's where it stopped — at least the sequential values, ahead by
-// no more than the scanner's batch ring (4 batches of 1024 tokens).
-func TestParallelAllFailedSkipCounts(t *testing.T) {
-	// Both queries' DTD forbids <a> inside r, and the document buries its
-	// first <a> deep enough that the failure lands several batches in.
-	badDTD := `
-<!ELEMENT r (b*)>
-<!ELEMENT a (#PCDATA)>
-<!ELEMENT b (x,a?)>
-<!ELEMENT x (#PCDATA)>
-`
-	mkPlans := func() []*engine.Plan {
-		return []*engine.Plan{
-			compile(t, badDTD, `{ ps $ROOT: on r as $x return { $x } }`),
-			compile(t, badDTD, `{ ps $ROOT: on r as $r return { ps $r: on b as $b return { ps $b: on x as $x return { $x } } } }`),
-		}
-	}
-	var sb strings.Builder
-	sb.WriteString("<r>")
-	for i := 0; i < 800; i++ {
-		sb.WriteString("<b><x>1</x></b>")
-	}
-	sb.WriteString("<a>boom</a>")
-	for i := 0; i < 800; i++ {
-		sb.WriteString("<b><x>2</x></b>")
-	}
-	sb.WriteString("</r>")
-	doc := sb.String()
-
-	_, seqRes, seqErr := runPlans(mux.NewSelective(), mkPlans(), doc)
-	if seqErr == nil {
-		t.Fatal("sequential: want an all-queries-failed error")
-	}
-
-	pm := mux.NewSelective()
-	pm.SetParallel(true)
-	_, parRes, parErr := runPlans(pm, mkPlans(), doc)
-	if parErr == nil {
-		t.Fatal("parallel: want an all-queries-failed error")
-	}
-	for i := range seqRes {
-		if (parRes[i].Err != nil) != (seqRes[i].Err != nil) {
-			t.Errorf("query %d error: parallel %v, sequential %v", i, parRes[i].Err, seqRes[i].Err)
-		}
-		if d := parRes[i].SkippedEvents - seqRes[i].SkippedEvents; d < 0 || d > 4*1024 {
-			t.Errorf("query %d skipped: parallel %d, sequential %d; want sequential <= parallel <= sequential+4096",
-				i, parRes[i].SkippedEvents, seqRes[i].SkippedEvents)
+		if res[i].Stats != seqRes[i].Stats {
+			t.Errorf("query %d stats: streaming %+v, batch %+v", i, res[i].Stats, seqRes[i].Stats)
 		}
 	}
 }
 
-// cancelAfterReader cancels a context once n bytes have been read
-// through it, planting a cancellation mid-scan.
-type cancelAfterReader struct {
-	r      io.Reader
-	n      int
-	cancel context.CancelFunc
-}
-
-func (c *cancelAfterReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n -= n
-	if c.n <= 0 && c.cancel != nil {
-		c.cancel()
-		c.cancel = nil
-	}
-	return n, err
-}
-
-// TestParallelCancelMidBatch: a slot canceled while batches are in
-// flight detaches with ctx.Err() — observed by its owning worker at
+// TestParallelCancelMidBatch: a stream slot canceled while batches are
+// in flight detaches with ctx.Err() — observed by its owning worker at
 // batch granularity — and its siblings' output is untouched.
 func TestParallelCancelMidBatch(t *testing.T) {
 	plans := parPlans(t)
-	doc := wideDoc(700) // ~34 KB: several scanner input buffers
+	doc := wideDoc(700) // ~34 KB: many 4 KB chunks
 
 	ctx, cancel := context.WithCancel(context.Background())
-	m := mux.NewSelective()
-	m.SetParallel(true)
+	defer cancel()
+	m := mux.NewStreaming()
 	outs := make([]*strings.Builder, len(plans))
 	for i, p := range plans {
 		outs[i] = &strings.Builder{}
@@ -187,10 +142,20 @@ func TestParallelCancelMidBatch(t *testing.T) {
 			m.Add(p, outs[i])
 		}
 	}
-	results, err := m.Run(nil, &cancelAfterReader{r: strings.NewReader(doc), n: 8 << 10, cancel: cancel}, scanOpt)
-	if err != nil {
+	if err := m.BeginStream(); err != nil {
 		t.Fatal(err)
 	}
+	cs := sax.StartChunked(context.Background(), m, scanOpt)
+	const chunk = 4 << 10
+	for off := 0; off < len(doc); off += chunk {
+		if off >= 8<<10 {
+			cancel()
+		}
+		if _, err := cs.Write([]byte(doc[off:min(off+chunk, len(doc))])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results := m.EndStream(cs.Close())
 	if !errors.Is(results[0].Err, context.Canceled) {
 		t.Fatalf("canceled slot err = %v, want context.Canceled", results[0].Err)
 	}
@@ -227,7 +192,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestParallelStreamDetachMidBatch: under a parallel stream, a
+// TestParallelStreamDetachMidBatch: under the worker pool, a
 // subscriber whose writer dies is detached by its owning worker —
 // OnDetach fires off the scan goroutine with the Result already
 // recorded — while siblings keep streaming to the end.
@@ -242,7 +207,6 @@ func TestParallelStreamDetachMidBatch(t *testing.T) {
 
 	plans := parPlans(t)
 	m := mux.NewStreaming()
-	m.SetParallel(true)
 	type detach struct {
 		slot int
 		err  error
@@ -284,12 +248,11 @@ func TestParallelStreamDetachMidBatch(t *testing.T) {
 }
 
 // TestParallelStreamMidJoin: mid-stream joins still work under the
-// parallel pipeline — the join quiesces the workers, extends the
-// automaton, and the late subscriber sees exactly the document suffix.
+// worker pool — the join quiesces the workers, extends the automaton,
+// and the late subscriber sees exactly the document suffix.
 func TestParallelStreamMidJoin(t *testing.T) {
 	doc := wideDoc(200)
 	m := mux.NewStreaming()
-	m.SetParallel(true)
 	var standingOut strings.Builder
 	m.Add(compile(t, selDTD, `{ ps $ROOT: on r as $r return { ps $r: on a as $a return { $a } } }`), &standingOut)
 	if err := m.BeginStream(); err != nil {
@@ -323,22 +286,5 @@ func TestParallelStreamMidJoin(t *testing.T) {
 	}
 	if want := strings.Repeat("<a><x>ax</x><y>ay</y></a>", 200); standingOut.String() != want {
 		t.Errorf("standing output %d bytes, want %d", standingOut.Len(), len(want))
-	}
-}
-
-// TestParallelFallback: an all-fanout mux, which the pipeline cannot
-// serve, ignores SetParallel and stays sequential.
-func TestParallelFallback(t *testing.T) {
-	m := mux.New()
-	m.SetParallel(true)
-	outs, _, err := runPlans(m, parPlans(t), wideDoc(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ParallelActive() {
-		t.Error("parallel pipeline engaged on an all-fanout mux")
-	}
-	if outs[3] != wideDoc(50) {
-		t.Error("fallback output wrong")
 	}
 }

@@ -40,6 +40,7 @@ package mux
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,15 @@ type pendingSub struct {
 // muxes it tolerates having no live sessions — a stream with zero
 // subscribers is still consumed (and well-formedness checked), since a
 // subscriber may yet join.
+//
+// On a multicore host (GOMAXPROCS ≥ 2) a streaming mux evaluates its
+// routing groups on a worker pool while the scan goroutine keeps
+// tokenizing and routing (see parallel.go); at GOMAXPROCS=1 it routes
+// inline. Contract: the two paths agree exactly on every slot's output
+// bytes, error, Stats and SkippedEvents. Two things differ, and callers
+// must allow for them: slot failures — and so OnDetach callbacks — may
+// run on worker goroutines, and plans in different routing groups may
+// write concurrently, so they must not share a writer.
 func NewStreaming() *Mux {
 	return &Mux{selective: true, stream: &streamState{}}
 }
@@ -85,11 +95,11 @@ func NewStreaming() *Mux {
 // rejected the stream, or its writer failed. The hub serving the
 // subscriber uses it to end that subscriber's response immediately
 // instead of at end of stream. The callback runs on the scan goroutine,
-// or — under SetParallel — on the worker goroutine that owns the slot's
-// routing group, so it must be safe to call off the scan goroutine. It
-// always runs immediately after the slot's Result was recorded, so
-// ResultAt(slot) is valid inside it. Must be set before BeginStream;
-// ignored in batch mode.
+// or — under the worker pool (see NewStreaming) — on the worker
+// goroutine that owns the slot's routing group, so it must be safe to
+// call off the scan goroutine. It always runs immediately after the
+// slot's Result was recorded, so ResultAt(slot) is valid inside it.
+// Must be set before BeginStream; ignored in batch mode.
 func (m *Mux) OnDetach(fn func(slot int, err error)) {
 	if m.stream != nil {
 		m.stream.onDetach = fn
@@ -245,7 +255,7 @@ func (m *Mux) activatePending() {
 
 // ResultAt returns the slot's Result. It is meaningful only once the
 // slot is detached — from inside an OnDetach callback (which runs on the
-// scan goroutine immediately after the Result is recorded) or after
+// goroutine that recorded the Result, immediately after) or after
 // EndStream; a live slot's Result is still being accumulated.
 func (m *Mux) ResultAt(slot int) Result { return m.results[slot] }
 
@@ -283,16 +293,21 @@ func (m *Mux) flushLive() {
 // live session runs its end-of-document finalization (Session.Finish).
 // A non-nil streamErr — the scan failed, the producer died — is
 // recorded on every live slot instead, like Run's stream-level failure
-// path. Subscriptions still pending are rejected with ErrStreamEnded.
+// path. Subscriptions still pending are rejected with ErrStreamEnded,
+// wrapping streamErr when the stream failed.
 func (m *Mux) EndStream(streamErr error) []Result {
 	if m.stream == nil {
 		return nil
 	}
-	// Parallel pipeline barrier: drain and stop the workers before any
-	// session is finished or failed on this goroutine.
+	// Worker pool barrier: drain and stop the workers before any session
+	// is finished or failed on this goroutine.
 	m.stopParallel()
+	rejected := ErrStreamEnded
+	if streamErr != nil {
+		rejected = fmt.Errorf("%w: %w", ErrStreamEnded, streamErr)
+	}
 	for _, p := range m.stream.endPending() {
-		p.done(-1, ErrStreamEnded)
+		p.done(-1, rejected)
 	}
 	for i, s := range m.sessions {
 		if !m.live[i] {

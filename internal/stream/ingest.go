@@ -23,9 +23,9 @@ type Ingest struct {
 	mu   sync.Mutex
 	subs map[int]*Subscription // mux slot -> activated subscription
 
-	deadOnce sync.Once
-	dead     chan struct{} // closed by Close/Abort, whoever ends it
-	cause    error         // written inside deadOnce, read after dead
+	endOnce sync.Once
+	dead    chan struct{} // closed by Close/Abort, whoever ends it
+	cause   error         // written inside endOnce, read after dead
 }
 
 // attach enqueues sub on the stream. Called with hub.mu held, which
@@ -70,10 +70,7 @@ func (ing *Ingest) Write(p []byte) (int, error) { return ing.cs.Write(p) }
 // well-formed, fully processed document.
 func (ing *Ingest) Close() error {
 	ing.hub.drop(ing)
-	err := ing.cs.Close()
-	ing.finishAll(err)
-	ing.markDead(err)
-	return err
+	return ing.end(ing.cs.Close())
 }
 
 // Abort ends the stream without a well-formed end of input — the
@@ -91,18 +88,21 @@ func (ing *Ingest) Abort(cause error) error {
 		sub.ring.closeRead(cause)
 	}
 	ing.mu.Unlock()
-	err := ing.cs.Abort(cause)
-	ing.finishAll(err)
-	ing.markDead(err)
-	return err
+	return ing.end(ing.cs.Abort(cause))
 }
 
-// markDead records the stream's final outcome and closes Dead.
-func (ing *Ingest) markDead(err error) {
-	ing.deadOnce.Do(func() {
+// end finishes the stream exactly once, after the scan goroutine has
+// exited (Close and Abort both wait for it): it distributes the final
+// Results, records the outcome, and closes Dead. A producer's Abort
+// racing a hub Close both arrive here; the second waits for the first
+// and returns its outcome.
+func (ing *Ingest) end(err error) error {
+	ing.endOnce.Do(func() {
+		ing.finishAll(err)
 		ing.cause = err
 		close(ing.dead)
 	})
+	return ing.cause
 }
 
 // Dead returns a channel closed once the stream has ended — by the
@@ -124,8 +124,8 @@ func (ing *Ingest) Err() error {
 }
 
 // finishAll ends the stream on the mux and distributes each activated
-// subscription's final Result. Runs after the scan goroutine has exited
-// (Close and Abort both wait for it), so the mux is quiescent.
+// subscription's final Result. Runs once, from end, with the mux
+// quiescent.
 func (ing *Ingest) finishAll(streamErr error) {
 	results := ing.m.EndStream(streamErr)
 	ing.mu.Lock()

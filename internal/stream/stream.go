@@ -57,15 +57,6 @@ type Options struct {
 	// AttrsToSubelements applies the scanner's attribute-to-subelement
 	// rewriting to ingested documents (see flux.Options).
 	AttrsToSubelements bool
-	// ParallelGroups evaluates each ingest's subscriptions on a worker
-	// pool (mux.SetParallel): the scan goroutine keeps tokenizing and
-	// routing while subscription engine work runs on other cores, and a
-	// slow subscription group stalls the producer only through the
-	// pipeline's backpressure, not by serializing with its siblings.
-	// Per-subscription output, stats, and detach behavior are identical
-	// to sequential evaluation. Ingests on a GOMAXPROCS=1 process fall
-	// back to sequential scanning.
-	ParallelGroups bool
 }
 
 // Policy says what a subscription does when its ring buffer is full
@@ -186,6 +177,12 @@ func (h *Hub) Subscribe(ctx context.Context, doc, queryText string, w io.Writer,
 // the Ingest the producer feeds. Subscriptions parked for the document
 // attach before the first byte; later ones join mid-stream. One ingest
 // per document at a time.
+//
+// On a multicore host the ingest's subscriptions are evaluated on the
+// streaming mux's worker pool (mux.NewStreaming): the scan goroutine
+// keeps tokenizing and routing while subscription engine work runs on
+// other cores, and a slow subscription group stalls the producer only
+// through the pipeline's backpressure.
 func (h *Hub) StartIngest(ctx context.Context, doc string) (*Ingest, error) {
 	// Forces registration and DTD parsing now: a stream against a bad
 	// schema fails before any byte arrives.
@@ -196,16 +193,13 @@ func (h *Hub) StartIngest(ctx context.Context, doc string) (*Ingest, error) {
 		ctx = context.Background()
 	}
 	m := mux.NewStreaming()
-	if h.opt.ParallelGroups {
-		m.SetParallel(true)
-	}
 	ing := &Ingest{hub: h, doc: doc, m: m, subs: make(map[int]*Subscription), dead: make(chan struct{})}
 	m.OnDetach(func(slot int, err error) {
-		// Runs on the scan goroutine — or, under ParallelGroups, on the
-		// worker that owns the slot's routing group — right after the
-		// slot's Result was recorded: the subscription ends now,
-		// mid-stream, not at end of document. Subscription.finish is
-		// Once-guarded and safe off the scan goroutine.
+		// Runs on the scan goroutine — or on the worker pool's goroutine
+		// that owns the slot's routing group — right after the slot's
+		// Result was recorded: the subscription ends now, mid-stream, not
+		// at end of document. Subscription.finish is Once-guarded and
+		// safe off the scan goroutine.
 		ing.mu.Lock()
 		sub := ing.subs[slot]
 		ing.mu.Unlock()
@@ -213,32 +207,38 @@ func (h *Hub) StartIngest(ctx context.Context, doc string) (*Ingest, error) {
 			sub.finish(m.ResultAt(slot).Stats, err)
 		}
 	})
-
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return nil, ErrHubClosed
-	}
-	if h.ingests[doc] != nil {
-		h.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrIngestActive, doc)
-	}
-	h.ingests[doc] = ing
-	parked := h.waiting[doc]
-	delete(h.waiting, doc)
-	for _, sub := range parked {
-		ing.attach(sub)
-	}
-	h.mu.Unlock()
-
 	if err := m.BeginStream(); err != nil {
-		h.drop(ing)
 		return nil, err
 	}
 	ing.cs = sax.StartChunked(ctx, m, sax.Options{
 		SkipWhitespaceText: true,
 		AttrsToSubelements: h.opt.AttrsToSubelements,
 	})
+
+	// Publish only a started ingest: Close may abort anything in
+	// h.ingests at once. No byte has been written yet, so parked
+	// subscriptions attached here still join at the first sync point,
+	// before the root.
+	h.mu.Lock()
+	var err error
+	switch {
+	case h.closed:
+		err = ErrHubClosed
+	case h.ingests[doc] != nil:
+		err = fmt.Errorf("%w: %q", ErrIngestActive, doc)
+	default:
+		h.ingests[doc] = ing
+		parked := h.waiting[doc]
+		delete(h.waiting, doc)
+		for _, sub := range parked {
+			ing.attach(sub)
+		}
+	}
+	h.mu.Unlock()
+	if err != nil {
+		ing.Abort(err)
+		return nil, err
+	}
 	return ing, nil
 }
 

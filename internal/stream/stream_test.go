@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -477,6 +478,87 @@ func TestStreamHubCloseWithOpenStreams(t *testing.T) {
 	}
 	if _, err := hub.Subscribe(context.Background(), "live", liveQueries[0], &lockedBuffer{}, stream.PolicyBlock); !errors.Is(err, stream.ErrHubClosed) {
 		t.Fatalf("Subscribe on closed hub: err = %v, want ErrHubClosed", err)
+	}
+}
+
+// TestStreamHubCloseRacesStartIngest: Close racing StartIngest neither
+// panics nor leaks a live ingest. Each StartIngest either fails with
+// ErrHubClosed or returns an ingest whose Dead closes with ErrHubClosed,
+// and a subscription parked beforehand ends with the shutdown cause
+// either way — rejected while parked, or attached to an ingest aborted
+// before its first sync point.
+func TestStreamHubCloseRacesStartIngest(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		hub, _ := newHub(t, stream.Options{})
+		sub, err := hub.Subscribe(context.Background(), "live", liveQueries[0], &lockedBuffer{}, stream.PolicyBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		started := make(chan *stream.Ingest, 1)
+		go func() {
+			<-start
+			ing, err := hub.StartIngest(context.Background(), "live")
+			if err != nil && !errors.Is(err, stream.ErrHubClosed) {
+				t.Errorf("round %d: StartIngest err = %v, want nil or ErrHubClosed", round, err)
+			}
+			started <- ing
+		}()
+		close(start)
+		// Sweep Close across StartIngest's lifetime, round by round.
+		for i := 0; i < round%64; i++ {
+			runtime.Gosched()
+		}
+		hub.Close()
+		if ing := <-started; ing != nil {
+			select {
+			case <-ing.Dead():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: ingest still live after hub Close", round)
+			}
+			if err := ing.Err(); !errors.Is(err, stream.ErrHubClosed) {
+				t.Fatalf("round %d: ingest ended with %v, want ErrHubClosed", round, err)
+			}
+		}
+		waitDone(t, sub)
+		if err := sub.Err(); err == nil || !strings.Contains(err.Error(), stream.ErrHubClosed.Error()) {
+			t.Fatalf("round %d: parked subscription err = %v, want hub-closed cause", round, err)
+		}
+	}
+}
+
+// TestStreamIngestAbortRacesHubClose: a producer aborting its ingest
+// while the hub closes — a connection drop during server shutdown —
+// ends the stream exactly once: the two enders race to the same
+// finalization, and the stream ends with one of their causes.
+func TestStreamIngestAbortRacesHubClose(t *testing.T) {
+	errProducerGone := errors.New("producer gone")
+	for round := 0; round < 100; round++ {
+		hub, _ := newHub(t, stream.Options{})
+		sub, err := hub.Subscribe(context.Background(), "live", liveQueries[0], &lockedBuffer{}, stream.PolicyBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ing, err := hub.StartIngest(context.Background(), "live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ing.Write([]byte(liveDoc[:len(liveDoc)/2])); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); ing.Abort(errProducerGone) }()
+		go func() { defer wg.Done(); hub.Close() }()
+		wg.Wait()
+		<-ing.Dead()
+		if err := ing.Err(); !errors.Is(err, errProducerGone) && !errors.Is(err, stream.ErrHubClosed) {
+			t.Fatalf("round %d: ingest ended with %v, want one of the enders' causes", round, err)
+		}
+		waitDone(t, sub)
+		if sub.Err() == nil {
+			t.Fatalf("round %d: subscription on an aborted stream ended cleanly", round)
+		}
 	}
 }
 

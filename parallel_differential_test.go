@@ -1,16 +1,29 @@
 package flux
 
-// Differential testing of the parallel per-group evaluation pipeline:
-// the same random query batches and documents as the automaton
-// differential, run through mux.NewSelective with SetParallel against
-// the sequential automaton path. The parallel scan must agree exactly —
-// stream error, per-query errors, output bytes, Stats — on every input,
-// including malformed documents and batches where every query fails;
-// SkippedEvents too, except after the all-queries-failed abort, where
-// the parallel producer has routed past the abort token and may only
-// report more (mux.SetParallel states the contract).
+// Differential testing of the one parallel path, the streaming mux's
+// worker pool: the same random query batches and documents as the
+// automaton differential, pushed through mux.NewStreaming fed by
+// sax.StartChunked at two chunk sizes, against the batch scan
+// mux.NewSelective().Run. At GOMAXPROCS ≥ 2 the streaming side must run
+// on workers (asserted with ParallelActive); at GOMAXPROCS=1 the same
+// comparisons pin the inline streaming path.
+//
+// Per query the two must agree on error presence, the buffer statistics
+// (OutputBytes, PeakBufferBytes), and the output bytes — exactly for a
+// query that succeeds; for a failed one only up to the unflushed tail,
+// which the batch scan drops at the failure while the stream has
+// already pushed it out at its batch boundaries, so one output must be
+// a prefix of the other. The one place the two scans may part is
+// malformed input inside a subtree every query skips:
+// the batch scan prunes such a subtree raw and cannot see a mis-paired
+// tag there, while the streaming scan tokenizes it (a stream cannot
+// prune — a later subscriber may observe the subtree). When the two
+// scans stop at different syntax errors, only the streaming side's
+// failure is checked: it must be a syntax error, recorded on every
+// streaming slot.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -22,62 +35,136 @@ import (
 	"flux/internal/sax"
 )
 
-// newParallelMux constructs the selective mux with parallel evaluation
-// requested (it still falls back to sequential when GOMAXPROCS is 1 or
-// the batch has a single routing group — the differential is valid
-// either way, but the corpus is only interesting when workers run).
-func newParallelMux() *mux.Mux {
-	m := mux.NewSelective()
-	m.SetParallel(true)
-	return m
+// streamChunks are the push sizes of the streaming side: small chunks
+// make many small batches, mostly routed inline on the producer; large
+// ones fill batches past the inline threshold, so workers evaluate them.
+var streamChunks = []int{61, 4 << 10}
+
+// streamRun is one streaming execution of a query batch.
+type streamRun struct {
+	batchRun
+	parallel bool // the mux ran its worker pool
 }
 
-// allFailedAbort reports whether a batch run ended in the mux's
-// all-queries-failed abort: over in-memory input with no scan context,
-// the only other stream-level failure is malformed XML.
-func allFailedAbort(r batchRun) bool {
+// runQueryStream pushes doc in chunk-byte pieces through a streaming mux
+// whose standing subscriptions are the batch's queries.
+func runQueryStream(qs []*Query, doc string, chunk int) streamRun {
+	m := mux.NewStreaming()
+	sbs := make([]*strings.Builder, len(qs))
+	for i, q := range qs {
+		sbs[i] = &strings.Builder{}
+		m.Add(q.plan, sbs[i])
+	}
+	if err := m.BeginStream(); err != nil {
+		return streamRun{batchRun: batchRun{err: err}}
+	}
+	cs := sax.StartChunked(context.Background(), m, sax.Options{SkipWhitespaceText: true})
+	for rest := doc; len(rest) > 0; {
+		n := min(chunk, len(rest))
+		if _, err := cs.Write([]byte(rest[:n])); err != nil {
+			break // scan died; Close reports why
+		}
+		rest = rest[n:]
+	}
+	err := cs.Close()
+	out := streamRun{batchRun: batchRun{results: m.EndStream(err), err: err, outs: make([]string, len(qs))}, parallel: m.ParallelActive()}
+	for i, sb := range sbs {
+		out.outs[i] = sb.String()
+	}
+	return out
+}
+
+// syntaxOffset returns where a scan's syntax error was detected, or -1
+// when err is not one.
+func syntaxOffset(err error) int64 {
 	var syn *sax.SyntaxError
-	return r.err != nil && !errors.As(r.err, &syn)
+	if errors.As(err, &syn) {
+		return syn.Offset
+	}
+	return -1
 }
 
-// checkParallelAgainst demands exact agreement between a parallel and a
-// sequential run of the same batch: the pipeline reorders evaluation
-// across groups, never per-query observable behavior. The one slack is
-// SkippedEvents after an all-failed abort.
-func checkParallelAgainst(t *testing.T, label string, par, seq batchRun) {
+// checkStreamAgainst compares a streaming run with the batch run of the
+// same queries over the same document.
+func checkStreamAgainst(t *testing.T, label string, st streamRun, bt batchRun) {
 	t.Helper()
-	if (par.err != nil) != (seq.err != nil) {
-		t.Fatalf("%s: stream error disagreement: parallel %v, sequential %v", label, par.err, seq.err)
+	if runtime.GOMAXPROCS(0) >= 2 && !st.parallel {
+		t.Fatalf("%s: streaming mux routed inline at GOMAXPROCS=%d", label, runtime.GOMAXPROCS(0))
 	}
-	for i := range par.results {
-		pr, sr := par.results[i], seq.results[i]
-		if (pr.Err != nil) != (sr.Err != nil) {
-			t.Fatalf("%s: query %d error disagreement: parallel %v, sequential %v", label, i, pr.Err, sr.Err)
+	if len(st.results) != len(bt.results) {
+		t.Fatalf("%s: %d streaming results, %d batch results (stream %v, batch %v)",
+			label, len(st.results), len(bt.results), st.err, bt.err)
+	}
+	// Equal offsets mean the scans read the same tokens: both clean (or
+	// the batch at its all-queries-failed abort), or both stopped at one
+	// syntax error.
+	bOff, sOff := syntaxOffset(bt.err), syntaxOffset(st.err)
+	if bOff != sOff {
+		if sOff < 0 {
+			t.Fatalf("%s: batch scan failed with %v, streaming scan with %v; pruning can only hide malformed input, not add it",
+				label, bt.err, st.err)
 		}
-		if par.outs[i] != seq.outs[i] {
-			t.Fatalf("%s: query %d output differs under parallel evaluation\nparallel:   %q\nsequential: %q",
-				label, i, par.outs[i], seq.outs[i])
+		for i, r := range st.results {
+			if r.Err == nil {
+				t.Fatalf("%s: query %d: stream error %v missing from its slot", label, i, st.err)
+			}
 		}
-		if pr.SkippedEvents < sr.SkippedEvents || (pr.SkippedEvents > sr.SkippedEvents && !allFailedAbort(par)) {
-			t.Fatalf("%s: query %d skipped %d events parallel, %d sequential",
-				label, i, pr.SkippedEvents, sr.SkippedEvents)
+		return
+	}
+	for i := range st.results {
+		sr, br := st.results[i], bt.results[i]
+		if (sr.Err != nil) != (br.Err != nil) {
+			t.Fatalf("%s: query %d error disagreement: streaming %v, batch %v", label, i, sr.Err, br.Err)
 		}
-		if pr.Stats != sr.Stats {
-			t.Fatalf("%s: query %d stats differ under parallel evaluation\nparallel:   %+v\nsequential: %+v",
-				label, i, pr.Stats, sr.Stats)
+		so, bo := st.outs[i], bt.outs[i]
+		if sr.Err != nil {
+			n := min(len(so), len(bo))
+			so, bo = so[:n], bo[:n]
+		}
+		if so != bo {
+			t.Fatalf("%s: query %d output differs (failed: %v)\nstreaming: %q\nbatch:     %q",
+				label, i, sr.Err, st.outs[i], bt.outs[i])
+		}
+		if sr.Stats.OutputBytes != br.Stats.OutputBytes || sr.Stats.PeakBufferBytes != br.Stats.PeakBufferBytes {
+			t.Fatalf("%s: query %d buffer stats differ: streaming output %d peak %d, batch output %d peak %d",
+				label, i, sr.Stats.OutputBytes, sr.Stats.PeakBufferBytes, br.Stats.OutputBytes, br.Stats.PeakBufferBytes)
 		}
 	}
 }
 
-// TestParallelDifferential runs the automaton differential's full corpus
-// through the parallel pipeline: N random batches per fuzz schema, each
-// over several random documents, parallel vs sequential.
-func TestParallelDifferential(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("parallel pipeline inactive at GOMAXPROCS=1")
+// checkStreamChunks runs the batch once and the stream at every chunk
+// size, comparing each.
+func checkStreamChunks(t *testing.T, label string, qs []*Query, doc string) {
+	t.Helper()
+	bt := runQueryBatch(mux.NewSelective, qs, doc)
+	for _, chunk := range streamChunks {
+		checkStreamAgainst(t, label, runQueryStream(qs, doc, chunk), bt)
 	}
+}
+
+// spliceDocument concatenates the root contents of n random documents
+// under one root element: a document wide enough that streamed batches
+// cross the inline threshold. It stays valid where the root's content
+// model repeats; elsewhere it breaks the model partway through, which
+// exercises mid-stream validation failures on the workers.
+func spliceDocument(schema *dtd.Schema, seed int64, n int) string {
+	open, end := "<"+schema.Root+">", "</"+schema.Root+">"
+	var sb strings.Builder
+	sb.WriteString(open)
+	for k := 0; k < n; k++ {
+		doc := dtd.RandomDocument(schema, seed+int64(k), dtd.GenOptions{})
+		sb.WriteString(strings.TrimSuffix(strings.TrimPrefix(doc, open), end))
+	}
+	sb.WriteString(end)
+	return sb.String()
+}
+
+// TestParallelDifferential runs the automaton differential's corpus
+// through the streaming worker pool: random batches per fuzz schema,
+// each over a small random document and a wide spliced one, streamed vs
+// batch-scanned.
+func TestParallelDifferential(t *testing.T) {
 	const batchesPerSchema = 40
-	const docsPerBatch = 2
 	batches := 0
 	for si, dtdText := range fuzzSchemas {
 		schema := dtd.MustParse(dtdText)
@@ -88,21 +175,17 @@ func TestParallelDifferential(t *testing.T) {
 				continue
 			}
 			batches++
-			for d := 0; d < docsPerBatch; d++ {
-				doc := dtd.RandomDocument(schema, int64(seed*107+d), dtd.GenOptions{})
-				seq := runQueryBatch(mux.NewSelective, qs, doc)
-				par := runQueryBatch(newParallelMux, qs, doc)
-				checkParallelAgainst(t, t.Name(), par, seq)
-			}
+			checkStreamChunks(t, t.Name(), qs, dtd.RandomDocument(schema, int64(seed*107), dtd.GenOptions{}))
+			checkStreamChunks(t, t.Name(), qs, spliceDocument(schema, int64(seed*107+1), 60))
 		}
 	}
-	t.Logf("parallel differential: %d batches", batches)
+	t.Logf("streaming differential: %d batches", batches)
 }
 
 // FuzzParallelDispatch fuzzes the document bytes under seeded query
-// batches: malformed XML, truncated documents, whatever — the parallel
-// pipeline must agree with the sequential automaton scan, exactly but
-// for the all-queries-failed abort's skip counts.
+// batches: malformed XML, truncated documents, whatever — the streaming
+// worker pool must agree with the batch scan, up to what scanner-level
+// pruning hides (see checkStreamAgainst).
 func FuzzParallelDispatch(f *testing.F) {
 	for si := range fuzzSchemas {
 		schema := dtd.MustParse(fuzzSchemas[si])
@@ -120,8 +203,6 @@ func FuzzParallelDispatch(f *testing.F) {
 		if qs == nil {
 			t.Skip()
 		}
-		seq := runQueryBatch(mux.NewSelective, qs, doc)
-		par := runQueryBatch(newParallelMux, qs, doc)
-		checkParallelAgainst(t, "fuzz", par, seq)
+		checkStreamChunks(t, "fuzz", qs, doc)
 	})
 }
