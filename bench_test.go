@@ -7,6 +7,7 @@ package flux
 // documents at arbitrary sizes (up to the paper's 5–100 MB).
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -67,6 +68,41 @@ func BenchmarkFig4(b *testing.B) {
 					peak = st.PeakBufferBytes
 				}
 				b.ReportMetric(float64(peak), "buffered-bytes")
+			})
+		}
+	}
+}
+
+// BenchmarkJoinScale is the value-join scale curve: the two joins (q8,
+// q11) and a streamable reference (q13) on the FluX engine at three
+// document sizes. Linear scaling shows as a flat MB/s column. q11's
+// output grows faster than its input, so ns/io-byte divides its time by
+// input plus output bytes.
+func BenchmarkJoinScale(b *testing.B) {
+	for _, mb := range []float64{0.5, 2, 8} {
+		var sb strings.Builder
+		if _, err := xmark.Generate(&sb, xmark.GenOptions{
+			Scale: xmark.ScaleForBytes(int64(mb * (1 << 20))), Seed: 1,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		doc := sb.String()
+		for _, qname := range []string{"q8", "q11", "q13"} {
+			q, err := Prepare(xmark.Queries[qname], xmark.DTD)
+			if err != nil {
+				b.Fatalf("%s: %v", qname, err)
+			}
+			b.Run(fmt.Sprintf("%s/%gMB", qname, mb), func(b *testing.B) {
+				b.SetBytes(int64(len(doc)))
+				var out int64
+				for i := 0; i < b.N; i++ {
+					st, err := q.Run(strings.NewReader(doc), io.Discard, Options{Engine: FluX})
+					if err != nil {
+						b.Fatal(err)
+					}
+					out = st.OutputBytes
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(int64(len(doc))+out), "ns/io-byte")
 			})
 		}
 	}

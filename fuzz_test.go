@@ -61,6 +61,17 @@ var fuzzSchemas = []string{
 <!ELEMENT part (pid,part*)>
 <!ELEMENT pid (#PCDATA)>
 `,
+	// join-shaped: two ordered runs of at least three items each, with
+	// optional and repeated key fields, so value joins have several
+	// candidates and multi-valued keys
+	`
+<!ELEMENT j (l,l,l,l*,m,m,m,m*)>
+<!ELEMENT l (k,k?,v*)>
+<!ELEMENT m (k*,w,v?)>
+<!ELEMENT k (#PCDATA)>
+<!ELEMENT v (#PCDATA)>
+<!ELEMENT w (#PCDATA)>
+`,
 }
 
 // queryGen builds random closed queries whose paths follow the schema.
@@ -68,6 +79,10 @@ type queryGen struct {
 	r      *rand.Rand
 	schema *dtd.Schema
 	nvars  int
+	joins  int // value-join atoms generated (see randJoinAtom)
+	// joinBias makes every for-loop filter and every condition over two
+	// or more variables a value join, when a join atom can be formed.
+	joinBias bool
 }
 
 type binding struct {
@@ -110,6 +125,15 @@ func (g *queryGen) randPath(elem string, maxLen int) (xq.Path, string) {
 
 var fuzzConsts = []string{"alpha", "beta", "7", "1991", "42"}
 
+// joinTexts is the #PCDATA vocabulary of documents for queries with
+// value joins: numbers equal as numbers but not as strings, signed
+// zeros, NaN, non-numeric values, and repeats, so join keys collide
+// across the numeric and string comparison rules.
+var joinTexts = []string{"7", "7.0", "07", "0", "-0", "7", "x", "x", "NaN", "3.5"}
+
+// fuzzScales are the multipliers of scaled join operands (k * $v/path).
+var fuzzScales = []float64{2, 0.5, 10}
+
 func (g *queryGen) randCond(vars []binding) xq.Cond {
 	switch g.r.Intn(6) {
 	case 0:
@@ -127,6 +151,11 @@ func (g *queryGen) randCond(vars []binding) xq.Cond {
 }
 
 func (g *queryGen) randCondAtom(vars []binding) xq.Cond {
+	if len(vars) > 1 && (g.joinBias || g.r.Intn(3) == 0) {
+		if c := g.randJoinAtom(vars); c != nil {
+			return c
+		}
+	}
 	b := vars[g.r.Intn(len(vars))]
 	path, _ := g.randPath(b.elem, 2)
 	if path == nil {
@@ -145,6 +174,67 @@ func (g *queryGen) randCondAtom(vars []binding) xq.Cond {
 			Op: ops[g.r.Intn(len(ops))],
 		}
 	}
+}
+
+// randJoinAtom compares a path on the innermost variable — the loop a
+// join would index — with a path on an outer variable, under any of the
+// six operators and sometimes scaling one side.
+func (g *queryGen) randJoinAtom(vars []binding) xq.Cond {
+	inner := vars[len(vars)-1]
+	outer := vars[g.r.Intn(len(vars)-1)]
+	ip := g.fieldPath(inner.elem)
+	op := g.fieldPath(outer.elem)
+	if ip == nil || op == nil {
+		return nil
+	}
+	l, r := xq.PathOp(inner.v, ip), xq.PathOp(outer.v, op)
+	switch g.r.Intn(4) {
+	case 0:
+		l.Scale = fuzzScales[g.r.Intn(len(fuzzScales))]
+	case 1:
+		r.Scale = fuzzScales[g.r.Intn(len(fuzzScales))]
+	}
+	if g.r.Intn(2) == 0 {
+		l, r = r, l
+	}
+	ops := []xq.RelOp{xq.OpEq, xq.OpNe, xq.OpLt, xq.OpGt, xq.OpLe, xq.OpGe}
+	g.joins++
+	return &xq.Cmp{L: l, R: r, Op: ops[g.r.Intn(len(ops))]}
+}
+
+// joinQuery builds the shape of a value join: an outer loop over a
+// random path, and under it a filtered inner loop over another, whose
+// filter (join-biased) relates the two loop variables.
+func (g *queryGen) joinQuery(root binding) xq.Expr {
+	op, oelem := g.itemPath(root.elem)
+	ip, ielem := g.itemPath(root.elem)
+	if op == nil || ip == nil {
+		return g.build([]binding{root}, 4)
+	}
+	a, b := g.freshVar(), g.freshVar()
+	vars := []binding{root, {a, oelem}, {b, ielem}}
+	inner := &xq.For{Var: b, Src: root.v, Path: ip, Where: g.randCond(vars), Body: g.build(vars, 2)}
+	return &xq.For{Var: a, Src: root.v, Path: op, Body: xq.NewSeq(&xq.Str{S: "<o/>"}, inner)}
+}
+
+// itemPath is randPath biased toward elements with children — the
+// items of a join, whose fields the join compares.
+func (g *queryGen) itemPath(elem string) (xq.Path, string) {
+	path, end := g.randPath(elem, 3)
+	for try := 0; try < 4 && path != nil && len(g.childSteps(end)) == 0; try++ {
+		path, end = g.randPath(elem, 3)
+	}
+	return path, end
+}
+
+// fieldPath is randPath biased toward leaf elements — the fields a
+// join compares.
+func (g *queryGen) fieldPath(elem string) xq.Path {
+	path, end := g.randPath(elem, 2)
+	for try := 0; try < 4 && path != nil && len(g.childSteps(end)) > 0; try++ {
+		path, end = g.randPath(elem, 2)
+	}
+	return path
 }
 
 func (g *queryGen) build(vars []binding, depth int) xq.Expr {
@@ -176,7 +266,7 @@ func (g *queryGen) build(vars []binding, depth int) xq.Expr {
 		}
 		v := g.freshVar()
 		f := &xq.For{Var: v, Src: b.v, Path: path}
-		if g.r.Intn(3) == 0 {
+		if g.joinBias || g.r.Intn(3) == 0 {
 			f.Where = g.randCond(append(vars, binding{v, elem}))
 		}
 		f.Body = g.build(append(vars, binding{v, elem}), depth-1)
@@ -187,12 +277,21 @@ func (g *queryGen) build(vars []binding, depth int) xq.Expr {
 func TestFuzzDifferential(t *testing.T) {
 	const queriesPerSchema = 120
 	const docsPerQuery = 3
-	totalSkipped, total := 0, 0
+	totalSkipped, total, joinQueries, joinAtoms := 0, 0, 0, 0
+	strategies := map[string]int{}
 	for si, dtdText := range fuzzSchemas {
 		schema := dtd.MustParse(dtdText)
-		for seed := 0; seed < queriesPerSchema; seed++ {
-			g := &queryGen{r: rand.New(rand.NewSource(int64(si*10000 + seed))), schema: schema}
-			queryAST := g.build([]binding{{xq.RootVar, dtd.DocumentVar}}, 4)
+		// The second half of the seeds builds join-shaped queries.
+		for seed := 0; seed < 2*queriesPerSchema; seed++ {
+			g := &queryGen{r: rand.New(rand.NewSource(int64(si*10000 + seed))), schema: schema,
+				joinBias: seed >= queriesPerSchema}
+			root := binding{xq.RootVar, dtd.DocumentVar}
+			var queryAST xq.Expr
+			if g.joinBias {
+				queryAST = g.joinQuery(root)
+			} else {
+				queryAST = g.build([]binding{root}, 4)
+			}
 			queryText := xq.Print(queryAST)
 			total++
 			q, err := PrepareWithSchema(queryText, schema)
@@ -204,8 +303,19 @@ func TestFuzzDifferential(t *testing.T) {
 				totalSkipped++
 				continue
 			}
+			var gen dtd.GenOptions
+			if g.joins > 0 {
+				gen.Texts = joinTexts
+				joinQueries++
+				joinAtoms += g.joins
+				for _, line := range strings.Split(q.PlanText(), "\n") {
+					if i := strings.LastIndex(line, ": "); i >= 0 && strings.HasPrefix(strings.TrimSpace(line), "join ") {
+						strategies[line[i+2:]]++
+					}
+				}
+			}
 			for d := 0; d < docsPerQuery; d++ {
-				doc := dtd.RandomDocument(schema, int64(seed*31+d), dtd.GenOptions{})
+				doc := dtd.RandomDocument(schema, int64(seed*31+d), gen)
 				outF, _, err := q.RunString(doc, Options{Engine: FluX})
 				if err != nil {
 					t.Fatalf("schema %d seed %d: flux run: %v\nquery: %s\ndoc: %s\nplan:\n%s",
@@ -233,7 +343,11 @@ func TestFuzzDifferential(t *testing.T) {
 	if totalSkipped*4 > total {
 		t.Errorf("too many queries rejected: %d of %d; generator or engine too restrictive", totalSkipped, total)
 	}
-	t.Logf("fuzz: %d queries, %d rejected at compile time", total, totalSkipped)
+	if joinQueries == 0 || strategies["hash"] == 0 || strategies["sorted"] == 0 {
+		t.Errorf("generator produced no indexed joins: %d join queries, strategies %v", joinQueries, strategies)
+	}
+	t.Logf("fuzz: %d queries, %d rejected at compile time; %d accepted queries with %d join atoms, join loops by strategy %v",
+		total, totalSkipped, joinQueries, joinAtoms, strategies)
 }
 
 // TestFuzzNormalizeEquivalence: normalization and loop merging preserve

@@ -151,3 +151,20 @@ func compilePlan(t *testing.T, dtdText, query string) (string, *Plan) {
 	}
 	return dtdText, plan
 }
+
+// A simple handler's copy guard may compare paths of enclosing scopes;
+// the buffer trees must hold those paths as they do for any condition
+// an exec program reads.
+func TestCopyGuardReadsBufferedPaths(t *testing.T) {
+	const partDTD = `
+<!ELEMENT part (pid,part*)>
+<!ELEMENT pid (#PCDATA)>
+`
+	q := `<x>{ for $v1 in $ROOT/part/part/part return <o/>
+	  { for $v2 in $ROOT/part where $v2/pid != (0.5 * $ROOT/part/pid) return { $v1 } } }</x>`
+	for _, root := range []string{"4", "0"} {
+		doc := `<part><pid>` + root + `</pid><part><pid>x</pid></part>` +
+			`<part><pid>3.5</pid><part><pid>x</pid><part><pid>0</pid></part></part></part></part>`
+		runBoth(t, partDTD, q, doc)
+	}
+}

@@ -36,10 +36,6 @@ type Plan struct {
 	prune     *sax.PruneNode
 	sigKey    string
 	predicted int64
-
-	// numOperands is the number of compiled comparison operands; it sizes
-	// the engine's per-operand value memo.
-	numOperands int
 }
 
 // Schema returns the schema the plan was compiled against.
@@ -201,9 +197,6 @@ type navOperand struct {
 	varName  string
 	path     []string
 	scale    float64
-	// idx is this operand's slot in the engine's per-operand memo
-	// (engine.opMemo); assigned sequentially at compile time.
-	idx int
 }
 
 // execProg is a compiled XQuery⁻ program run over buffers (an on-first
@@ -221,6 +214,7 @@ type execProg struct {
 	src     string
 	step    string
 	body    *execProg
+	join    *joinSpec // non-nil: a join loop (join.go)
 	// if
 	cond *condSpec
 	then *execProg
@@ -263,9 +257,6 @@ type compileCtx struct {
 	// conds collects, per scope variable, the canonical watcher set.
 	simpleHost *simpleSpec // when compiling inside a simple handler
 	simpleVar  string
-	// nOperands numbers the navOperands compiled so far; the final count
-	// sizes the engine's per-operand memo (Plan.numOperands).
-	nOperands int
 }
 
 // checkPathAvailable verifies that data denoted by a path rooted at a
@@ -383,7 +374,6 @@ func Compile(schema *dtd.Schema, f core.Flux) (*Plan, error) {
 		return nil, err
 	}
 	pruneScopes(root)
-	plan.numOperands = ctx.nOperands
 	plan.buildSignature()
 	return plan, nil
 }
@@ -603,7 +593,8 @@ func (ctx *compileCtx) compileExec(e xq.Expr) (*execProg, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &execProg{kind: eFor, loopVar: e.Var, src: e.Src, step: e.Path[0], body: body}, nil
+		return &execProg{kind: eFor, loopVar: e.Var, src: e.Src, step: e.Path[0], body: body,
+			join: detectJoin(e.Var, body)}, nil
 	case *xq.If:
 		c, err := ctx.compileCond(e.Cond)
 		if err != nil {
@@ -699,16 +690,9 @@ func (ctx *compileCtx) compileExistsAtom(c *xq.Exists) (*atomSpec, error) {
 		return &atomSpec{flag: ref}, nil
 	}
 	return &atomSpec{
-		exists: ctx.newNavOperand(&navOperand{varName: c.Var, path: c.Path}),
+		exists: &navOperand{varName: c.Var, path: c.Path},
 		neg:    c.Neg,
 	}, nil
-}
-
-// newNavOperand assigns the operand its per-engine memo slot.
-func (ctx *compileCtx) newNavOperand(o *navOperand) *navOperand {
-	o.idx = ctx.nOperands
-	ctx.nOperands++
-	return o
 }
 
 func (ctx *compileCtx) compileCmpAtom(c *xq.Cmp) (*atomSpec, error) {
@@ -756,7 +740,7 @@ func (ctx *compileCtx) navOperand(o xq.Operand) (*navOperand, error) {
 	if o.Kind == xq.ConstOperand {
 		op := &navOperand{isConst: true, constVal: o.Const}
 		op.constCmp, _ = makeCmpVal(o.Const, 0)
-		return ctx.newNavOperand(op), nil
+		return op, nil
 	}
 	cl, ok := ctx.class[o.Var]
 	if !ok {
@@ -768,7 +752,7 @@ func (ctx *compileCtx) navOperand(o xq.Operand) (*navOperand, error) {
 	if err := ctx.checkPathAvailable(o.Var, o.Path, true); err != nil {
 		return nil, err
 	}
-	return ctx.newNavOperand(&navOperand{varName: o.Var, path: o.Path, scale: o.Scale}), nil
+	return &navOperand{varName: o.Var, path: o.Path, scale: o.Scale}, nil
 }
 
 // addWatcher registers a flag watcher on a stream variable, deduplicating
@@ -833,6 +817,13 @@ func (ctx *compileCtx) walkBodies(s *scopeSpec) error {
 				}
 			}
 			if h.simple != nil {
+				// The copy guard reads buffers like any exec condition.
+				if c := h.simple.copyCond; c != nil {
+					guard := &execProg{kind: eIf, cond: c, then: &execProg{kind: eSeq}}
+					if err := ctx.piProg(guard, map[string]*bufTreeNode{}); err != nil {
+						return err
+					}
+				}
 				for _, p := range h.simple.prefix {
 					if err := ctx.piProg(p, map[string]*bufTreeNode{}); err != nil {
 						return err
@@ -964,12 +955,38 @@ func describeScope(b *strings.Builder, s *scopeSpec, depth int) {
 		switch h.kind {
 		case hOnFirst:
 			fmt.Fprintf(b, "%s  on-first past(%s)\n", pad, strings.Join(h.past, ","))
+			describeJoins(b, h.body, depth+2)
 		case hOn:
 			fmt.Fprintf(b, "%s  on %s as %s%s\n", pad, h.name, h.childV, describeSimple(h.simple))
+			if h.simple != nil {
+				for _, p := range h.simple.prefix {
+					describeJoins(b, p, depth+2)
+				}
+				for _, p := range h.simple.suffix {
+					describeJoins(b, p, depth+2)
+				}
+			}
 			if h.child != nil {
 				describeScope(b, h.child, depth+2)
 			}
 		}
+	}
+}
+
+// describeJoins lists the join loops of a program with their strategy.
+func describeJoins(b *strings.Builder, p *execProg, depth int) {
+	switch p.kind {
+	case eSeq:
+		for _, it := range p.items {
+			describeJoins(b, it, depth)
+		}
+	case eFor:
+		if p.join != nil {
+			fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), p.join.describe())
+		}
+		describeJoins(b, p.body, depth)
+	case eIf:
+		describeJoins(b, p.then, depth)
 	}
 }
 

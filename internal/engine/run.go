@@ -168,44 +168,20 @@ type engine struct {
 	peakBytes int64
 	tokens    int64
 
-	// Condition-evaluation scratch. Join conditions run once per buffered
-	// item pair, so the node and value sequences they materialize are
-	// collected into these reusable slices instead of fresh allocations.
-	// Only one condition evaluates at a time (exec programs never nest
-	// through the event loop), so a single set per engine suffices.
+	// Condition-evaluation scratch: the node and value sequences a
+	// comparison materializes are collected into these reusable slices
+	// instead of fresh allocations. Only one condition evaluates at a
+	// time (exec programs never nest through the event loop), so a
+	// single set per engine suffices.
 	selScratch []*bufNode
-	constRHS   [1]cmpVal
+	lhsVals    []cmpVal
+	rhsVals    []cmpVal
 
-	// Per-event cache of materialized comparison-operand values (see
-	// operandValues). Buffers only mutate between incoming events, so
-	// entries are valid for one event: navValsGen records the e.tokens
-	// value the entries belong to, and a lookup under a different token
-	// count clears the cache instead of trusting stale roots. Values
-	// live in cmpArena so a join burst costs one growing allocation, not
-	// one slice per operand/root pair.
-	navVals    map[navValsKey][]cmpVal
-	navValsGen int64
-	cmpArena   []cmpVal
+	// joins holds one index per join loop run so far (join.go).
+	joins []*joinIndex
 
-	// Per-operand one-entry memo in front of navVals, indexed by
-	// navOperand.idx: a join's loop-invariant side resolves to the same
-	// root on every inner iteration, so it hits two pointer compares here
-	// instead of a hashed map lookup per pair. An entry evicted within
-	// one generation spills to navVals (the cycling-roots join pattern);
-	// opMemoInMap avoids re-spilling entries the map already holds.
-	// Rolled with navValsGen.
-	opMemoRoot  []*bufNode
-	nodeBlock   []bufNode // chunked slab for captured-subtree nodes (arena.go)
-	textBlock   []byte    // chunked slab for captured text strings (arena.go)
-	opMemoVals  [][]cmpVal
-	opMemoInMap []bool
-}
-
-// navValsKey identifies one materialized operand value list: the
-// compiled operand and the buffer root it was resolved against.
-type navValsKey struct {
-	op   *navOperand
-	root *bufNode
+	nodeBlock []bufNode // chunked slab for captured-subtree nodes (arena.go)
+	textBlock []byte    // chunked slab for captured text strings (arena.go)
 }
 
 func (e *engine) account(owner *scopeRT, delta int64) {
@@ -648,6 +624,9 @@ func (e *engine) closeScope(f *frame) error {
 		}
 	}
 	e.curBytes -= rt.bytes
+	if rt.bufRoot != nil && len(e.joins) > 0 {
+		e.dropJoins()
+	}
 	if f.prevInst != nil {
 		e.inst[f.scopeVar] = f.prevInst
 	} else {
@@ -740,19 +719,10 @@ func (e *engine) runExec(p *execProg, env *execEnv) error {
 		if err != nil {
 			return err
 		}
-		for _, kid := range src.Kids {
-			if kid.Name != p.step {
-				continue
-			}
-			mark := len(env.vars)
-			env.vars = append(env.vars, varBind{name: p.loopVar, node: kid})
-			err := e.runExec(p.body, env)
-			env.vars = env.vars[:mark]
-			if err != nil {
-				return err
-			}
+		if p.join != nil && p.join.strategy != joinNested {
+			return e.runJoin(p, src, env)
 		}
-		return nil
+		return e.runLoop(p, src, env)
 	case eIf:
 		ok, err := e.evalCond(p.cond, env)
 		if err != nil {
@@ -765,6 +735,28 @@ func (e *engine) runExec(p *execProg, env *execEnv) error {
 	default:
 		return &RunError{Msg: "unknown exec node"}
 	}
+}
+
+// runLoop runs a for-loop over every item of src.
+func (e *engine) runLoop(p *execProg, src *bufNode, env *execEnv) error {
+	for _, kid := range src.Kids {
+		if kid.Name != p.step {
+			continue
+		}
+		if err := e.runIteration(p, kid, env); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runIteration runs a for-loop's body with its variable bound to item.
+func (e *engine) runIteration(p *execProg, item *bufNode, env *execEnv) error {
+	mark := len(env.vars)
+	env.vars = append(env.vars, varBind{name: p.loopVar, node: item})
+	err := e.runExec(p.body, env)
+	env.vars = env.vars[:mark]
+	return err
 }
 
 func (e *engine) evalCond(c *condSpec, env *execEnv) (bool, error) {
@@ -824,17 +816,17 @@ func (e *engine) evalAtom(a *atomSpec, env *execEnv) (bool, error) {
 		return found != a.neg, nil
 	}
 	// General comparisons are existential: the atom holds if any lhs/rhs
-	// value pair satisfies the operator. Both sides are materialized
-	// through the per-event operand cache (see operandValues): in a join
-	// burst each distinct (operand, root) pair is navigated and parsed
-	// once, so a pair comparison allocates nothing and never re-parses.
+	// value pair satisfies the operator. Each side is parsed once into
+	// the engine's value scratch, so a pair comparison never re-parses.
 	if a.lhs.isConst && a.rhs.isConst {
 		return dom.CompareValues(a.lhs.constVal, a.op, a.rhs.constVal), nil
 	}
-	rs, err := e.operandValues(a.rhs, env)
+	var err error
+	e.rhsVals, err = e.operandValues(a.rhs, env, e.rhsVals[:0])
 	if err != nil {
 		return false, err
 	}
+	rs := e.rhsVals
 	if a.lhs.isConst {
 		l := a.lhs.constCmp
 		for i := range rs {
@@ -847,10 +839,11 @@ func (e *engine) evalAtom(a *atomSpec, env *execEnv) (bool, error) {
 	if len(rs) == 0 {
 		return false, nil
 	}
-	ls, err := e.operandValues(a.lhs, env)
+	e.lhsVals, err = e.operandValues(a.lhs, env, e.lhsVals[:0])
 	if err != nil {
 		return false, err
 	}
+	ls := e.lhsVals
 	for i := range ls {
 		for j := range rs {
 			if compareVals(&ls[i], a.op, &rs[j]) {
@@ -921,68 +914,23 @@ func (e *engine) navNodes(o *navOperand, env *execEnv) ([]*bufNode, error) {
 	return n.Select(o.path, out), nil
 }
 
-// rhsValues materializes a comparison's right-hand value sequence. The
-// results are cached per (operand, resolved root) for the duration of
-// the current event: a nested-loop join re-evaluates the same operands
-// against the same buffered roots — $p/id against every auction, and
-// every auction's $t/buyer against each person — and buffers only mutate
-// between incoming events, so within one evaluation burst each distinct
-// pair is navigated and parsed exactly once. The returned slice is owned
-// by the engine and valid until the next event.
-func (e *engine) operandValues(o *navOperand, env *execEnv) ([]cmpVal, error) {
+// operandValues appends an operand's parsed value sequence to dst.
+func (e *engine) operandValues(o *navOperand, env *execEnv, dst []cmpVal) ([]cmpVal, error) {
 	if o.isConst {
-		e.constRHS[0] = o.constCmp
-		return e.constRHS[:1], nil
+		return append(dst, o.constCmp), nil
 	}
 	root, err := env.resolve(o.varName)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if e.navValsGen != e.tokens {
-		if len(e.navVals) > 0 {
-			clear(e.navVals)
+	nodes := root.Select(o.path, e.selScratch[:0])
+	for _, n := range nodes {
+		if v, ok := makeCmpVal(n.StringValue(), o.scale); ok {
+			dst = append(dst, v)
 		}
-		e.cmpArena = e.cmpArena[:0]
-		clear(e.opMemoRoot)
-		e.navValsGen = e.tokens
 	}
-	if n := e.plan.numOperands; len(e.opMemoRoot) < n {
-		e.opMemoRoot = make([]*bufNode, n)
-		e.opMemoVals = make([][]cmpVal, n)
-		e.opMemoInMap = make([]bool, n)
-	}
-	if e.opMemoRoot[o.idx] == root {
-		return e.opMemoVals[o.idx], nil
-	}
-	vals, fromMap := []cmpVal(nil), false
-	if len(e.navVals) > 0 {
-		vals, fromMap = e.navVals[navValsKey{op: o, root: root}]
-	}
-	if !fromMap {
-		nodes := root.Select(o.path, e.selScratch[:0])
-		start := len(e.cmpArena)
-		for _, n := range nodes {
-			v, vok := makeCmpVal(n.StringValue(), o.scale)
-			if !vok {
-				continue
-			}
-			e.cmpArena = append(e.cmpArena, v)
-		}
-		e.selScratch = nodes[:0]
-		vals = e.cmpArena[start:len(e.cmpArena):len(e.cmpArena)]
-	}
-	// Install in the one-entry memo. An entry evicted mid-generation
-	// belongs to a cycling-roots join loop: spill it to the map so the
-	// next pass finds it without re-navigating. (Entries evicted by a
-	// generation roll were already discarded with their buffers.)
-	if old := e.opMemoRoot[o.idx]; old != nil && !e.opMemoInMap[o.idx] {
-		if e.navVals == nil {
-			e.navVals = make(map[navValsKey][]cmpVal, 64)
-		}
-		e.navVals[navValsKey{op: o, root: old}] = e.opMemoVals[o.idx]
-	}
-	e.opMemoRoot[o.idx], e.opMemoVals[o.idx], e.opMemoInMap[o.idx] = root, vals, fromMap
-	return vals, nil
+	e.selScratch = nodes[:0]
+	return dst, nil
 }
 
 func allXMLSpaceBytes(s []byte) bool {

@@ -209,18 +209,11 @@ func (e *engine) release() {
 	clear(e.inst)
 	clear(e.selScratch[:cap(e.selScratch)])
 	e.selScratch = e.selScratch[:0]
-	e.constRHS[0] = cmpVal{}
-	if len(e.navVals) > 4096 {
-		e.navVals = nil // one huge join burst must not pin its table
-	} else {
-		clear(e.navVals)
-	}
-	e.navValsGen = -1
-	clear(e.cmpArena[:cap(e.cmpArena)])
-	e.cmpArena = e.cmpArena[:0]
-	clear(e.opMemoRoot)
-	clear(e.opMemoVals)
-	clear(e.opMemoInMap)
+	clear(e.lhsVals[:cap(e.lhsVals)])
+	e.lhsVals = e.lhsVals[:0]
+	clear(e.rhsVals[:cap(e.rhsVals)])
+	e.rhsVals = e.rhsVals[:0]
+	e.joins = nil
 	e.curBytes, e.peakBytes, e.tokens = 0, 0, 0
 	enginePool.Put(e)
 }

@@ -79,7 +79,8 @@ const maxPooledScratch = 64 << 10
 // Scan reads the XML document from r and delivers SAX events to h.
 // It validates well-formedness (tag nesting, a single document element)
 // but not any schema. Processing instructions, comments, and the DOCTYPE
-// declaration are skipped.
+// declaration are skipped; character data they split, like character
+// data split by CDATA sections, arrives as one Text event.
 func Scan(r io.Reader, h Handler, opt Options) error {
 	return ScanContext(context.Background(), r, h, opt)
 }
@@ -415,26 +416,6 @@ func (s *scanner) emitTextSeg(t []byte) error {
 	return nil
 }
 
-// flushTextRaw delivers accumulated CDATA text without entity decoding.
-func (s *scanner) flushTextRaw() error {
-	t := s.text
-	if len(t) == 0 {
-		return nil
-	}
-	s.text = s.text[:0]
-	if s.opt.SkipWhitespaceText && isAllSpaceBytes(t) {
-		return nil
-	}
-	if err := s.roomFor(len(t)); err != nil {
-		return err
-	}
-	b := s.curBatch()
-	start := len(b.arena)
-	b.arena = append(b.arena, t...)
-	b.Tokens = append(b.Tokens, Token{Kind: Text, Data: b.arena[start:len(b.arena):len(b.arena)]})
-	return nil
-}
-
 // --- Scan loop -----------------------------------------------------------
 
 func (s *scanner) run() error {
@@ -462,9 +443,6 @@ func (s *scanner) run() error {
 			return err
 		}
 		if b == '<' {
-			if err := s.flushText(); err != nil {
-				return err
-			}
 			if err := s.markup(&sawRoot); err != nil {
 				return err
 			}
@@ -481,13 +459,14 @@ func (s *scanner) run() error {
 
 // textRun consumes the maximal run of character data starting at the
 // current position — everything up to the next '<'. A run that lies
-// entirely within the current block is emitted straight from the input
-// buffer, skipping the text scratch; only block-straddling runs
+// entirely within the current block and ends at a tag is emitted
+// straight from the input buffer, skipping the text scratch; runs that
+// straddle blocks, or that a CDATA section, comment or PI may continue,
 // accumulate. Outside the document element only whitespace is legal.
 func (s *scanner) textRun() error {
 	if len(s.text) == 0 && len(s.stack) > 0 {
 		chunk := s.in[s.pos:s.lim]
-		if i := bytes.IndexByte(chunk, '<'); i >= 0 {
+		if i := bytes.IndexByte(chunk, '<'); i >= 0 && i+1 < len(chunk) && chunk[i+1] != '!' && chunk[i+1] != '?' {
 			s.pos += i
 			return s.emitTextSeg(chunk[:i])
 		}
@@ -522,19 +501,27 @@ func (s *scanner) textRun() error {
 	}
 }
 
-// markup handles everything after a '<'.
+// markup handles everything after a '<'. Character data accumulated so
+// far is delivered before a tag; CDATA sections, comments and PIs leave
+// it pending, so text they split reaches the handler as one Text event,
+// the text node a serialize → rescan round trip sees.
 func (s *scanner) markup(sawRoot *bool) error {
 	b, err := s.readByte()
 	if err != nil {
 		return s.errf("unexpected EOF after '<'")
 	}
+	switch b {
+	case '?':
+		return s.skipPI()
+	case '!':
+		return s.bangMarkup()
+	}
+	if err := s.flushText(); err != nil {
+		return err
+	}
 	switch {
 	case b == '/':
 		return s.endTag()
-	case b == '?':
-		return s.skipPI()
-	case b == '!':
-		return s.bangMarkup()
 	default:
 		s.unreadByte()
 		if len(s.stack) == 0 && *sawRoot {
@@ -800,6 +787,9 @@ func (s *scanner) cdata() error {
 	if len(s.stack) == 0 {
 		return s.errf("CDATA outside document element")
 	}
+	// The section's content joins the pending character data, which
+	// flushText entity-decodes: a literal '&' is stored as "&amp;" so it
+	// decodes back to itself.
 	brackets := 0
 	for {
 		b, err := s.readByte()
@@ -814,7 +804,12 @@ func (s *scanner) cdata() error {
 				brackets++
 			}
 		case b == '>' && brackets >= 2:
-			return s.flushTextRaw()
+			return nil
+		case b == '&':
+			for ; brackets > 0; brackets-- {
+				s.text = append(s.text, ']')
+			}
+			s.text = append(s.text, "&amp;"...)
 		default:
 			for ; brackets > 0; brackets-- {
 				s.text = append(s.text, ']')

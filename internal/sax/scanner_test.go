@@ -53,12 +53,46 @@ func TestScanSkipsPrologCommentsPI(t *testing.T) {
 	got := collect(t, doc, Options{})
 	want := []Event{
 		{StartElement, "a", ""},
-		{Text, "", "x"},
-		{Text, "", "y"},
+		{Text, "", "xy"}, // the comment and PI do not split the text node
 		{EndElement, "a", ""},
 	}
 	if !eventsEqual(got, want) {
 		t.Errorf("events = %v, want %v", got, want)
+	}
+}
+
+// TestScanCoalescesSplitText: character data split by CDATA sections,
+// comments and PIs is one Text event in the pull, batched and chunked
+// paths alike, wherever the chunk boundaries fall. CDATA content is
+// taken literally while the text around it is entity-decoded.
+func TestScanCoalescesSplitText(t *testing.T) {
+	cases := []struct{ doc, text string }{
+		{`<a>0<![CDATA[0]]></a>`, "00"},
+		{`<a>0<!--c-->0</a>`, "00"},
+		{`<a>0<?pi x?>0</a>`, "00"},
+		{`<a><![CDATA[x]]><![CDATA[y]]></a>`, "xy"},
+		{`<a>&lt;<![CDATA[&lt;]]>&amp;<!-- - -->]]&gt;</a>`, "<&lt;&]]>"},
+		{`<a><![CDATA[a]]]>b<![CDATA[]]]]></a>`, "a]b]]"},
+		{"<a> <!--c--> </a>", "  "},
+	}
+	for _, c := range cases {
+		want := []Event{{StartElement, "a", ""}, {Text, "", c.text}, {EndElement, "a", ""}}
+		if got := collect(t, c.doc, Options{}); !eventsEqual(got, want) {
+			t.Errorf("Scan(%q) = %v, want %v", c.doc, got, want)
+		}
+		var batched batchCollector
+		if err := ScanBatchedString(c.doc, &batched, Options{}); err != nil || !eventsEqual(batched.Events, want) {
+			t.Errorf("ScanBatched(%q) = %v, %v, want %v", c.doc, batched.Events, err, want)
+		}
+		for off := 0; off <= len(c.doc); off++ {
+			if got, err := scanChunked(t, c.doc, off); err != nil || !eventsEqual(got, want) {
+				t.Errorf("chunked split at %d of %q = %v, %v, want %v", off, c.doc, got, err, want)
+			}
+		}
+	}
+	// Whitespace-only text joined across a comment is still skipped.
+	if got := collect(t, "<a> <!--c--> </a>", Options{SkipWhitespaceText: true}); len(got) != 2 {
+		t.Errorf("whitespace text split by a comment was delivered: %v", got)
 	}
 }
 
