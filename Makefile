@@ -55,14 +55,16 @@ lint-docs:
 	$(GO) run ./cmd/doclint -pkg . -pkg ./internal/shard -pkg ./internal/sax -pkg ./internal/mux -pkg ./internal/stream -pkg ./internal/autom -pkgtree . -md README.md -md ARCHITECTURE.md
 
 # Short-mode fuzz smoke: the native scanner targets (pull round trip,
-# batched ≡ per-event delivery, chunked push mode) and the
-# automaton-dispatch equivalence target, each for a few seconds on top
-# of their checked-in seeds.
+# batched ≡ per-event delivery, chunked push mode), the
+# automaton-dispatch equivalence target, and the streaming worker pool
+# against the batch scan, each for a few seconds on top of their
+# checked-in seeds.
 fuzz:
 	$(GO) test ./internal/sax -run='^FuzzScan$$' -fuzz='^FuzzScan$$' -fuzztime=10s
 	$(GO) test ./internal/sax -run='^FuzzScanBatched$$' -fuzz='^FuzzScanBatched$$' -fuzztime=10s
 	$(GO) test ./internal/sax -run='^FuzzScanChunked$$' -fuzz='^FuzzScanChunked$$' -fuzztime=10s
 	$(GO) test . -run='^FuzzAutomatonDispatch$$' -fuzz='^FuzzAutomatonDispatch$$' -fuzztime=10s
+	$(GO) test . -run='^FuzzParallelDispatch$$' -fuzz='^FuzzParallelDispatch$$' -fuzztime=10s
 
 # Benchmark smoke: a 1 MB Figure 4 sweep (plus the serving rows)
 # written to a fresh BENCH_NEW.json, then one pass over every Go

@@ -38,7 +38,12 @@
 // differential tests as the output oracle.
 //
 // A Mux consumes the scan as a sax.BatchHandler only: Run and the
-// streaming lifecycle both drive the batched scanner.
+// streaming lifecycle both drive the batched scanner. Selective routing
+// is one delivery loop, token by token: step advances the matcher and
+// yields the token's deliver and skip masks, deliver hands the token to
+// the live members of those groups. The streaming worker pool
+// (parallel.go) runs the same loop on each worker over copied masks,
+// restricted to the groups the worker owns.
 package mux
 
 import (
@@ -304,13 +309,13 @@ func (m *Mux) fail(i int, err error) {
 	}
 }
 
-// pollCtxs detaches every live slot whose context is done. The batched
-// delivery path calls it once per batch, bounding a canceled query's
-// extra work to one event batch without a per-event ctx.Err() in the
-// hot loop.
-func (m *Mux) pollCtxs() {
+// pollCtxs detaches every live slot in the groups set in own (nil =
+// every slot) whose context is done. The batched delivery path calls it
+// once per batch, bounding a canceled query's extra work to one event
+// batch without a per-event ctx.Err() in the hot loop.
+func (m *Mux) pollCtxs(own autom.Mask) {
 	for i, ctx := range m.ctxs {
-		if ctx == nil || !m.live[i] {
+		if ctx == nil || !m.owns(own, i) || !m.live[i] {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -319,41 +324,55 @@ func (m *Mux) pollCtxs() {
 	}
 }
 
+// owns reports whether slot i belongs to a group set in own; a nil own
+// owns every slot. It is checked before the slot's live flag, which a
+// worker that does not own the slot may be writing.
+func (m *Mux) owns(own autom.Mask, i int) bool {
+	if own == nil {
+		return true
+	}
+	g := m.slotGroup[i]
+	return g>>6 < len(own) && own.Has(g)
+}
+
 // HandleBatch implements sax.BatchHandler — the batched shared scan.
 // All-fanout delivery hands the whole batch to each live session in one
 // call, one dynamic dispatch per session per batch instead of one per
-// session per event; selective fan-out routes token by token, since
-// skip decisions are made per element. Per-slot cancellation is polled
-// once per batch.
+// session per event; selective fan-out routes token by token through
+// routeBatch, since skip decisions are made per element. A streaming
+// mux on its worker pool hands every batch but a small one arriving at
+// an idle pipeline to the workers (parHandleBatch), which run the same
+// delivery loop restricted to their groups. Per-slot cancellation is
+// polled once per batch.
 func (m *Mux) HandleBatch(b *sax.Batch) error {
 	m.events += int64(len(b.Tokens))
-	if m.par != nil {
-		// Streaming worker pool: the producer half runs the matcher and
-		// feeds the workers; they poll per-slot cancellation themselves.
+	if p := m.par; p != nil && (len(b.Tokens) > parInlineTokens || p.outstanding.Load() > 0) {
 		return m.parHandleBatch(b)
 	}
+	// Inline: a batch mux, a stream at GOMAXPROCS=1, or a tiny batch at
+	// an idle pool (outstanding == 0 makes the workers' session writes
+	// visible here).
 	if m.nctx > 0 {
-		m.pollCtxs()
+		m.pollCtxs(nil)
 	}
-	if m.stream != nil {
-		// Streaming: route, then push every live session's buffered
-		// output to its subscriber — results become visible at batch
-		// granularity, not end of document.
-		if err := m.routeBatch(b); err != nil {
-			return err
-		}
-		m.flushLive()
+	switch {
+	case m.stream != nil:
+		// Route, then push every live session's buffered output to its
+		// subscriber — results become visible at batch granularity, not
+		// end of document. A stream outlives its last live slot.
+		m.routeBatch(b)
+		m.flushLive(nil)
 		return nil
-	}
-	if m.selective {
-		return m.routeBatch(b)
-	}
-	for i, s := range m.sessions {
-		if !m.live[i] {
-			continue
-		}
-		if err := s.HandleBatch(b); err != nil {
-			m.fail(i, err)
+	case m.selective:
+		m.routeBatch(b)
+	default:
+		for i, s := range m.sessions {
+			if !m.live[i] {
+				continue
+			}
+			if err := s.HandleBatch(b); err != nil {
+				m.fail(i, err)
+			}
 		}
 	}
 	if m.nlive.Load() == 0 {
@@ -362,168 +381,115 @@ func (m *Mux) HandleBatch(b *sax.Batch) error {
 	return nil
 }
 
-// routeBatch unpacks a batch through the selective router. Text tokens
-// keep their arena-backed payloads all the way into the sessions
-// (Session.TextBytes), so the batched selective scan allocates no text
-// strings either.
-func (m *Mux) routeBatch(b *sax.Batch) error {
+// routeBatch is the selective router: for each token a sync-point check
+// (streaming joins), one matcher step, and one delivery to every group.
+// Text tokens keep their arena-backed payloads all the way into the
+// sessions (Session.TextBytes), so the batched selective scan allocates
+// no text strings either.
+func (m *Mux) routeBatch(b *sax.Batch) {
 	for i := range b.Tokens {
-		t := &b.Tokens[i]
-		if m.stream != nil && m.depth <= 1 && m.stream.npend.Load() > 0 {
-			// A sync point: the stream is before the root or between
-			// complete top-level subtrees, so queued subscriptions can
-			// join here.
+		if m.syncPoint() {
 			m.activatePending()
 		}
-		var err error
-		switch t.Kind {
-		case sax.StartElement:
-			err = m.routeStart(t.Name)
-		case sax.EndElement:
-			err = m.routeEnd(t.Name)
-		case sax.SkipElement:
-			err = m.routeSkip(t.Name)
-		default:
-			err = m.routeTextBytes(t.Data)
-		}
-		if err != nil {
-			return err
-		}
+		t := &b.Tokens[i]
+		deliver, skip := m.step(t)
+		m.deliver(t, deliver, skip, nil)
 	}
-	return nil
 }
 
-// routeStart routes a start tag: each group either descends the
-// signature trie and receives the event, or — when no signature path
-// can match the subtree — collapses it into one SkipSubtree step and
-// has everything withheld until the matching end tag. One matcher step
-// makes the decision for all groups.
-func (m *Mux) routeStart(name string) error {
-	m.depth++
-	if m.stream != nil && m.depth == 1 {
-		m.stream.rootName = name
-	}
-	deliver, skip := m.matcher.Start(name)
-	for w, word := range skip {
-		for word != 0 {
-			g := m.groups[w<<6+bits.TrailingZeros64(word)]
-			word &= word - 1
-			for _, i := range g.members {
-				if !m.live[i] {
-					continue
-				}
-				if err := m.sessions[i].SkipSubtree(name); err != nil {
-					m.fail(i, err)
-				}
-			}
-		}
-	}
-	for w, word := range deliver {
-		for word != 0 {
-			g := m.groups[w<<6+bits.TrailingZeros64(word)]
-			word &= word - 1
-			for _, i := range g.members {
-				if !m.live[i] {
-					continue
-				}
-				if err := m.sessions[i].StartElement(name); err != nil {
-					m.fail(i, err)
-				}
-			}
-		}
-	}
-	if m.nlive.Load() == 0 && m.stream == nil {
-		return errAllFailed
-	}
-	return nil
+// syncPoint reports whether queued subscriptions can join before the
+// next token: the stream is before the root or between complete
+// top-level subtrees, and someone is waiting.
+func (m *Mux) syncPoint() bool {
+	return m.stream != nil && m.depth <= 1 && m.stream.npend.Load() > 0
 }
 
-// routeTextBytes delivers character data to every group not inside a
-// skipped subtree, except at spine positions whose production is mixed
-// (SigNode.DropText): there text is always legal and a spine position
-// consumes nothing, so the event is withheld and counted as skipped.
-// Non-mixed spine positions still get their text — in a valid document
-// that is only whitespace the scanner has not already dropped, and in an
-// invalid one it is stray character data that must fail validation
-// exactly as it does under all-fanout. The arena-backed bytes reach
-// each group member without a string conversion.
-func (m *Mux) routeTextBytes(data []byte) error {
-	deliver := m.matcher.Text()
-	for w, word := range deliver {
-		for word != 0 {
-			g := m.groups[w<<6+bits.TrailingZeros64(word)]
-			word &= word - 1
-			for _, i := range g.members {
-				if !m.live[i] {
-					continue
-				}
-				if err := m.sessions[i].TextBytes(data); err != nil {
-					m.fail(i, err)
-				}
-			}
+// step advances the matcher over token t and returns its delivery
+// decision: deliver holds the groups that receive the token, skip (start
+// tags only, nil otherwise) the groups that collapse the element into
+// one SkipSubtree step and have everything withheld until its end tag.
+// One matcher step decides for all groups; the masks are valid until
+// the next step. step also tracks the scan depth and, when streaming,
+// the root element's name and closure.
+func (m *Mux) step(t *sax.Token) (deliver, skip autom.Mask) {
+	switch t.Kind {
+	case sax.StartElement:
+		m.depth++
+		if m.stream != nil && m.depth == 1 {
+			m.stream.rootName = t.Name
 		}
+		return m.matcher.Start(t.Name)
+	case sax.EndElement:
+		deliver = m.matcher.End()
+		m.depth--
+		if m.stream != nil && m.depth == 0 {
+			m.stream.rootClosed = true
+		}
+		return deliver, nil
+	case sax.SkipElement:
+		// A scanner-pruned subtree: one SkipSubtree step per group not
+		// already skipping. The scan never tokenized the interior, so
+		// each group's SkippedEvents advances by one (a lower bound).
+		return m.matcher.Skip(), nil
+	default:
+		// Character data is withheld at mixed-content spine positions
+		// (SigNode.DropText), where it is always legal and consumes
+		// nothing; non-mixed positions still get it, so stray text fails
+		// validation exactly as it does under all-fanout.
+		return m.matcher.Text(), nil
 	}
-	if m.nlive.Load() == 0 && m.stream == nil {
-		return errAllFailed
-	}
-	return nil
 }
 
-// routeEnd routes an end tag: a skipping group resumes routing when the
-// skipped element's own end tag goes by (the SkipSubtree step already
-// accounted for the whole element).
-func (m *Mux) routeEnd(name string) error {
-	deliver := m.matcher.End()
+// deliver hands token t to the live members of the groups set in
+// deliver or skip, restricted to the groups set in own (nil = every
+// group). At a start tag, skip groups get SkipSubtree and deliver groups
+// StartElement; any other token goes to the deliver groups as the call
+// matching its kind (a SkipElement token as SkipSubtree). skip is read
+// at start tags only. The sequential router calls it with a nil own, a
+// pool worker with the groups it owns.
+func (m *Mux) deliver(t *sax.Token, deliver, skip, own autom.Mask) {
+	start := t.Kind == sax.StartElement
 	for w, word := range deliver {
+		var sk uint64
+		if start {
+			sk = skip[w]
+			word |= sk
+		}
+		if own != nil {
+			if w >= len(own) {
+				return
+			}
+			word &= own[w]
+		}
 		for word != 0 {
-			g := m.groups[w<<6+bits.TrailingZeros64(word)]
+			bit := bits.TrailingZeros64(word)
 			word &= word - 1
-			for _, i := range g.members {
+			kind := t.Kind
+			if sk>>bit&1 != 0 {
+				kind = sax.SkipElement
+			}
+			for _, i := range m.groups[w<<6+bit].members {
 				if !m.live[i] {
 					continue
 				}
-				if err := m.sessions[i].EndElement(name); err != nil {
+				s := m.sessions[i]
+				var err error
+				switch kind {
+				case sax.StartElement:
+					err = s.StartElement(t.Name)
+				case sax.EndElement:
+					err = s.EndElement(t.Name)
+				case sax.SkipElement:
+					err = s.SkipSubtree(t.Name)
+				default:
+					err = s.TextBytes(t.Data)
+				}
+				if err != nil {
 					m.fail(i, err)
 				}
 			}
 		}
 	}
-	m.depth--
-	if m.stream != nil && m.depth == 0 {
-		m.stream.rootClosed = true
-	}
-	if m.nlive.Load() == 0 && m.stream == nil {
-		return errAllFailed
-	}
-	return nil
-}
-
-// routeSkip fans a scanner-pruned subtree (a SkipElement token) out as
-// one SkipSubtree step per live member of every group not already inside
-// a subtree it is skipping itself. The scan never tokenized the
-// element's interior, so each group's SkippedEvents counter advances by
-// one — the element itself — rather than by its (unknown) event count:
-// under scanner pruning the counter is a lower bound.
-func (m *Mux) routeSkip(name string) error {
-	deliver := m.matcher.Skip()
-	for w, word := range deliver {
-		for word != 0 {
-			g := m.groups[w<<6+bits.TrailingZeros64(word)]
-			word &= word - 1
-			for _, i := range g.members {
-				if !m.live[i] {
-					continue
-				}
-				if err := m.sessions[i].SkipSubtree(name); err != nil {
-					m.fail(i, err)
-				}
-			}
-		}
-	}
-	if m.nlive.Load() == 0 && m.stream == nil {
-		return errAllFailed
-	}
-	return nil
 }
 
 // Run scans the XML document from r once, delivering every event to all
@@ -566,8 +532,8 @@ func (m *Mux) Run(ctx context.Context, r io.Reader, opt sax.Options) ([]Result, 
 	if m.nlive.Load() > 0 {
 		err := sax.ScanBatchedContext(ctx, r, m, opt)
 		if m.nlive.Load() == 0 {
-			// All queries failed mid-stream; routing aborted at the
-			// failing token.
+			// All queries failed mid-stream; the scan aborted after the
+			// batch holding the last failure.
 			m.fillSkipped()
 			return m.results, errAllFailed
 		}

@@ -20,14 +20,15 @@ package mux
 // mux routes inline too.
 //
 // The split. The scan goroutine (the producer) keeps tokenizing and
-// running the Matcher, but instead of calling into sessions it copies
+// stepping the Matcher, but instead of calling into sessions it copies
 // each token's delivery masks into a per-batch item and hands the item
 // to a small pool of workers, each owning a disjoint set of routing
-// groups. A worker walks its groups over the item's token range,
-// delivering StartElement / EndElement / TextBytes / SkipSubtree to its
-// groups' live members exactly as the sequential router would — same
-// calls, same order per session — so outputs, per-query stats, and
-// error isolation are byte-identical to the sequential path.
+// groups (an ownership bitset). A worker is the sequential router
+// restricted to its groups: it walks the item's token range in order —
+// token-major, like routeBatch — and calls the same deliver with the
+// copied masks and its ownership bitset, so every session receives the
+// same calls in the same order as on the sequential path, and outputs,
+// per-query stats, and error isolation are byte-identical.
 //
 // Lifetime and backpressure. Tokens reference the sax.Batch's arena, so
 // every item retains its batch (sax.Batch.Retain) once per worker
@@ -50,17 +51,20 @@ package mux
 // quiesce barrier through every worker queue, and only then runs
 // activatePending — machine rebuild, Matcher.Extend, session replay all
 // happen while no worker holds an item. Fresh groups are assigned to
-// workers round-robin; subsequent items carry the widened masks (items
-// record their own mask width). Per-batch output flushing (flushLive)
-// moves onto the workers, each flushing its own members. Tiny token
-// batches with no items in flight are routed inline on the producer,
-// skipping the dispatch overhead the sequential path never paid.
+// workers round-robin (parAddGroup sets the owner's bit); subsequent
+// items carry the widened masks (items record their own mask width).
+// Per-batch cancellation polling and output flushing (pollCtxs,
+// flushLive) move onto the workers, each given its ownership bitset.
+// Tiny token batches with no items in flight are routed inline on the
+// producer (HandleBatch), skipping the dispatch overhead the sequential
+// path never paid.
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"flux/internal/autom"
 	"flux/internal/sax"
 )
 
@@ -94,9 +98,12 @@ type parState struct {
 // parWorker owns a disjoint set of routing groups and evaluates their
 // members' sessions on its own goroutine.
 type parWorker struct {
-	groups []int // group indices owned by this worker
-	ch     chan parMsg
-	done   chan struct{}
+	// own has a bit set per routing group the worker owns. Never nil:
+	// deliver reads a nil mask as every group, and a worker with no
+	// groups owns none.
+	own  autom.Mask
+	ch   chan parMsg
+	done chan struct{}
 }
 
 // parMsg is one unit of worker input: a token range of an item, or a
@@ -149,6 +156,7 @@ func (m *Mux) startParallel() {
 	p := &parState{workers: make([]*parWorker, nw)}
 	for wi := range p.workers {
 		p.workers[wi] = &parWorker{
+			own:  autom.Mask{},
 			ch:   make(chan parMsg, parQueueDepth),
 			done: make(chan struct{}),
 		}
@@ -171,7 +179,10 @@ func (m *Mux) parAddGroup(gi int) {
 		return
 	}
 	w := m.par.workers[gi%len(m.par.workers)]
-	w.groups = append(w.groups, gi)
+	for len(w.own) <= gi>>6 {
+		w.own = append(w.own, 0)
+	}
+	w.own[gi>>6] |= 1 << (gi & 63)
 }
 
 // stopParallel closes the worker queues and waits for every worker to
@@ -206,61 +217,28 @@ func (m *Mux) parQuiesce() {
 }
 
 // parHandleBatch is HandleBatch under the parallel pipeline: the
-// producer half of the scan. It runs the matcher over the batch,
-// records each token's delivery masks in an item, and feeds the workers
-// — splitting the item at sync points, where activation needs a
-// quiescent pipeline.
+// producer half of the scan. It steps the matcher over the batch,
+// copies each token's delivery masks into an item, and feeds the
+// workers — splitting the item at sync points, where activation needs
+// a quiescent pipeline.
 func (m *Mux) parHandleBatch(b *sax.Batch) error {
-	p := m.par
-	if len(b.Tokens) <= parInlineTokens && p.outstanding.Load() == 0 {
-		// Tiny batch, idle pipeline: route inline like the sequential
-		// scan — no dispatch overhead, and outstanding == 0 means the
-		// workers' session writes are visible here.
-		if m.nctx > 0 {
-			m.pollCtxs()
-		}
-		if err := m.routeBatch(b); err != nil {
-			return err
-		}
-		m.flushLive()
-		return nil
-	}
 	it := m.parNewItem(b, 0)
 	lo := 0
 	for i := range b.Tokens {
-		if m.depth <= 1 && m.stream.npend.Load() > 0 {
-			// Sync point with pending subscriptions: ship what this item
-			// has, drain the pipeline, and admit the joiners; the rest of
-			// the batch goes into a fresh item sized for the (possibly
-			// wider) extended automaton.
+		if m.syncPoint() {
+			// Ship what this item has, drain the pipeline, and admit the
+			// joiners; the rest of the batch goes into a fresh item sized
+			// for the (possibly wider) extended automaton.
 			m.parFlushRange(it, lo, i)
 			m.parQuiesce()
 			m.activatePending()
 			it = m.parNewItem(b, i)
 			lo = i
 		}
-		t := &b.Tokens[i]
 		base := (i - it.firstTok) * 2 * it.words
-		switch t.Kind {
-		case sax.StartElement:
-			m.depth++
-			if m.depth == 1 {
-				m.stream.rootName = t.Name
-			}
-			deliver, skip := m.matcher.Start(t.Name)
-			copy(it.masks[base:], deliver)
-			copy(it.masks[base+it.words:], skip)
-		case sax.EndElement:
-			copy(it.masks[base:], m.matcher.End())
-			m.depth--
-			if m.depth == 0 {
-				m.stream.rootClosed = true
-			}
-		case sax.SkipElement:
-			copy(it.masks[base:], m.matcher.Skip())
-		default:
-			copy(it.masks[base:], m.matcher.Text())
-		}
+		deliver, skip := m.step(&b.Tokens[i])
+		copy(it.masks[base:], deliver)
+		copy(it.masks[base+it.words:], skip)
 	}
 	m.parFlushRange(it, lo, len(b.Tokens))
 	return nil
@@ -300,8 +278,13 @@ func (m *Mux) parFlushRange(it *parItem, lo, hi int) {
 	}
 }
 
-// run is the worker loop: process items, honor quiesce barriers, exit
-// when the producer closes the queue.
+// run is the worker loop: the sequential router restricted to the
+// worker's groups. Per message it polls its members' contexts once (the
+// batch granularity of the sequential scan), delivers the token range
+// with the item's copied masks, and flushes its members' buffered
+// output — the per-batch visibility point flushLive provides
+// sequentially. Quiesce barriers are acknowledged; the loop exits when
+// the producer closes the queue.
 func (w *parWorker) run(m *Mux) {
 	defer close(w.done)
 	for msg := range w.ch {
@@ -309,8 +292,17 @@ func (w *parWorker) run(m *Mux) {
 			msg.quiesce.Done()
 			continue
 		}
-		m.parProcess(w, msg)
-		m.parRelease(msg.it)
+		it := msg.it
+		if m.nctx > 0 {
+			m.pollCtxs(w.own)
+		}
+		for ti := msg.lo; ti < msg.hi; ti++ {
+			base := (ti - it.firstTok) * 2 * it.words
+			mid := base + it.words
+			m.deliver(&it.batch.Tokens[ti], it.masks[base:mid], it.masks[mid:mid+it.words], w.own)
+		}
+		m.flushLive(w.own)
+		m.parRelease(it)
 	}
 }
 
@@ -324,108 +316,4 @@ func (m *Mux) parRelease(it *parItem) {
 	}
 	b.Release()
 	m.par.outstanding.Add(-1)
-}
-
-// parProcess evaluates one message for every group the worker owns:
-// the worker-side half of routeBatch. Per group it polls member
-// contexts once (the same batch granularity the sequential scan uses),
-// then walks the token range delivering exactly what the masks say; it
-// finishes by flushing its members' buffered output, the per-batch
-// visibility point flushLive provides sequentially.
-func (m *Mux) parProcess(w *parWorker, msg parMsg) {
-	it := msg.it
-	stride := 2 * it.words
-	for _, gi := range w.groups {
-		if gi>>6 >= it.words {
-			continue // group joined after this item was cut
-		}
-		g := m.groups[gi]
-		wi, bit := gi>>6, uint64(1)<<(gi&63)
-		live := 0
-		for _, slot := range g.members {
-			if !m.live[slot] {
-				continue
-			}
-			if ctx := m.ctxs[slot]; ctx != nil {
-				if err := ctx.Err(); err != nil {
-					m.fail(slot, err)
-					continue
-				}
-			}
-			live++
-		}
-		if live == 0 {
-			continue
-		}
-		for ti := msg.lo; ti < msg.hi; ti++ {
-			base := (ti-it.firstTok)*stride + wi
-			deliver := it.masks[base]&bit != 0
-			t := &it.batch.Tokens[ti]
-			switch t.Kind {
-			case sax.StartElement:
-				if deliver {
-					for _, slot := range g.members {
-						if !m.live[slot] {
-							continue
-						}
-						if err := m.sessions[slot].StartElement(t.Name); err != nil {
-							m.fail(slot, err)
-						}
-					}
-				} else if it.masks[base+it.words]&bit != 0 {
-					for _, slot := range g.members {
-						if !m.live[slot] {
-							continue
-						}
-						if err := m.sessions[slot].SkipSubtree(t.Name); err != nil {
-							m.fail(slot, err)
-						}
-					}
-				}
-			case sax.EndElement:
-				if deliver {
-					for _, slot := range g.members {
-						if !m.live[slot] {
-							continue
-						}
-						if err := m.sessions[slot].EndElement(t.Name); err != nil {
-							m.fail(slot, err)
-						}
-					}
-				}
-			case sax.SkipElement:
-				if deliver {
-					for _, slot := range g.members {
-						if !m.live[slot] {
-							continue
-						}
-						if err := m.sessions[slot].SkipSubtree(t.Name); err != nil {
-							m.fail(slot, err)
-						}
-					}
-				}
-			default:
-				if deliver {
-					for _, slot := range g.members {
-						if !m.live[slot] {
-							continue
-						}
-						if err := m.sessions[slot].TextBytes(t.Data); err != nil {
-							m.fail(slot, err)
-						}
-					}
-				}
-			}
-		}
-	}
-	for _, gi := range w.groups {
-		for _, slot := range m.groups[gi].members {
-			if !m.live[slot] {
-				continue
-			}
-			if err := m.sessions[slot].Flush(); err != nil {
-				m.fail(slot, err)
-			}
-		}
-	}
 }

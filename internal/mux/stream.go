@@ -273,13 +273,14 @@ func (m *Mux) streamGroup(plan *engine.Plan) (int, bool) {
 	return gi, true
 }
 
-// flushLive pushes each live session's buffered output through to its
-// subscriber — the per-batch delivery point that makes results visible
-// before end of stream. A flush failure (the subscriber's writer died)
-// detaches that slot like any other per-query failure.
-func (m *Mux) flushLive() {
+// flushLive pushes each live session in the groups set in own (nil =
+// every session) through to its subscriber — the per-batch delivery
+// point that makes results visible before end of stream. A flush
+// failure (the subscriber's writer died) detaches that slot like any
+// other per-query failure.
+func (m *Mux) flushLive(own autom.Mask) {
 	for i, s := range m.sessions {
-		if !m.live[i] {
+		if !m.owns(own, i) || !m.live[i] {
 			continue
 		}
 		if err := s.Flush(); err != nil {

@@ -25,6 +25,7 @@ package flux
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -33,6 +34,7 @@ import (
 	"flux/internal/dtd"
 	"flux/internal/mux"
 	"flux/internal/sax"
+	"flux/internal/xmark"
 )
 
 // streamChunks are the push sizes of the streaming side: small chunks
@@ -205,4 +207,104 @@ func FuzzParallelDispatch(f *testing.F) {
 		}
 		checkStreamChunks(t, "fuzz", qs, doc)
 	})
+}
+
+// TestParallelWideGroups streams a batch routed through more than one
+// 64-bit mask word — the 100 shared-prefix queries plus q1 and q13 over
+// one XMark schema — through the worker pool at 4 KiB chunks, against
+// the batch scan. A subscriber joins mid-stream, at the sync point
+// before <closed_auctions>, after the pool has processed items: its
+// fresh group lands past index 63, so workers intersect their ownership
+// bitsets with the second mask word. The batch also runs cut down to
+// its first 64 groups, where the joiner's group 64 widens the masks
+// from one word to two between items.
+func TestParallelWideGroups(t *testing.T) {
+	schema := dtd.MustParse(xmark.DTD)
+	texts := append(xmark.SharedPrefixQueries(100), xmark.Queries["q1"], xmark.Queries["q13"])
+	qs := make([]*Query, len(texts))
+	for i, qt := range texts {
+		q, err := PrepareWithSchema(qt, schema)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		qs[i] = q
+	}
+	// The joiner misses the root's leading children, so it runs under
+	// a schema whose root content model tolerates that — and, being a
+	// different schema, always forms a fresh routing group.
+	relaxed, err := Prepare(`<q> { for $t in /site/closed_auctions/closed_auction return {$t/price} } </q>`, strings.Replace(xmark.DTD,
+		"(regions,categories,catgraph,people,open_auctions,closed_auctions)",
+		"(regions?,categories?,catgraph?,people?,open_auctions?,closed_auctions?)", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if _, err := xmark.Generate(&sb, xmark.GenOptions{Scale: xmark.ScaleForBytes(128 << 10), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	doc := sb.String()
+	cut := strings.Index(doc, "<closed_auctions>")
+	// The joiner observes the document suffix from its sync point on:
+	// the root element's start tag, then everything from the cut.
+	var want strings.Builder
+	suffix := doc[:strings.Index(doc, "<site>")+len("<site>")] + doc[cut:]
+	if _, err := relaxed.Run(strings.NewReader(suffix), &want, Options{}); err != nil || !strings.Contains(want.String(), "<price>") {
+		t.Fatalf("solo run over the suffix: %v, output %.100q", err, want.String())
+	}
+
+	// The first 64 groups' worth of queries: the joiner becomes group 64.
+	keys := make(map[string]bool)
+	narrow := 0
+	for ; len(keys) < 64 || keys[mux.GroupKey(qs[narrow].plan)]; narrow++ {
+		keys[mux.GroupKey(qs[narrow].plan)] = true
+	}
+	for _, standing := range [][]*Query{qs, qs[:narrow]} {
+		label := fmt.Sprintf("%d standing queries", len(standing))
+		m := mux.NewStreaming()
+		outs := make([]*strings.Builder, len(standing))
+		for i, q := range standing {
+			outs[i] = &strings.Builder{}
+			m.Add(q.plan, outs[i])
+		}
+		if err := m.BeginStream(); err != nil {
+			t.Fatal(err)
+		}
+		cs := sax.StartChunked(context.Background(), m, sax.Options{SkipWhitespaceText: true})
+		write := func(part string) {
+			for len(part) > 0 {
+				n := min(4<<10, len(part))
+				if _, err := cs.Write([]byte(part[:n])); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				part = part[n:]
+			}
+		}
+		write(doc[:cut])
+		var joined strings.Builder
+		joinErr := make(chan error, 1)
+		if err := m.AttachStream(nil, relaxed.plan, &joined, func(_ int, err error) { joinErr <- err }); err != nil {
+			t.Fatal(err)
+		}
+		write(doc[cut:])
+		scanErr := cs.Close()
+		results := m.EndStream(scanErr)
+		if err := <-joinErr; err != nil {
+			t.Fatalf("%s: joiner rejected: %v", label, err)
+		}
+		groups := m.Groups()
+		if standingGroups := len(groups) - 1; standingGroups < 64 || groups[standingGroups].Queries != 1 {
+			t.Fatalf("%s: %d routing groups, want ≥ 64 standing plus the joiner's", label, len(groups))
+		}
+		st := streamRun{batchRun: batchRun{results: results[:len(standing)], err: scanErr, outs: make([]string, len(standing))}, parallel: m.ParallelActive()}
+		for i, o := range outs {
+			st.outs[i] = o.String()
+		}
+		checkStreamAgainst(t, label, st, runQueryBatch(mux.NewSelective, standing, doc))
+		if jr := results[len(standing)]; jr.Err != nil {
+			t.Fatalf("%s: joiner failed: %v", label, jr.Err)
+		}
+		if joined.String() != want.String() {
+			t.Fatalf("%s: joiner output differs from a solo run over the suffix\nstream: %.200q\nsolo:   %.200q", label, joined.String(), want.String())
+		}
+	}
 }
