@@ -1,6 +1,9 @@
 // Command fluxbench regenerates the paper's Figure 4: the five adapted
 // XMark queries across a sweep of document sizes, with execution time and
-// peak memory per engine.
+// peak memory per engine. Each cell is the fastest of three runs. The
+// command prints the table and exits non-zero when a flux cell is slower
+// than a baseline cell of the same query and size, the paper's headline
+// claim. Performance claims go through benchmark/, not this table.
 //
 // Usage:
 //
@@ -32,14 +35,6 @@ func main() {
 		maxBaseline = flag.Int("max-baseline", 0, "skip in-memory baselines above this many MB (0 = never)")
 		workDir     = flag.String("dir", "", "directory for generated documents (default: temp, removed after)")
 		ablation    = flag.Bool("ablation", false, "compare FluX against FluX with scheduling disabled")
-		jsonPath    = flag.String("json", "", "also write the rows as a JSON snapshot to this path")
-		shared      = flag.Bool("shared", true, "add a shared-scan row per size (all queries, one pass)")
-		fanout      = flag.Bool("fanout", true, "add fan-out rows per size (disjoint-path batch, all vs selective event routing)")
-		sharded     = flag.Bool("sharded", true, "add serving-tier rows per size (query set over HTTP: single worker vs fluxrouter with 2 embedded shards)")
-		migrate     = flag.Bool("migrate", true, "add migration-under-load rows per size (fixed query stream with and without a live document migration racing it)")
-		percentiles = flag.Bool("percentiles", true, "add an open-loop serving-latency row per size (p50/p99 request latency and queries/sec)")
-		streaming   = flag.Bool("stream", true, "add streaming-ingestion rows per size (static shared scan vs standing subscriptions over a chunked replay)")
-		skewed      = flag.Bool("skewed", true, "add skewed-workload rows per size (hot-document burst on one capacity-capped worker vs a 2-shard tier after the rebalancer replicated it)")
 	)
 	flag.Parse()
 
@@ -61,18 +56,10 @@ func main() {
 			cfg.Queries = append(cfg.Queries, strings.TrimSpace(q))
 		}
 	}
-	modes := bench.AllModes
+	cfg.Modes = bench.AllModes
 	if *ablation {
-		modes = []bench.Mode{bench.ModeFluX, bench.ModeFluXNoSchema}
+		cfg.Modes = []bench.Mode{bench.ModeFluX, bench.ModeFluXNoSchema}
 	}
-	cfg.Modes = modes
-	cfg.SharedScan = *shared
-	cfg.Fanout = *fanout
-	cfg.Sharded = *sharded
-	cfg.Migrate = *migrate
-	cfg.Percentiles = *percentiles
-	cfg.Stream = *streaming
-	cfg.Skewed = *skewed
 
 	// An interrupt abandons the sweep mid-document via the context path.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -86,11 +73,9 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(bench.FormatTable(rows, modes))
-	if *jsonPath != "" {
-		if err := bench.WriteJSON(*jsonPath, rows); err != nil {
-			fatal(err)
-		}
+	fmt.Print(bench.FormatTable(rows, cfg.Modes))
+	if err := bench.CheckFluxFastest(rows); err != nil {
+		fatal(err)
 	}
 }
 

@@ -419,6 +419,10 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 		}
 		c.eventsSkipped.Add(r.SkippedEvents)
 	}
+	// The scan is over: return its admission before any caller sees its
+	// outcome, for the same reason, and so that a caller that queries
+	// again at once does not queue behind its own finished scan.
+	release()
 	for i, req := range reqs {
 		r := results[i]
 		req.done <- execOutcome{

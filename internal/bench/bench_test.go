@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunTinySweep(t *testing.T) {
@@ -123,108 +124,6 @@ func TestRunAblationMode(t *testing.T) {
 	}
 }
 
-// TestRunMigrateRows: the migration-under-load rows stream the same
-// fixed query set with and without a live migration racing it, satisfy
-// the CheckMigrate invariant (identical output and tokens), and the
-// live run really moves the document.
-func TestRunMigrateRows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates documents and spins up HTTP servers")
-	}
-	rows, err := Run(Config{
-		SizesMB: []int{1},
-		Queries: []string{"q1", "q20"},
-		Modes:   []Mode{ModeFluX},
-		Seed:    1,
-		WorkDir: t.TempDir(),
-		Migrate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var static, live *Row
-	for i := range rows {
-		switch rows[i].Mode {
-		case ModeMigrateStatic:
-			static = &rows[i]
-		case ModeMigrateLive:
-			live = &rows[i]
-		}
-	}
-	if static == nil || live == nil {
-		t.Fatalf("missing migrate rows in %+v", rows)
-	}
-	if static.Output == 0 || static.Tokens == 0 {
-		t.Fatalf("static row measured nothing: %+v", *static)
-	}
-	if live.Output != static.Output || live.Tokens != static.Tokens {
-		t.Fatalf("migration changed the stream: static %+v, live %+v", *static, *live)
-	}
-	snapRows := []SnapshotRow{
-		{Query: MigrateQueryName, SizeMB: 1, Mode: ModeMigrateStatic, OutputBytes: static.Output, TokensDelivered: static.Tokens},
-		{Query: MigrateQueryName, SizeMB: 1, Mode: ModeMigrateLive, OutputBytes: live.Output, TokensDelivered: live.Tokens},
-	}
-	if err := CheckMigrate(&Snapshot{Rows: snapRows}); err != nil {
-		t.Fatalf("CheckMigrate on fresh rows: %v", err)
-	}
-	if err := CheckMigrate(&Snapshot{Rows: []SnapshotRow{
-		{Query: MigrateQueryName, SizeMB: 1, Mode: ModeMigrateStatic, OutputBytes: 10, TokensDelivered: 5},
-		{Query: MigrateQueryName, SizeMB: 1, Mode: ModeMigrateLive, OutputBytes: 9, TokensDelivered: 5},
-	}}); err == nil {
-		t.Fatal("CheckMigrate accepted diverging output")
-	}
-}
-
-// TestRunStreamRows: the streaming-ingestion rows run the same query
-// set as a static shared scan and as standing subscriptions over a
-// chunked replay, produce identical output (runStream enforces digest
-// equality internally), and record first-result latencies on the
-// replay row.
-func TestRunStreamRows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates documents")
-	}
-	rows, err := Run(Config{
-		SizesMB: []int{1},
-		Queries: []string{"q1", "q8", "q20"},
-		Modes:   []Mode{ModeFluX},
-		Seed:    1,
-		WorkDir: t.TempDir(),
-		Stream:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var static, replay *Row
-	for i := range rows {
-		switch rows[i].Mode {
-		case ModeStreamStatic:
-			static = &rows[i]
-		case ModeStreamReplay:
-			replay = &rows[i]
-		}
-	}
-	if static == nil || replay == nil {
-		t.Fatalf("missing stream rows in %+v", rows)
-	}
-	if static.Output == 0 {
-		t.Fatalf("static row measured nothing: %+v", *static)
-	}
-	if replay.Output != static.Output {
-		t.Fatalf("chunked replay changed the output: static %+v, replay %+v", *static, *replay)
-	}
-	if replay.P50 <= 0 || replay.P99 < replay.P50 {
-		t.Fatalf("replay first-result percentiles malformed: %+v", *replay)
-	}
-	snapRows := []SnapshotRow{
-		{Query: StreamQueryName, SizeMB: 1, Mode: ModeStreamStatic, OutputBytes: static.Output},
-		{Query: StreamQueryName, SizeMB: 1, Mode: ModeStreamReplay, OutputBytes: replay.Output},
-	}
-	if err := CheckStreamEquivalence(&Snapshot{Rows: snapRows}); err != nil {
-		t.Fatalf("CheckStreamEquivalence on fresh rows: %v", err)
-	}
-}
-
 func TestFormatBytes(t *testing.T) {
 	cases := map[int64]string{
 		0:          "0",
@@ -241,47 +140,48 @@ func TestFormatBytes(t *testing.T) {
 	}
 }
 
-// TestRunServedRows: the serving-tier rows measure the same query set
-// through one worker and through a 2-shard router, and satisfy the
-// CheckSharded invariant — identical output and tokens either way.
-func TestRunServedRows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates documents and spins up HTTP servers")
+func TestCheckFluxFastest(t *testing.T) {
+	row := func(q string, size int, mode Mode, ms int) Row {
+		return Row{Query: q, SizeMB: size, Mode: mode, Elapsed: time.Duration(ms) * time.Millisecond}
 	}
-	rows, err := Run(Config{
-		SizesMB: []int{1},
-		Queries: []string{"q1", "q20"},
-		Modes:   []Mode{ModeFluX},
-		Seed:    1,
-		WorkDir: t.TempDir(),
-		Sharded: true,
+	// Flux at or below both baselines on every cell: invariant holds
+	// (ties allowed — the gate is "not slower").
+	if err := CheckFluxFastest([]Row{
+		row("q1", 1, ModeFluX, 1000),
+		row("q1", 1, ModeNaive, 1000),
+		row("q1", 1, ModeProjection, 1500),
+		row("q8", 1, ModeFluX, 2000),
+		row("q8", 1, ModeNaive, 9000),
+	}); err != nil {
+		t.Fatalf("invariant must hold: %v", err)
+	}
+	// Flux slower than projection on one cell: violated, cell named.
+	err := CheckFluxFastest([]Row{
+		row("q20", 2, ModeFluX, 3000),
+		row("q20", 2, ModeNaive, 9000),
+		row("q20", 2, ModeProjection, 2500),
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "q20 2MB") {
+		t.Fatalf("projection win must violate the invariant naming the cell, got %v", err)
 	}
-	var single, sharded *Row
-	for i := range rows {
-		switch rows[i].Mode {
-		case ModeServedSingle:
-			single = &rows[i]
-		case ModeServedSharded:
-			sharded = &rows[i]
-		}
+	// Flux slower than naive: violated too.
+	if err := CheckFluxFastest([]Row{
+		row("q1", 1, ModeFluX, 5000),
+		row("q1", 1, ModeNaive, 4000),
+	}); err == nil {
+		t.Fatal("naive win must violate the invariant")
 	}
-	if single == nil || sharded == nil {
-		t.Fatalf("missing served rows in %+v", rows)
-	}
-	if single.Output == 0 || single.Tokens == 0 {
-		t.Fatalf("single row measured nothing: %+v", *single)
-	}
-	if sharded.Output != single.Output || sharded.Tokens != single.Tokens {
-		t.Fatalf("sharded row diverged: single %+v, sharded %+v", *single, *sharded)
-	}
-	snapRows := []SnapshotRow{
-		{Query: ServedQueryName, SizeMB: 1, Mode: ModeServedSingle, OutputBytes: single.Output, TokensDelivered: single.Tokens},
-		{Query: ServedQueryName, SizeMB: 1, Mode: ModeServedSharded, OutputBytes: sharded.Output, TokensDelivered: sharded.Tokens},
-	}
-	if err := CheckSharded(&Snapshot{Rows: snapRows}); err != nil {
-		t.Fatalf("CheckSharded on fresh rows: %v", err)
+	// Skipped baselines (too large for in-memory modes), cells with no
+	// flux row and the ablation column are ignored.
+	skipped := row("q1", 50, ModeNaive, 0)
+	skipped.Skipped = true
+	if err := CheckFluxFastest([]Row{
+		row("q1", 50, ModeFluX, 1000),
+		skipped,
+		row("q8", 1, ModeNaive, 1),
+		row("q20", 1, ModeFluX, 1000),
+		row("q20", 1, ModeFluXNoSchema, 1),
+	}); err != nil {
+		t.Fatalf("skipped/unmatched rows must pass: %v", err)
 	}
 }

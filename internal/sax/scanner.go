@@ -3,6 +3,7 @@ package sax
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -173,6 +174,11 @@ func (s *scanner) recycle() {
 	} else {
 		s.buf = s.buf[:0]
 	}
+	if cap(s.attrVals) > maxPooledScratch {
+		s.attrVals = nil
+	} else {
+		s.attrVals = s.attrVals[:0]
+	}
 	if len(s.names) > maxPooledNames {
 		s.names = make(map[string]string, 64)
 		s.nameCache = [nameCacheSize]string{}
@@ -210,6 +216,16 @@ type scanner struct {
 	// compare beats a hashed map lookup per tag.
 	nameCache [nameCacheSize]string
 	buf       []byte // name/attribute scratch
+
+	// textStart is the stream offset where the pending character data
+	// began: the offset a rejected reference in it is reported at.
+	textStart int64
+
+	// attrs and attrVals hold the current start tag's attributes under
+	// AttrsToSubelements: names, and spans of the decoded values, which
+	// are packed into attrVals. Both are reused from tag to tag.
+	attrs    []attrSpan
+	attrVals []byte
 
 	// prune, when non-empty, is the prune-trie cursor stack alongside
 	// stack (scans with Options.Prune only; see prune.go).
@@ -368,9 +384,9 @@ func (s *scanner) emitEnd(name string) error {
 	return nil
 }
 
-// emitTextString delivers already-decoded character data held as a
-// string (attribute values under AttrsToSubelements).
-func (s *scanner) emitTextString(v string) error {
+// emitDecodedText delivers already-decoded character data (attribute
+// values under AttrsToSubelements).
+func (s *scanner) emitDecodedText(v []byte) error {
 	if err := s.roomFor(len(v)); err != nil {
 		return err
 	}
@@ -395,7 +411,9 @@ func (s *scanner) flushText() error {
 // emitTextSeg delivers one complete character-data segment (t may point
 // into the input block or the text scratch; it is consumed before
 // return). The decoded bytes go straight into the batch arena: no
-// string is allocated per text event.
+// string is allocated per text event. A reference the decoder rejects
+// is reported at s.textStart, the start of the segment, which is the
+// same byte however the input was split into blocks.
 func (s *scanner) emitTextSeg(t []byte) error {
 	if s.opt.SkipWhitespaceText && isAllSpaceBytes(t) {
 		return nil
@@ -410,7 +428,10 @@ func (s *scanner) emitTextSeg(t []byte) error {
 	if bytes.IndexByte(t, '&') < 0 {
 		b.arena = append(b.arena, t...)
 	} else {
-		b.arena = appendDecoded(b.arena, t)
+		var err error
+		if b.arena, err = appendDecoded(b.arena, t); err != nil {
+			return &SyntaxError{Offset: s.textStart, Msg: err.Error()}
+		}
 	}
 	b.Tokens = append(b.Tokens, Token{Kind: Text, Data: b.arena[start:len(b.arena):len(b.arena)]})
 	return nil
@@ -467,6 +488,7 @@ func (s *scanner) textRun() error {
 	if len(s.text) == 0 && len(s.stack) > 0 {
 		chunk := s.in[s.pos:s.lim]
 		if i := bytes.IndexByte(chunk, '<'); i >= 0 && i+1 < len(chunk) && chunk[i+1] != '!' && chunk[i+1] != '?' {
+			s.textStart = s.offset()
 			s.pos += i
 			return s.emitTextSeg(chunk[:i])
 		}
@@ -486,6 +508,9 @@ func (s *scanner) textRun() error {
 				}
 			}
 		} else {
+			if len(s.text) == 0 {
+				s.textStart = s.offset()
+			}
 			s.text = append(s.text, seg...)
 		}
 		s.pos += len(seg)
@@ -604,8 +629,7 @@ func (s *scanner) startTag() error {
 			}
 		}
 	}
-	type attr struct{ name, value string }
-	var attrs []attr
+	s.attrs, s.attrVals = s.attrs[:0], s.attrVals[:0]
 	selfClose := false
 	for {
 		if err := s.skipSpace(); err != nil {
@@ -657,7 +681,11 @@ func (s *scanner) startTag() error {
 			s.buf = append(s.buf, b)
 		}
 		if s.opt.AttrsToSubelements {
-			attrs = append(attrs, attr{aname, decodeEntities(string(s.buf))})
+			start := len(s.attrVals)
+			if s.attrVals, err = appendDecoded(s.attrVals, s.buf); err != nil {
+				return s.errf("attribute %s: %v", aname, err)
+			}
+			s.attrs = append(s.attrs, attrSpan{aname, start, len(s.attrVals)})
 		}
 	}
 
@@ -665,8 +693,9 @@ func (s *scanner) startTag() error {
 		return err
 	}
 	if s.opt.AttrsToSubelements {
-		for _, a := range attrs {
-			sub := s.intern(append(append(append(s.buf[:0], name...), '_'), a.name...))
+		for _, a := range s.attrs {
+			s.buf = append(append(append(s.buf[:0], name...), '_'), a.name...)
+			sub := s.intern(s.buf)
 			if pnext != nil && !pnext.All && pnext.Kids[sub] == nil {
 				if err := s.emitSkip(sub); err != nil {
 					return err
@@ -676,8 +705,8 @@ func (s *scanner) startTag() error {
 			if err := s.emitStart(sub); err != nil {
 				return err
 			}
-			if a.value != "" {
-				if err := s.emitTextString(a.value); err != nil {
+			if a.end > a.start {
+				if err := s.emitDecodedText(s.attrVals[a.start:a.end]); err != nil {
 					return err
 				}
 			}
@@ -694,6 +723,13 @@ func (s *scanner) startTag() error {
 		s.prune = append(s.prune, pnext)
 	}
 	return nil
+}
+
+// attrSpan is one attribute of the current start tag: its name and the
+// span of its decoded value in scanner.attrVals.
+type attrSpan struct {
+	name       string
+	start, end int
 }
 
 func (s *scanner) endTag() error {
@@ -787,6 +823,9 @@ func (s *scanner) cdata() error {
 	if len(s.stack) == 0 {
 		return s.errf("CDATA outside document element")
 	}
+	if len(s.text) == 0 {
+		s.textStart = s.offset()
+	}
 	// The section's content joins the pending character data, which
 	// flushText entity-decodes: a literal '&' is stored as "&amp;" so it
 	// decodes back to itself.
@@ -858,75 +897,18 @@ func isNameByte(b byte) bool {
 		b >= '0' && b <= '9' || b == '_' || b == '-' || b == '.' || b == ':' || b >= 0x80
 }
 
-// decodeEntities resolves the five predefined XML entities and numeric
-// character references. Unknown entities are left verbatim.
-func decodeEntities(s string) string {
-	amp := strings.IndexByte(s, '&')
-	if amp < 0 {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	b.WriteString(s[:amp])
-	s = s[amp:]
-	for len(s) > 0 {
-		if s[0] != '&' {
-			next := strings.IndexByte(s, '&')
-			if next < 0 {
-				b.WriteString(s)
-				break
-			}
-			b.WriteString(s[:next])
-			s = s[next:]
-			continue
-		}
-		semi := strings.IndexByte(s, ';')
-		if semi < 0 || semi > 12 {
-			b.WriteByte('&')
-			s = s[1:]
-			continue
-		}
-		ent := s[1:semi]
-		switch {
-		case ent == "lt":
-			b.WriteByte('<')
-		case ent == "gt":
-			b.WriteByte('>')
-		case ent == "amp":
-			b.WriteByte('&')
-		case ent == "apos":
-			b.WriteByte('\'')
-		case ent == "quot":
-			b.WriteByte('"')
-		case strings.HasPrefix(ent, "#"):
-			num := ent[1:]
-			base := 10
-			if strings.HasPrefix(num, "x") || strings.HasPrefix(num, "X") {
-				num, base = num[1:], 16
-			}
-			if n, err := strconv.ParseInt(num, base, 32); err == nil && n >= 0 {
-				b.WriteRune(rune(n))
-			} else {
-				b.WriteString(s[:semi+1])
-			}
-		default:
-			b.WriteString(s[:semi+1])
-		}
-		s = s[semi+1:]
-	}
-	return b.String()
-}
-
-// appendDecoded is decodeEntities over byte slices, appending the decoded
-// text to dst without allocating — character data takes this path,
-// attribute values the string one. The decoded form is never longer
-// than the input.
-func appendDecoded(dst, s []byte) []byte {
+// appendDecoded appends s to dst with the five predefined XML entities
+// and numeric character references resolved, without allocating.
+// Unknown entities and malformed references are left verbatim; a
+// reference to a character outside XML's Char production fails, since
+// writing it out would not be well-formed XML. The decoded form is never
+// longer than the input.
+func appendDecoded(dst, s []byte) ([]byte, error) {
 	for len(s) > 0 {
 		if s[0] != '&' {
 			next := bytes.IndexByte(s, '&')
 			if next < 0 {
-				return append(dst, s...)
+				return append(dst, s...), nil
 			}
 			dst = append(dst, s[:next]...)
 			s = s[next:]
@@ -956,9 +938,13 @@ func appendDecoded(dst, s []byte) []byte {
 			if len(num) > 0 && (num[0] == 'x' || num[0] == 'X') {
 				num, base = num[1:], 16
 			}
-			if n, err := strconv.ParseInt(string(num), base, 32); err == nil && n >= 0 {
+			n, err := strconv.ParseInt(string(num), base, 32)
+			switch {
+			case err == nil && isXMLChar(n):
 				dst = utf8.AppendRune(dst, rune(n))
-			} else {
+			case err == nil && n >= 0 || errors.Is(err, strconv.ErrRange):
+				return dst, fmt.Errorf("character reference %s to a character XML forbids", s[:semi+1])
+			default:
 				dst = append(dst, s[:semi+1]...)
 			}
 		default:
@@ -966,5 +952,15 @@ func appendDecoded(dst, s []byte) []byte {
 		}
 		s = s[semi+1:]
 	}
-	return dst
+	return dst, nil
+}
+
+// isXMLChar reports whether n is in XML 1.0's Char production: tab, line
+// feed, carriage return, and the Unicode scalar values from U+0020 up
+// except the surrogates, U+FFFE and U+FFFF.
+func isXMLChar(n int64) bool {
+	return n == 0x9 || n == 0xA || n == 0xD ||
+		n >= 0x20 && n <= 0xD7FF ||
+		n >= 0xE000 && n <= 0xFFFD ||
+		n >= 0x10000 && n <= 0x10FFFF
 }

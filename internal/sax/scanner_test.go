@@ -124,6 +124,54 @@ func TestScanEntities(t *testing.T) {
 	}
 }
 
+// TestScanCharRefRange: a character reference to a character outside
+// XML's Char production fails with a *SyntaxError, in text and in a
+// decoded attribute value, since writing the character back out would
+// not be well-formed; the edges of the production still decode.
+func TestScanCharRefRange(t *testing.T) {
+	for _, tc := range []struct {
+		ref  string
+		want string // decoded text; "" means the scan must fail
+	}{
+		{"&#0;", ""},
+		{"&#x1;", ""},
+		{"&#xD800;", ""},
+		{"&#xFFFE;", ""},
+		{"&#x110000;", ""},
+		{"&#x80000000;", ""},
+		{"&#9;", "\t"},
+		{"&#x10FFFF;", "\U0010FFFF"},
+	} {
+		for _, doc := range []string{
+			"<a>x" + tc.ref + "</a>",
+			`<a v="x` + tc.ref + `"/>`,
+		} {
+			var c Collector
+			err := ScanString(doc, &c, Options{AttrsToSubelements: true})
+			if tc.want == "" {
+				var se *SyntaxError
+				if !errors.As(err, &se) {
+					t.Errorf("%q: err = %v, want a *SyntaxError", doc, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%q: %v", doc, err)
+				continue
+			}
+			var text []string
+			for _, ev := range c.Events {
+				if ev.Kind == Text {
+					text = append(text, ev.Data)
+				}
+			}
+			if len(text) != 1 || text[0] != "x"+tc.want {
+				t.Errorf("%q: text events %q, want [%q]", doc, text, "x"+tc.want)
+			}
+		}
+	}
+}
+
 func TestScanCDATA(t *testing.T) {
 	got := collect(t, `<a><![CDATA[<not> & markup]]]></a>`, Options{})
 	want := []Event{

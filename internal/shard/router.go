@@ -654,15 +654,6 @@ type EmbeddedOptions struct {
 	Executor flux.ExecutorOptions
 	// Admin exposes the mutating /admin/* endpoints on each worker.
 	Admin bool
-	// ServiceSlots and MinServiceTime configure each worker's emulated
-	// service capacity (ServerOptions.ServiceSlots): a cap on concurrent
-	// /query requests with a wall-clock floor per request, so benchmark
-	// tiers exhibit real queueing on hosts whose CPU count cannot
-	// express node parallelism. Zero ServiceSlots disables the gate.
-	ServiceSlots int
-	// MinServiceTime is the per-request service-time floor applied while
-	// a ServiceSlots slot is held; ignored without ServiceSlots.
-	MinServiceTime time.Duration
 }
 
 // SpawnEmbedded starts one in-process worker per shard of m, each
@@ -707,10 +698,7 @@ func SpawnEmbedded(m *Map, specs []DocSpec, opt EmbeddedOptions) ([]*EmbeddedSha
 			return fail(fmt.Errorf("shard %d: %w", id, err))
 		}
 		addr := "http://" + ln.Addr().String()
-		worker := NewServer(ex, ServerOptions{
-			Admin: opt.Admin, ShardID: id, Advertise: addr,
-			ServiceSlots: opt.ServiceSlots, MinServiceTime: opt.MinServiceTime,
-		})
+		worker := NewServer(ex, ServerOptions{Admin: opt.Admin, ShardID: id, Advertise: addr})
 		hs := &http.Server{Handler: worker}
 		go hs.Serve(ln)
 		shards = append(shards, &EmbeddedShard{ID: id, Addr: addr, worker: worker, hs: hs})

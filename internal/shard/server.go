@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"time"
 
 	"flux"
 	"flux/internal/stream"
@@ -38,11 +37,6 @@ type Server struct {
 
 	id        int
 	advertise string
-
-	// svcGate, when non-nil, is the ServiceSlots semaphore each /query
-	// holds for at least svcFloor — the emulated service capacity.
-	svcGate  chan struct{}
-	svcFloor time.Duration
 
 	// spool is where /admin/install lands shipped document bytes; the
 	// directory is created on the first install and files are deleted
@@ -74,18 +68,6 @@ type ServerOptions struct {
 	// it must be built over this server's catalog. Nil means a hub with
 	// default options is created.
 	Stream *stream.Hub
-	// ServiceSlots caps how many /query requests this worker serves
-	// concurrently; 0 means unlimited. Excess requests queue until a
-	// slot frees. A benchmark knob: it emulates a node of fixed service
-	// capacity, so tiers of in-process workers exhibit the queueing a
-	// real deployment would even when the host's CPU count cannot
-	// express node parallelism.
-	ServiceSlots int
-	// MinServiceTime pads each slot-gated /query to at least this
-	// wall-clock duration before its slot is released — the fixed
-	// per-request service time of the emulated node. Zero means no
-	// padding; ignored without ServiceSlots.
-	MinServiceTime time.Duration
 }
 
 // NewServer builds the HTTP surface over an executor (and its catalog).
@@ -105,10 +87,6 @@ func NewServer(ex *flux.Executor, opt ServerOptions) *Server {
 	s.hub = opt.Stream
 	if s.hub == nil {
 		s.hub = stream.NewHub(s.cat, stream.Options{})
-	}
-	if opt.ServiceSlots > 0 {
-		s.svcGate = make(chan struct{}, opt.ServiceSlots)
-		s.svcFloor = opt.MinServiceTime
 	}
 	s.spool.files = make(map[string]string)
 	s.routes.HandleFunc("/query", s.handleQuery)
@@ -245,21 +223,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		http.Error(w, "compiling query: "+err.Error(), status)
 		return
-	}
-
-	if s.svcGate != nil {
-		select {
-		case s.svcGate <- struct{}{}:
-		case <-r.Context().Done():
-			return
-		}
-		held := time.Now()
-		defer func() {
-			if rest := s.svcFloor - time.Since(held); rest > 0 {
-				time.Sleep(rest)
-			}
-			<-s.svcGate
-		}()
 	}
 
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
