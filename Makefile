@@ -38,7 +38,7 @@ race-fault:
 # goroutine and the workers even on a smaller CI machine.
 race-cpu:
 	$(GO) test -race -cpu 1,4 ./internal/mux ./internal/stream
-	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming' .
+	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming|Admit|Admission|Split' .
 	$(GO) test -race -cpu 1,4 -run 'Stream|Ingest|Subscribe' ./internal/shard
 
 fmt-check:

@@ -2,9 +2,11 @@ package flux
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,12 +31,14 @@ import (
 // scanning the old file complete against it (they hold an open file
 // handle), while every later request opens the new one.
 //
-// The catalog is also the admission controller for scans over its
-// documents: AdmitScan enforces the CatalogOptions bounds on concurrent
-// scans per document and total resident predicted buffer bytes, queueing
-// (not rejecting) work that exceeds them. The Executor admits every
-// shared scan through it; embedders running their own scans may do the
-// same.
+// The catalog is also the process's one memory gate for query buffers:
+// AdmitScan holds the scans over its documents to the
+// CatalogOptions.MaxResidentBufferBytes budget, queueing (not
+// rejecting) work that exceeds it, and Charge prices each query at the
+// peak a run of its plan was observed to buffer on the document (the
+// static prediction until one has completed). The Executor admits every
+// shared scan through it, and the streaming hub every standing
+// subscription; embedders running their own scans may do the same.
 type Catalog struct {
 	mu      sync.RWMutex
 	docs    map[string]*catalogDoc
@@ -42,20 +46,26 @@ type Catalog struct {
 
 	cache *queryCache
 	adm   *admission
-	calib *calibration
 }
 
 // catalogDoc is the registry entry for one named document. The path is
-// swapped atomically under the catalog lock; everything else is fixed at
-// Add time. Stream-backed documents (AddStream) have no path: their
-// bytes arrive through the streaming hub, so Open fails for them while
-// Prepare, Schema, DTD, and admission work unchanged.
+// swapped atomically under the catalog lock; the name and schema are
+// fixed at Add time. Stream-backed documents (AddStream) have no path:
+// their bytes arrive through the streaming hub, so Open fails for them
+// while Prepare, Schema, DTD, and admission work unchanged.
 type catalogDoc struct {
 	name   string
 	path   string
 	schema *schemaEntry
 	swaps  int64 // completed hot-swaps
 	stream bool  // registered by AddStream; no file binding
+
+	// peaks maps a plan signature key to the largest peak buffer bytes
+	// a completed run observed on the current version of the document:
+	// the price Charge quotes. peakMu guards it, under the catalog's
+	// read lock; Swap clears it under the write lock.
+	peakMu sync.Mutex
+	peaks  map[string]int64
 }
 
 // schemaEntry parses one DTD text at most once, on first use.
@@ -82,16 +92,14 @@ type CatalogOptions struct {
 	// QueryCacheCap bounds the compiled-query LRU cache; 0 means
 	// DefaultQueryCacheCap, negative disables caching.
 	QueryCacheCap int
-	// MaxScansPerDoc bounds the number of concurrently admitted scans
-	// per document; further scans queue in AdmitScan until a running
-	// scan releases. Values <= 0 mean unlimited.
-	MaxScansPerDoc int
-	// MaxResidentBufferBytes bounds the summed predicted peak buffer
-	// bytes (see engine.BufferReport.PredictedPeakBytes) of all admitted
-	// scans across every document; a scan that would push the total over
-	// the limit queues until capacity frees. Fully streaming scans
-	// (predicted 0) are never byte-blocked. A single scan predicting
-	// more than the whole limit is admitted only when nothing else is
+	// MaxResidentBufferBytes is the process's one memory bound, B: the
+	// summed charge (see Charge — the observed peak of each query's plan
+	// on its document, or the static prediction before one) of all
+	// admitted scans across every document. A scan that would push the
+	// total over B queues until capacity frees, and the Executor splits
+	// a batch whose charges sum over B into sequential scans. Fully
+	// streaming scans (charge 0) are never blocked. A single scan
+	// charging more than B is admitted only when nothing else is
 	// resident, so oversized work degrades to serial execution instead
 	// of deadlocking. Values <= 0 mean unlimited.
 	MaxResidentBufferBytes int64
@@ -107,12 +115,7 @@ func NewCatalog(opt CatalogOptions) *Catalog {
 		docs:    make(map[string]*catalogDoc),
 		schemas: make(map[string]*schemaEntry),
 		cache:   newQueryCache(cap),
-		adm: &admission{
-			maxPerDoc: opt.MaxScansPerDoc,
-			maxBytes:  opt.MaxResidentBufferBytes,
-			perDoc:    make(map[string]int),
-		},
-		calib: newCalibration(),
+		adm:     &admission{maxBytes: opt.MaxResidentBufferBytes},
 	}
 }
 
@@ -178,7 +181,8 @@ func (c *Catalog) AddStream(name, dtdText string) error {
 // new file is stat-checked before the switch; on any error the old
 // binding stays in place. In-flight scans of the old file complete
 // against it, new requests see the new file, and the document's DTD,
-// schema, and cached compiled queries are unchanged.
+// schema, and cached compiled queries are unchanged. The observed peaks
+// Charge quotes described the old file, so they are dropped.
 func (c *Catalog) Swap(name, path string) error {
 	if err := fsutil.CheckRegularFile(path); err != nil {
 		return fmt.Errorf("flux: swap %q: %w", name, err)
@@ -194,6 +198,7 @@ func (c *Catalog) Swap(name, path string) error {
 	}
 	d.path = path
 	d.swaps++
+	clear(d.peaks)
 	return nil
 }
 
@@ -432,21 +437,72 @@ func (qc *queryCache) stats() CacheStats {
 	return st
 }
 
-// --- scan admission ------------------------------------------------------
+// --- the memory gate -----------------------------------------------------
 
-// admission tracks the catalog's resource bounds for scans — concurrent
-// scans per document and total predicted resident buffer bytes — with a
-// FIFO wait queue. Admission is starvation-free: a new scan may not
-// barge past an older waiter it conflicts with (same document, or both
-// consuming the byte budget), so capacity an oversized waiter needs
-// eventually drains to it, while scans over unrelated documents that
-// fit still pass freely.
+// maxPeakSigs bounds each document's table of observed peaks; at the cap
+// the table is dropped whole, as the Executor's automaton cache is. A
+// workload with that many distinct plan shapes against one document has
+// few repeats to price exactly anyway, and a cleared signature is charged
+// its static prediction until its next completed run.
+const maxPeakSigs = 256
+
+// Charge is the memory gate's one pricing rule: the query buffer bytes
+// admission charges for one run of q over doc, and what the Executor
+// packs batches by. Once a run of q's plan signature has completed on
+// the document's current version (see ObservePeak), the charge is the
+// largest peak such a run buffered — buffering is deterministic for a
+// given plan and document, so that is exact. Before, and after every
+// Swap, it is the plan's static prediction
+// (BufferReport.PredictedPeakBytes).
+func (c *Catalog) Charge(doc string, q *Query) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if d, ok := c.docs[doc]; ok {
+		d.peakMu.Lock()
+		peak, seen := d.peaks[q.plan.SigKey()]
+		d.peakMu.Unlock()
+		if seen {
+			return peak
+		}
+	}
+	return q.plan.PredictedPeakBytes()
+}
+
+// ObservePeak records the peak buffer bytes one completed run of a plan
+// with signature key sig (Plan.SigKey) observed over doc, the document
+// version as Info reported it before the run opened it. Later charges
+// for the signature on that version are the largest peak recorded. An
+// observation of a version a Swap (or a Remove) has since replaced is
+// dropped: it describes a file later scans will not read. The Executor
+// and the streaming hub record every successful run; failed or canceled
+// runs observe a truncated peak and must not be recorded.
+func (c *Catalog) ObservePeak(doc DocInfo, sig string, observed int64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	d, ok := c.docs[doc.Name]
+	if !ok || d.swaps != doc.Swaps || d.path != doc.Path {
+		return
+	}
+	d.peakMu.Lock()
+	defer d.peakMu.Unlock()
+	prev, seen := d.peaks[sig]
+	if seen && prev >= observed {
+		return
+	}
+	if d.peaks == nil || !seen && len(d.peaks) >= maxPeakSigs {
+		d.peaks = make(map[string]int64)
+	}
+	d.peaks[sig] = observed
+}
+
+// admission is the catalog's byte budget for resident query buffers
+// with a FIFO wait queue. Admission is starvation-free: a scan that
+// charges bytes may not barge past an older waiter that does not fit,
+// so the capacity an oversized waiter needs eventually drains to it.
 type admission struct {
-	mu        sync.Mutex
-	maxPerDoc int
-	maxBytes  int64
+	mu       sync.Mutex
+	maxBytes int64
 
-	perDoc map[string]int
 	bytes  int64
 	active int64
 	queue  []*admitWaiter // FIFO; only unadmitted waiters
@@ -457,163 +513,100 @@ type admission struct {
 
 // admitWaiter is one scan waiting for admission.
 type admitWaiter struct {
-	doc       string
-	predicted int64
-	ready     chan struct{} // closed when capacity has been reserved
+	bytes int64
+	ready chan struct{} // closed when capacity has been reserved
 }
 
-// fits reports whether a scan over doc predicting predictedBytes can be
-// admitted with the current capacity, and — when it cannot — whether
-// the byte budget was (one of) the blockers, which decides how far the
-// block shadows younger waiters in drain. A scan predicting more than
-// the whole byte budget fits only when nothing is resident: it runs
-// alone rather than never.
-func (a *admission) fits(doc string, predictedBytes int64) (ok, byteBlocked bool) {
-	ok = true
-	if a.maxPerDoc > 0 && a.perDoc[doc] >= a.maxPerDoc {
-		ok = false
-	}
-	// A zero-predicted (fully streaming) scan adds nothing to the
-	// resident total, so the byte budget never blocks it — even while an
-	// oversized scan has pushed the total over the limit.
-	if a.maxBytes > 0 && predictedBytes > 0 && a.bytes+predictedBytes > a.maxBytes &&
-		!(predictedBytes > a.maxBytes && a.bytes == 0) {
-		ok = false
-		byteBlocked = true
-	}
-	return ok, byteBlocked
+// fits reports whether a scan charging bytes fits the budget now. A zero
+// charge always fits — a fully streaming scan adds nothing resident —
+// and a charge over the whole budget fits when nothing is resident, so
+// oversized work runs alone rather than never. Caller holds a.mu.
+func (a *admission) fits(bytes int64) bool {
+	return bytes == 0 || a.bytes == 0 || a.bytes+bytes <= a.maxBytes
 }
 
 // reserve takes capacity for an admitted scan. Caller holds a.mu.
-func (a *admission) reserve(doc string, predictedBytes int64) {
-	a.perDoc[doc]++
-	a.bytes += predictedBytes
+func (a *admission) reserve(bytes int64) {
+	a.bytes += bytes
 	a.active++
 	a.admitted++
 }
 
-// drain admits queued waiters in FIFO order: each head-most waiter that
-// fits (and does not conflict with a still-blocked older waiter) gets
-// its capacity reserved and its ready channel closed. A blocked waiter
-// shadows younger waiters for the same document, and a waiter blocked
-// on the byte budget shadows every younger byte-consuming waiter — that
-// is what rules out starvation. A waiter blocked only by its document's
-// scan limit does not shadow other documents' byte use, so one hot
-// document never serializes the rest of the catalog. Caller holds a.mu.
+// drain admits queued waiters in FIFO order. The first waiter that does
+// not fit blocks every younger waiter that charges bytes — that is what
+// rules out starvation — while zero-charge waiters still pass. Caller
+// holds a.mu.
 func (a *admission) drain() {
-	if len(a.queue) == 0 {
-		return
-	}
-	// Per-document shadowing only matters when document slots are a
-	// bounded resource a younger scan could steal; with no per-doc limit
-	// a zero-cost scan may pass a byte-blocked waiter for the same
-	// document, honoring the never-byte-blocked guarantee.
-	var blockedDocs map[string]bool
-	if a.maxPerDoc > 0 {
-		blockedDocs = make(map[string]bool)
-	}
-	bytesBlocked := false
+	blocked := false
 	rest := a.queue[:0]
 	for _, w := range a.queue {
-		conflict := blockedDocs[w.doc] || (bytesBlocked && w.predicted > 0)
-		if !conflict {
-			if ok, byteBlocked := a.fits(w.doc, w.predicted); ok {
-				a.reserve(w.doc, w.predicted)
-				close(w.ready)
-				continue
-			} else if byteBlocked {
-				bytesBlocked = true
-			}
+		if (!blocked || w.bytes == 0) && a.fits(w.bytes) {
+			a.reserve(w.bytes)
+			close(w.ready)
+			continue
 		}
-		if blockedDocs != nil {
-			blockedDocs[w.doc] = true
-		}
+		blocked = true
 		rest = append(rest, w)
 	}
+	clear(a.queue[len(rest):])
 	a.queue = rest
 }
 
-// AdmitScan blocks until a scan over the named document, predicted to
-// hold predictedBytes of buffer at peak (sum the batch's
-// BufferReport.PredictedPeakBytes values), is within the catalog's
-// admission bounds, then reserves the capacity and returns the release
-// function that frees it. Waiters are served in FIFO order and new
-// scans cannot barge past a conflicting older waiter, so every scan —
-// including one predicting more than the whole byte budget, which runs
-// alone — is admitted eventually. Release must be called exactly when
-// the scan ends; calling it more than once is safe. With no bounds
-// configured AdmitScan admits immediately and only maintains counters.
-//
-// The charged bytes are the prediction scaled by the catalog's peak
-// calibration factor (see ObservePeak): a long-running server whose
-// static predictions run hot or cold budgets on observed reality rather
-// than the raw estimate. A zero prediction stays zero — fully streaming
-// scans are never byte-blocked, calibrated or not. AdmitScan charges the
-// process-global factor; callers that know each query's plan signature
-// should use AdmitScanCharges, which calibrates per signature.
-func (c *Catalog) AdmitScan(doc string, predictedBytes int64) (release func()) {
-	return c.AdmitScanCharges(doc, []ScanCharge{{PredictedBytes: predictedBytes}})
-}
-
-// ScanCharge is one query's contribution to a scan's admission charge:
-// its plan's projected-path signature key (Plan.SigKey; empty means "no
-// signature", charged at the global factor) and its static predicted
-// peak buffer bytes.
-type ScanCharge struct {
-	// Sig is the query plan's signature key, the calibration bucket.
-	Sig string
-	// PredictedBytes is the plan's static predicted peak buffer bytes.
-	PredictedBytes int64
-}
-
-// AdmitScanCharges is AdmitScan for a scan shared by several queries:
-// each charge is calibrated by its own signature's observed/predicted
-// factor (falling back to the global factor for signatures with no
-// observations yet), and the scan is admitted for the calibrated sum.
-// The per-signature factors stop one badly-predicted workload from
-// re-budgeting a well-predicted one sharing the catalog.
-func (c *Catalog) AdmitScanCharges(doc string, charges []ScanCharge) (release func()) {
-	var predictedBytes int64
-	for _, ch := range charges {
-		predictedBytes += c.calib.adjust(ch.Sig, ch.PredictedBytes)
-	}
+// AdmitScan blocks until a scan charging bytes of query buffer — the
+// sum of Charge over the queries sharing it — fits the catalog's
+// MaxResidentBufferBytes budget, then reserves the bytes and returns the
+// release function that frees them. Waiters are served in FIFO order
+// and a scan that charges bytes cannot barge past an older waiter, so
+// every scan — including one charging more than the whole budget, which
+// runs alone — is admitted eventually. If ctx ends first, the scan
+// leaves the queue and AdmitScan returns ctx.Err() with nothing
+// reserved. Release must be called when the scan ends; calling it more
+// than once is safe. With no budget configured AdmitScan admits
+// immediately and only maintains counters.
+func (c *Catalog) AdmitScan(ctx context.Context, bytes int64) (release func(), err error) {
 	a := c.adm
 	a.mu.Lock()
-	if a.maxPerDoc <= 0 && a.maxBytes <= 0 {
-		// No bounds configured: counters only, no queue machinery.
-		a.reserve(doc, predictedBytes)
+	if a.maxBytes <= 0 {
+		a.reserve(bytes)
 		a.mu.Unlock()
-		return a.releaseFunc(doc, predictedBytes)
+		return a.releaseFunc(bytes), nil
 	}
-	w := &admitWaiter{doc: doc, predicted: predictedBytes, ready: make(chan struct{})}
+	w := &admitWaiter{bytes: bytes, ready: make(chan struct{})}
 	a.queue = append(a.queue, w)
 	a.drain()
-	admittedNow := false
 	select {
 	case <-w.ready:
-		admittedNow = true
+		a.mu.Unlock()
+		return a.releaseFunc(bytes), nil
 	default:
 		a.queued++
 	}
 	a.mu.Unlock()
-	if !admittedNow {
-		<-w.ready // capacity is reserved on our behalf before the close
+	select {
+	case <-w.ready: // capacity is reserved on our behalf before the close
+	case <-ctx.Done():
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		select {
+		case <-w.ready: // admitted as ctx ended: the capacity is ours
+		default:
+			a.queue = slices.DeleteFunc(a.queue, func(x *admitWaiter) bool { return x == w })
+			// A blocked waiter leaving may unblock the younger ones.
+			a.drain()
+			return nil, ctx.Err()
+		}
 	}
-	return a.releaseFunc(doc, predictedBytes)
+	return a.releaseFunc(bytes), nil
 }
 
 // releaseFunc builds the idempotent release closure for one admitted
-// scan: it returns the scan's capacity and drains the wait queue.
-func (a *admission) releaseFunc(doc string, predictedBytes int64) func() {
+// scan: it returns the scan's bytes and drains the wait queue.
+func (a *admission) releaseFunc(bytes int64) func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			a.mu.Lock()
-			a.perDoc[doc]--
-			if a.perDoc[doc] == 0 {
-				delete(a.perDoc, doc)
-			}
-			a.bytes -= predictedBytes
+			a.bytes -= bytes
 			a.active--
 			a.drain()
 			a.mu.Unlock()
@@ -625,9 +618,8 @@ func (a *admission) releaseFunc(doc string, predictedBytes int64) func() {
 type AdmissionStats struct {
 	// ActiveScans is the number of currently admitted scans.
 	ActiveScans int64 `json:"active_scans"`
-	// ResidentBufferBytes is the summed predicted peak buffer bytes of
-	// the currently admitted scans, after calibration (CalibrationStats
-	// describes the applied correction).
+	// ResidentBufferBytes is the summed charge (see Charge) of the
+	// currently admitted scans.
 	ResidentBufferBytes int64 `json:"resident_buffer_bytes"`
 	// Waiting is the number of scans currently queued for admission.
 	Waiting int64 `json:"waiting"`
@@ -651,278 +643,3 @@ func (c *Catalog) AdmissionStats() AdmissionStats {
 		Admitted:            a.admitted,
 	}
 }
-
-// --- predicted-peak calibration ------------------------------------------
-
-// calibration corrects the static peak-buffer predictions admission
-// budgets on with observed reality: every completed scan feeds its
-// observed/predicted ratio into an exponentially weighted moving
-// average, and admission charges each new scan its prediction scaled by
-// that average. A model that systematically over-predicts stops
-// starving the byte budget; one that under-predicts stops overcommitting
-// it.
-//
-// The average is kept per plan signature — distinct projection shapes
-// mis-predict in distinct ways — with a process-global EWMA as the
-// fallback for signatures that have not completed a scan yet (and the
-// only average for callers that do not pass a signature).
-//
-// The per-signature table is bounded by maxCalibSignatures with LRU
-// eviction, and idle rows decay toward the global factor (see decay),
-// so an ad-hoc workload — many one-off signatures — neither grows the
-// table without bound nor pins stale corrections against signatures
-// that stopped running long ago.
-type calibration struct {
-	mu      sync.Mutex
-	global  calibEntry
-	sigs    map[string]*sigCalib
-	head    *sigCalib // most recently used signature row
-	tail    *sigCalib // least recently used; the eviction victim
-	tick    int64     // completed-scan counter; the clock decay runs on
-	evicted int64     // signature rows dropped by LRU eviction
-}
-
-// sigCalib is one signature's row in the table: its EWMA plus the
-// recency bookkeeping that lets the table evict and decay it.
-type sigCalib struct {
-	calibEntry
-	sig        string
-	tick       int64 // table tick at the last decay check
-	prev, next *sigCalib
-}
-
-// calibEntry is one EWMA of observed/predicted peak ratios.
-type calibEntry struct {
-	factor  float64 // 1 until the first sample
-	samples int64
-}
-
-// fold adds one clamped ratio to the average. The first sample seeds it
-// directly — a long-running server should not need dozens of scans to
-// escape the neutral prior.
-func (e *calibEntry) fold(ratio float64) {
-	if e.samples == 0 {
-		e.factor = ratio
-	} else {
-		e.factor = calibAlpha*ratio + (1-calibAlpha)*e.factor
-	}
-	e.factor = min(max(e.factor, calibFactorMin), calibFactorMax)
-	e.samples++
-}
-
-// newCalibration returns the neutral state: factor 1, no samples, no
-// signatures.
-func newCalibration() *calibration {
-	return &calibration{global: calibEntry{factor: 1}, sigs: make(map[string]*sigCalib)}
-}
-
-// maxCalibSignatures bounds the per-signature table. When a new
-// signature arrives at a full table, the least recently used row is
-// evicted — its evidence lives on in the global EWMA, which every
-// observation also feeds — rather than the newcomer being turned away.
-const maxCalibSignatures = 1024
-
-// calibDecayEvery is the decay interval in completed scans: a row not
-// observed or consulted for this many ticks loses half its sample count
-// and its factor moves halfway toward the global factor, per elapsed
-// interval. A row idle long enough to reach zero samples is cold again:
-// adjust falls back to the global factor and the next observation
-// re-seeds it directly.
-const calibDecayEvery = 256
-
-// calibAlpha is the EWMA weight of each new observation: small enough
-// that one outlier scan cannot yank admission around, large enough that
-// a persistent bias corrects within tens of scans.
-const calibAlpha = 0.2
-
-// Both each observation's ratio and the resulting factor are clamped to
-// [calibFactorMin, calibFactorMax], so a single absurd sample (an empty
-// document, a degenerate prediction) cannot swing admission by more
-// than 8x in either direction.
-const (
-	calibFactorMin = 0.125
-	calibFactorMax = 8
-)
-
-// observe folds one completed scan's (predicted, observed) peak pair
-// into the signature's EWMA and the global fallback, creating the
-// signature's row (evicting the LRU row from a full table) as needed.
-func (cl *calibration) observe(sig string, predicted, observed int64) {
-	if predicted <= 0 || observed < 0 {
-		return
-	}
-	ratio := float64(observed) / float64(predicted)
-	ratio = min(max(ratio, calibFactorMin), calibFactorMax)
-	cl.mu.Lock()
-	cl.global.fold(ratio)
-	cl.tick++
-	if sig != "" {
-		e := cl.sigs[sig]
-		if e == nil {
-			if len(cl.sigs) >= maxCalibSignatures {
-				cl.evictLRU()
-			}
-			e = &sigCalib{calibEntry: calibEntry{factor: 1}, sig: sig, tick: cl.tick}
-			cl.sigs[sig] = e
-		} else {
-			cl.decay(e)
-		}
-		e.fold(ratio)
-		cl.moveFront(e)
-	}
-	cl.mu.Unlock()
-}
-
-// evictLRU drops the least recently used signature row. Its evidence is
-// not lost outright: every observation that built it also fed the
-// global EWMA the evictee's future scans will fall back to.
-func (cl *calibration) evictLRU() {
-	victim := cl.tail
-	if victim == nil {
-		return
-	}
-	cl.unlink(victim)
-	delete(cl.sigs, victim.sig)
-	cl.evicted++
-}
-
-// decay ages a row by the decay intervals that elapsed since its last
-// check: per interval, the sample count halves and the factor moves
-// halfway toward the current global factor. Caller holds cl.mu.
-func (cl *calibration) decay(e *sigCalib) {
-	steps := (cl.tick - e.tick) / calibDecayEvery
-	if steps <= 0 {
-		return
-	}
-	e.tick += steps * calibDecayEvery // keep partial-interval progress
-	for ; steps > 0 && e.samples > 0; steps-- {
-		e.samples >>= 1
-		e.factor = (e.factor + cl.global.factor) / 2
-	}
-	if e.samples == 0 {
-		e.factor = 1 // fully cold: the next fold re-seeds it directly
-	}
-}
-
-// moveFront makes e the most recently used row. Caller holds cl.mu.
-func (cl *calibration) moveFront(e *sigCalib) {
-	if cl.head == e {
-		return
-	}
-	cl.unlink(e)
-	e.next = cl.head
-	if cl.head != nil {
-		cl.head.prev = e
-	}
-	cl.head = e
-	if cl.tail == nil {
-		cl.tail = e
-	}
-}
-
-// unlink removes e from the recency list. Caller holds cl.mu.
-func (cl *calibration) unlink(e *sigCalib) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if cl.head == e {
-		cl.head = e.next
-	}
-	if cl.tail == e {
-		cl.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// adjust scales a prediction by the signature's correction factor,
-// falling back to the global factor for cold signatures. Zero
-// predictions (fully streaming scans) pass through unscaled, and a
-// positive prediction never rounds down to zero — a buffering scan must
-// keep consuming the byte budget.
-func (cl *calibration) adjust(sig string, predicted int64) int64 {
-	if predicted <= 0 {
-		return predicted
-	}
-	cl.mu.Lock()
-	f, n := cl.global.factor, cl.global.samples
-	if e := cl.sigs[sig]; sig != "" && e != nil {
-		cl.decay(e)
-		if e.samples > 0 {
-			f, n = e.factor, e.samples
-		}
-		cl.moveFront(e) // being admitted counts as use
-	}
-	cl.mu.Unlock()
-	if n == 0 {
-		return predicted
-	}
-	adj := int64(float64(predicted)*f + 0.5)
-	if adj < 1 {
-		adj = 1
-	}
-	return adj
-}
-
-// stats snapshots the calibration state, per-signature table included.
-// Rows are decayed before reporting, so a long-idle signature shows its
-// current (aged) correction rather than the one it last earned.
-func (cl *calibration) stats() CalibrationStats {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	st := CalibrationStats{Factor: cl.global.factor, Samples: cl.global.samples, Evicted: cl.evicted}
-	if len(cl.sigs) > 0 {
-		st.Signatures = make(map[string]SigCalibration, len(cl.sigs))
-		for sig, e := range cl.sigs {
-			cl.decay(e)
-			st.Signatures[sig] = SigCalibration{Factor: e.factor, Samples: e.samples}
-		}
-	}
-	return st
-}
-
-// CalibrationStats is the predicted-peak calibration state a catalog
-// exports: how admission's byte charges currently relate to the static
-// predictions, and how much evidence backs the correction.
-type CalibrationStats struct {
-	// Factor multiplies a scan's predicted peak bytes at admission when
-	// its signature has no observations (or none was given): the global
-	// EWMA of observed/predicted peak ratios, 1.0 until the first
-	// observation, clamped to [0.125, 8].
-	Factor float64 `json:"factor"`
-	// Samples is the cumulative number of completed scans that have fed
-	// the global average.
-	Samples int64 `json:"samples"`
-	// Signatures holds the per-signature corrections, keyed by plan
-	// signature key; admission prefers a signature's own factor over the
-	// global one once it has a sample.
-	Signatures map[string]SigCalibration `json:"signatures,omitempty"`
-	// Evicted counts signature rows dropped by LRU eviction since the
-	// catalog was created — nonzero means the workload has run more
-	// distinct plan shapes than the table holds at once.
-	Evicted int64 `json:"evicted,omitempty"`
-}
-
-// SigCalibration is one signature's row in the calibration table.
-type SigCalibration struct {
-	// Factor is the signature's EWMA of observed/predicted peak ratios.
-	Factor float64 `json:"factor"`
-	// Samples is how many completed scans fed this signature's average.
-	Samples int64 `json:"samples"`
-}
-
-// ObservePeak feeds one completed query execution's predicted and
-// observed peak buffer bytes into the catalog's calibration (the
-// Executor does this automatically for every successful execution),
-// keyed by the executed plan's signature — pass Plan.SigKey, or "" for
-// the global average only. Pairs with a non-positive prediction are
-// ignored: a fully streaming plan predicts 0 and observes 0, which says
-// nothing about the cost model's scale.
-func (c *Catalog) ObservePeak(sig string, predicted, observed int64) {
-	c.calib.observe(sig, predicted, observed)
-}
-
-// CalibrationStats reports the predicted-peak calibration state.
-func (c *Catalog) CalibrationStats() CalibrationStats { return c.calib.stats() }

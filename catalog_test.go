@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -223,23 +224,40 @@ func TestCatalogSwap(t *testing.T) {
 	}
 }
 
+// admit reserves bytes with a background context; the test helpers'
+// waits never cancel.
+func admit(t *testing.T, cat *Catalog, bytes int64) func() {
+	t.Helper()
+	rel, err := cat.AdmitScan(context.Background(), bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// waitWaiting polls until n scans are queued for admission.
+func waitWaiting(t *testing.T, cat *Catalog, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for cat.AdmissionStats().Waiting != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiting never reached %d: %+v", n, cat.AdmissionStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestAdmitScanByteBudget: the resident-bytes bound queues a scan that
 // would overflow it and admits it once capacity frees; an oversized
 // scan is admitted only when nothing else is resident.
 func TestAdmitScanByteBudget(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
 
-	relA := cat.AdmitScan("a", 60)
+	relA := admit(t, cat, 60)
 	admitted := make(chan func(), 1)
-	go func() { admitted <- cat.AdmitScan("b", 60) }()
+	go func() { admitted <- admit(t, cat, 60) }()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for cat.AdmissionStats().Waiting == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second scan never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitWaiting(t, cat, 1)
 	select {
 	case <-admitted:
 		t.Fatal("second scan admitted while over the byte budget")
@@ -255,8 +273,8 @@ func TestAdmitScanByteBudget(t *testing.T) {
 	relB()
 	relB() // double release must be safe (sync.Once)
 
-	// Oversized: predicted > the whole budget still admits when idle.
-	relBig := cat.AdmitScan("a", 1000)
+	// Oversized: a charge over the whole budget still admits when idle.
+	relBig := admit(t, cat, 1000)
 	if st := cat.AdmissionStats(); st.ActiveScans != 1 || st.ResidentBufferBytes != 1000 {
 		t.Fatalf("oversized scan not admitted when idle: %+v", st)
 	}
@@ -266,13 +284,13 @@ func TestAdmitScanByteBudget(t *testing.T) {
 	}
 }
 
-// TestAdmitScanUnlimited: with no bounds configured, AdmitScan never
+// TestAdmitScanUnlimited: with no budget configured, AdmitScan never
 // blocks and only maintains counters.
 func TestAdmitScanUnlimited(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{})
 	var releases []func()
 	for i := 0; i < 8; i++ {
-		releases = append(releases, cat.AdmitScan("doc", 1<<40))
+		releases = append(releases, admit(t, cat, 1<<40))
 	}
 	st := cat.AdmissionStats()
 	if st.ActiveScans != 8 || st.Queued != 0 {
@@ -286,45 +304,34 @@ func TestAdmitScanUnlimited(t *testing.T) {
 	}
 }
 
-// TestAdmitScanNoBargeFIFO: a scan predicting more than the whole byte
+// TestAdmitScanNoBargeFIFO: a scan charging more than the whole byte
 // budget cannot be starved — byte-consuming newcomers queue behind it
 // instead of barging, so capacity drains to the oversized waiter; a
-// zero-cost scan for another document still passes freely.
+// zero-charge scan still passes freely.
 func TestAdmitScanNoBargeFIFO(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
 
-	relA := cat.AdmitScan("a", 60)
+	relA := admit(t, cat, 60)
 
 	order := make(chan string, 2)
 	go func() {
-		rel := cat.AdmitScan("big", 1000) // oversized: needs bytes == 0
+		rel := admit(t, cat, 1000) // oversized: needs bytes == 0
 		order <- "big"
 		rel()
 	}()
-	waitFor := func(n int64) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for cat.AdmissionStats().Waiting != n {
-			if time.Now().After(deadline) {
-				t.Fatalf("waiting never reached %d: %+v", n, cat.AdmissionStats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor(1)
+	waitWaiting(t, cat, 1)
 
 	// A byte-consuming newcomer must queue behind the oversized waiter
 	// even though it would fit right now (60+30 <= 100): no barging.
 	go func() {
-		rel := cat.AdmitScan("c", 30)
+		rel := admit(t, cat, 30)
 		order <- "c"
 		rel()
 	}()
-	waitFor(2)
+	waitWaiting(t, cat, 2)
 
-	// A zero-cost scan for another document does not conflict and is
-	// admitted immediately.
-	relZero := cat.AdmitScan("d", 0)
+	// A zero-charge scan does not conflict and is admitted immediately.
+	relZero := admit(t, cat, 0)
 	relZero()
 
 	// Releasing the first scan drains the queue in FIFO order: the
@@ -338,13 +345,13 @@ func TestAdmitScanNoBargeFIFO(t *testing.T) {
 	}
 }
 
-// TestAdmitScanZeroCostNeverByteBlocked: a fully streaming scan
-// (predicted 0) adds nothing to the resident total, so the byte budget
-// never queues it — even while an oversized scan holds the whole budget.
+// TestAdmitScanZeroCostNeverByteBlocked: a fully streaming scan (charge
+// 0) adds nothing to the resident total, so the byte budget never
+// queues it — even while an oversized scan holds the whole budget.
 func TestAdmitScanZeroCostNeverByteBlocked(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
-	relBig := cat.AdmitScan("big", 1000) // oversized, admitted while idle
-	relZero := cat.AdmitScan("other", 0) // must not wait behind it
+	relBig := admit(t, cat, 1000) // oversized, admitted while idle
+	relZero := admit(t, cat, 0)   // must not wait behind it
 	st := cat.AdmissionStats()
 	if st.ActiveScans != 2 || st.Queued != 0 {
 		t.Fatalf("admission stats = %+v, want both active with none queued", st)
@@ -353,25 +360,18 @@ func TestAdmitScanZeroCostNeverByteBlocked(t *testing.T) {
 	relBig()
 }
 
-// TestAdmitScanZeroCostSameDocPassesByteWaiter: with only a byte budget
-// configured, a zero-cost scan is admitted immediately even when an
-// older byte-blocked waiter for the same document is queued — document
-// slots are unbounded, so passing steals nothing.
+// TestAdmitScanZeroCostSameDocPassesByteWaiter: a zero-charge scan is
+// admitted immediately even when an older byte-blocked waiter is queued
+// — passing it takes no capacity the waiter needs.
 func TestAdmitScanZeroCostSameDocPassesByteWaiter(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
-	relA := cat.AdmitScan("a", 60)
+	relA := admit(t, cat, 60)
 	blocked := make(chan func(), 1)
-	go func() { blocked <- cat.AdmitScan("a", 60) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for cat.AdmissionStats().Waiting == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("byte-blocked scan never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	relZero := cat.AdmitScan("a", 0) // must not queue behind the byte waiter
+	go func() { blocked <- admit(t, cat, 60) }()
+	waitWaiting(t, cat, 1)
+	relZero := admit(t, cat, 0) // must not queue behind the byte waiter
 	if st := cat.AdmissionStats(); st.ActiveScans != 2 || st.Waiting != 1 {
-		t.Fatalf("admission stats = %+v, want zero-cost admitted past the byte waiter", st)
+		t.Fatalf("admission stats = %+v, want zero-charge admitted past the byte waiter", st)
 	}
 	relZero()
 	relA()
@@ -379,254 +379,260 @@ func TestAdmitScanZeroCostSameDocPassesByteWaiter(t *testing.T) {
 	rel()
 }
 
-// TestCalibrationEWMA: ObservePeak seeds the correction factor from the
-// first sample, then moves it as an EWMA, clamped against absurd
-// ratios.
-func TestCalibrationEWMA(t *testing.T) {
+// TestAdmitScanCanceledWaiterLeaves: a waiter whose context ends leaves
+// the queue with ctx.Err() and nothing reserved, and the younger waiter
+// it was blocking is admitted at once.
+func TestAdmitScanCanceledWaiterLeaves(t *testing.T) {
+	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
+	relA := admit(t, cat, 60)
+	defer relA()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := cat.AdmitScan(ctx, 1000) // oversized: blocks the next one
+		errc <- err
+	}()
+	waitWaiting(t, cat, 1)
+	admitted := make(chan func(), 1)
+	go func() { admitted <- admit(t, cat, 30) }()
+	waitWaiting(t, cat, 2)
+
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter err = %v, want context.Canceled", err)
+	}
+	rel := <-admitted // 60+30 fits once the oversized waiter is gone
+	if st := cat.AdmissionStats(); st.Waiting != 0 || st.ActiveScans != 2 || st.ResidentBufferBytes != 90 {
+		t.Fatalf("admission stats = %+v, want the 60- and 30-byte scans resident, none waiting", st)
+	}
+	rel()
+}
+
+// TestChargeIsLargestObservedPeak: a plan is charged its static
+// prediction until a run of its signature completes on the document,
+// then the largest peak recorded — a smaller later observation does not
+// lower it, a larger one raises it, and an observed zero is exact too.
+func TestChargeIsLargestObservedPeak(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{})
-	if st := cat.CalibrationStats(); st.Factor != 1 || st.Samples != 0 {
-		t.Fatalf("fresh calibration = %+v, want neutral", st)
+	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
+		t.Fatal(err)
 	}
-	// Non-positive predictions say nothing about the model's scale.
-	cat.ObservePeak("", 0, 500)
-	cat.ObservePeak("", -1, 500)
-	if st := cat.CalibrationStats(); st.Samples != 0 {
-		t.Fatalf("zero-predicted pairs must be ignored, got %+v", st)
+	q := mustPrepare(t, bufferingQuery)
+	predicted := q.plan.PredictedPeakBytes()
+	if got := cat.Charge("bib", q); got != predicted {
+		t.Fatalf("cold charge = %d, want the prediction %d", got, predicted)
+	}
+	if got := cat.Charge("nosuch", q); got != predicted {
+		t.Fatalf("charge on an unknown document = %d, want the prediction %d", got, predicted)
+	}
+	info, err := cat.Info("bib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct{ observe, want int64 }{
+		{300, 300},
+		{200, 300}, // a smaller run does not lower the charge
+		{500, 500},
+	} {
+		cat.ObservePeak(info, q.plan.SigKey(), step.observe)
+		if got := cat.Charge("bib", q); got != step.want {
+			t.Fatalf("after observing %d: charge = %d, want %d", step.observe, got, step.want)
+		}
 	}
 
-	cat.ObservePeak("", 1000, 2000) // first sample seeds directly
-	if st := cat.CalibrationStats(); st.Factor != 2 || st.Samples != 1 {
-		t.Fatalf("after first sample: %+v, want factor 2", st)
+	zero := NewCatalog(CatalogOptions{})
+	if err := zero.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
+		t.Fatal(err)
 	}
-	cat.ObservePeak("", 1000, 1000) // EWMA: 0.2*1 + 0.8*2 = 1.8
-	if st := cat.CalibrationStats(); st.Samples != 2 || st.Factor < 1.79 || st.Factor > 1.81 {
-		t.Fatalf("after second sample: %+v, want factor 1.8", st)
-	}
-
-	// A degenerate observation is clamped, not trusted.
-	worst := NewCatalog(CatalogOptions{})
-	worst.ObservePeak("", 1, 1<<40)
-	if st := worst.CalibrationStats(); st.Factor != 8 {
-		t.Fatalf("absurd ratio: factor %v, want clamp at 8", st.Factor)
-	}
-	best := NewCatalog(CatalogOptions{})
-	best.ObservePeak("", 1<<40, 0)
-	if st := best.CalibrationStats(); st.Factor != 0.125 {
-		t.Fatalf("zero observation: factor %v, want clamp at 0.125", st.Factor)
+	zinfo, _ := zero.Info("bib")
+	zero.ObservePeak(zinfo, q.plan.SigKey(), 0)
+	if got := zero.Charge("bib", q); got != 0 {
+		t.Fatalf("after observing 0: charge = %d, want 0", got)
 	}
 }
 
-// TestAdmissionUsesCalibration: AdmitScan charges the calibrated
-// prediction — a model observed to run 2x hot charges twice the bytes,
-// visible in ResidentBufferBytes, and a model observed to run cold
-// frees budget for more concurrency.
-func TestAdmissionUsesCalibration(t *testing.T) {
-	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 10000})
-	rel := cat.AdmitScan("doc", 4000)
-	if got := cat.AdmissionStats().ResidentBufferBytes; got != 4000 {
-		t.Fatalf("uncalibrated charge = %d, want the raw prediction 4000", got)
-	}
-	rel()
+// blockingWriter parks the first Write until release is closed, holding
+// a scan in flight.
+type blockingWriter struct {
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
 
-	cat.ObservePeak("", 1000, 2000) // factor 2
-	rel = cat.AdmitScan("doc", 4000)
-	if got := cat.AdmissionStats().ResidentBufferBytes; got != 8000 {
-		t.Fatalf("calibrated charge = %d, want 8000 (factor 2)", got)
-	}
-	// The same charge is released, not the raw prediction.
-	rel()
-	if got := cat.AdmissionStats().ResidentBufferBytes; got != 0 {
-		t.Fatalf("resident after release = %d, want 0", got)
-	}
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return len(p), nil
+}
 
-	// Zero predictions stay exempt from the byte budget regardless of
-	// the factor.
-	rel = cat.AdmitScan("doc", 0)
-	defer rel()
-	if got := cat.AdmissionStats().ResidentBufferBytes; got != 0 {
-		t.Fatalf("zero prediction charged %d bytes", got)
+// TestAdmissionChargesObservedPeak: a scan the Executor admits holds
+// exactly its queries' charge resident — the prediction on a cold
+// document, the observed peak once a run has completed — and returns
+// it when the scan ends.
+func TestAdmissionChargesObservedPeak(t *testing.T) {
+	cat := NewCatalog(CatalogOptions{})
+	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExecutor(cat, ExecutorOptions{Window: time.Millisecond, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mustPrepare(t, bufferingQuery)
+	var observed int64
+	for _, want := range []int64{q.plan.PredictedPeakBytes(), -1} {
+		w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
+		done := make(chan ExecResult, 1)
+		go func() {
+			res, err := ex.ExecuteContext(context.Background(), "bib", bufferingQuery, w)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- res
+		}()
+		<-w.started
+		if want < 0 {
+			want = observed
+		}
+		if got := cat.AdmissionStats().ResidentBufferBytes; got != want {
+			t.Errorf("resident while scanning = %d, want the charge %d", got, want)
+		}
+		close(w.release)
+		observed = (<-done).Stats.PeakBufferBytes
+		if got := cat.AdmissionStats().ResidentBufferBytes; got != 0 {
+			t.Fatalf("resident after the scan = %d, want 0", got)
+		}
+	}
+	if observed == q.plan.PredictedPeakBytes() {
+		t.Fatalf("observed peak %d equals the prediction: the test cannot tell them apart", observed)
 	}
 }
 
-// TestExecutorFeedsCalibration: a successful execution through the
-// Executor calibrates its catalog automatically when the plan predicts
-// buffering.
-func TestExecutorFeedsCalibration(t *testing.T) {
+// TestExecutorFeedsObservedPeaks: a successful execution through the
+// Executor prices its signature's next admission on that document at
+// the peak the run reported. The price belongs to the signature: a
+// streaming query projecting the same paths is charged it too, until a
+// run of its own observes more.
+func TestExecutorFeedsObservedPeaks(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{})
-	docPath := writeTemp(t, "bib.xml", catDoc)
-	if err := cat.Add("bib", docPath, catDTD); err != nil {
+	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
 		t.Fatal(err)
 	}
 	ex, err := NewExecutor(cat, ExecutorOptions{Window: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A buffering query: predicted peak > 0, so the pair is sampled.
-	if _, err := ex.ExecuteContext(context.Background(),
-		"bib", `<out> { for $b in /bib/book where $b/year = '2004' return {$b} } </out>`, io.Discard); err != nil {
+	buffering, streaming := mustPrepare(t, bufferingQuery), mustPrepare(t, streamingQuery)
+	if buffering.plan.SigKey() != streaming.plan.SigKey() {
+		t.Fatal("test queries no longer share a signature")
+	}
+	res, err := ex.ExecuteContext(context.Background(), "bib", bufferingQuery, io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := cat.CalibrationStats()
-	if st.Samples != 1 {
-		t.Fatalf("calibration = %+v, want one sample from the buffering query", st)
+	peak := res.Stats.PeakBufferBytes
+	if peak <= 0 || peak == buffering.plan.PredictedPeakBytes() {
+		t.Fatalf("observed peak %d: the test needs a positive peak unlike the prediction", peak)
 	}
-	if st.Factor <= 0 || st.Factor > 8 {
-		t.Fatalf("factor %v out of clamp range", st.Factor)
-	}
-	// The sample lands in the per-signature table too, keyed by the
-	// executed plan's signature.
-	if len(st.Signatures) != 1 {
-		t.Fatalf("signatures = %+v, want exactly the executed plan's", st.Signatures)
-	}
-	for _, sc := range st.Signatures {
-		if sc.Samples != 1 || sc.Factor != st.Factor {
-			t.Fatalf("per-signature entry = %+v, want the same single sample", sc)
+	for _, q := range []*Query{buffering, streaming} {
+		if got := cat.Charge("bib", q); got != peak {
+			t.Fatalf("charge = %d, want the signature's observed peak %d", got, peak)
 		}
+	}
+	// The streaming sibling's own run observes 0 and lowers nothing.
+	if _, err := ex.ExecuteContext(context.Background(), "bib", streamingQuery, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := cat.Charge("bib", streaming); got != peak {
+		t.Fatalf("charge after the streaming run = %d, want still %d", got, peak)
 	}
 }
 
-// TestPerSignatureCalibration: observations are keyed by signature —
-// each signature's factor tracks its own workload, admission charges
-// each query at its signature's factor, and signatures without
-// observations fall back to the global average.
-func TestPerSignatureCalibration(t *testing.T) {
+// TestChargePerSignature: observations are keyed by plan signature and
+// by document — one query's peak never prices another signature, nor
+// the same query over another document.
+func TestChargePerSignature(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{})
-	cat.ObservePeak("hot", 1000, 2000) // runs 2x hot
-	cat.ObservePeak("cold", 1000, 500) // runs 2x cold
-	st := cat.CalibrationStats()
-	if st.Samples != 2 {
-		t.Fatalf("global samples = %d, want 2 (every observation feeds the fallback)", st.Samples)
+	for _, name := range []string{"a", "b"} {
+		if err := cat.Add(name, writeTemp(t, name+".xml", catDoc), catDTD); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Global EWMA: seeded at 2, then 0.2*0.5 + 0.8*2 = 1.7.
-	if st.Factor < 1.69 || st.Factor > 1.71 {
-		t.Fatalf("global factor = %v, want 1.7", st.Factor)
+	hot := mustPrepare(t, bufferingQuery)
+	other := mustPrepare(t, `<out> { for $b in /bib/book where $b/title = 'XMark' return {$b/title} } </out>`)
+	if hot.plan.SigKey() == other.plan.SigKey() {
+		t.Fatal("test queries share a signature")
 	}
-	if h := st.Signatures["hot"]; h.Factor != 2 || h.Samples != 1 {
-		t.Fatalf("hot = %+v, want factor 2 from its own sample", h)
+	info, _ := cat.Info("a")
+	cat.ObservePeak(info, hot.plan.SigKey(), 7)
+	if got := cat.Charge("a", hot); got != 7 {
+		t.Fatalf("observed signature charged %d, want 7", got)
 	}
-	if c := st.Signatures["cold"]; c.Factor != 0.5 || c.Samples != 1 {
-		t.Fatalf("cold = %+v, want factor 0.5 from its own sample", c)
+	if got, want := cat.Charge("a", other), other.plan.PredictedPeakBytes(); got != want {
+		t.Fatalf("unobserved signature charged %d, want its prediction %d", got, want)
 	}
-
-	// One badly-predicted signature must not re-budget a well-predicted
-	// one: each charge uses its own factor, unknown signatures use the
-	// global fallback, zero predictions stay exempt.
-	rel := cat.AdmitScanCharges("doc", []ScanCharge{
-		{Sig: "hot", PredictedBytes: 1000},    // -> 2000
-		{Sig: "cold", PredictedBytes: 1000},   // -> 500
-		{Sig: "unseen", PredictedBytes: 1000}, // -> 1700 (global)
-		{Sig: "stream", PredictedBytes: 0},    // -> 0
-	})
-	defer rel()
-	if got := cat.AdmissionStats().ResidentBufferBytes; got != 2000+500+1700 {
-		t.Fatalf("charged %d bytes, want 4200 (per-signature factors + global fallback)", got)
+	if got, want := cat.Charge("b", hot), hot.plan.PredictedPeakBytes(); got != want {
+		t.Fatalf("observed signature on another document charged %d, want its prediction %d", got, want)
 	}
 }
 
-// TestCalibrationLRUEviction: the per-signature table holds at most
-// maxCalibSignatures rows and evicts the least recently used one for a
-// newcomer — not the newcomer itself, and not a row kept warm by
-// admission lookups.
-func TestCalibrationLRUEviction(t *testing.T) {
-	cl := newCalibration()
-	for i := 0; i < maxCalibSignatures; i++ {
-		cl.observe(fmt.Sprintf("sig-%d", i), 1000, 2000)
+// TestPeakTableBounded: a document's table holds at most maxPeakSigs
+// signatures; a new signature at the cap drops the table, so earlier
+// signatures fall back to their predictions until they run again.
+func TestPeakTableBounded(t *testing.T) {
+	cat := NewCatalog(CatalogOptions{})
+	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(cl.sigs); got != maxCalibSignatures {
-		t.Fatalf("table size = %d, want full at %d", got, maxCalibSignatures)
+	q := mustPrepare(t, bufferingQuery)
+	info, _ := cat.Info("bib")
+	cat.ObservePeak(info, q.plan.SigKey(), 7)
+	for i := 1; i < maxPeakSigs; i++ {
+		cat.ObservePeak(info, fmt.Sprintf("sig-%d", i), 1)
 	}
-
-	// sig-0 is the LRU; an adjust lookup refreshes it, making sig-1 the
-	// victim when a new signature arrives.
-	cl.adjust("sig-0", 1000)
-	cl.observe("fresh", 1000, 2000)
-	st := cl.stats()
-	if got := len(cl.sigs); got != maxCalibSignatures {
-		t.Fatalf("table size after overflow = %d, want still %d", got, maxCalibSignatures)
+	if got := cat.Charge("bib", q); got != 7 {
+		t.Fatalf("charge at the cap = %d, want 7", got)
 	}
-	if st.Evicted != 1 {
-		t.Fatalf("evicted = %d, want 1", st.Evicted)
+	cat.ObservePeak(info, q.plan.SigKey(), 9) // known signature: no reset
+	if got := cat.Charge("bib", q); got != 9 {
+		t.Fatalf("charge after a known signature at the cap = %d, want 9", got)
 	}
-	if _, ok := st.Signatures["sig-1"]; ok {
-		t.Fatal("sig-1 survived eviction; it was the least recently used row")
+	cat.ObservePeak(info, "fresh", 1) // one signature too many
+	if got, want := cat.Charge("bib", q), q.plan.PredictedPeakBytes(); got != want {
+		t.Fatalf("charge after overflow = %d, want the prediction %d", got, want)
 	}
-	for _, keep := range []string{"sig-0", "fresh", "sig-2"} {
-		if _, ok := st.Signatures[keep]; !ok {
-			t.Fatalf("%s was evicted; only the LRU row (sig-1) should be", keep)
-		}
-	}
-
-	// Overflow keeps evicting in recency order: the next newcomer drops
-	// sig-2, and an evicted signature that comes back is a newcomer too.
-	cl.observe("fresh2", 1000, 2000)
-	cl.observe("sig-1", 1000, 2000) // re-admitted, evicting sig-3
-	st = cl.stats()
-	if st.Evicted != 3 {
-		t.Fatalf("evicted = %d, want 3", st.Evicted)
-	}
-	for _, gone := range []string{"sig-2", "sig-3"} {
-		if _, ok := st.Signatures[gone]; ok {
-			t.Fatalf("%s survived; recency order says it should be gone", gone)
-		}
-	}
-	if e, ok := st.Signatures["sig-1"]; !ok || e.Samples != 1 {
-		t.Fatalf("re-admitted sig-1 = %+v, want a fresh single-sample row", e)
+	d := cat.docs["bib"]
+	if n := len(d.peaks); n != 1 {
+		t.Fatalf("table holds %d signatures after overflow, want only the newcomer", n)
 	}
 }
 
-// TestCalibrationDecay: a signature row idle for calibDecayEvery
-// completed scans loses half its evidence and drifts toward the global
-// factor; idle long enough, it goes fully cold and admission falls back
-// to the global factor, un-pinning the stale correction.
-func TestCalibrationDecay(t *testing.T) {
-	cl := newCalibration()
-	// Build a confident hot signature: factor 2, several samples.
-	for i := 0; i < 4; i++ {
-		cl.observe("hot", 1000, 2000)
+// TestChargeResetsOnSwap: a Swap drops the document's observed peaks —
+// they described the old file — and an observation of a scan that read
+// the pre-swap file never lands in the new table.
+func TestChargeResetsOnSwap(t *testing.T) {
+	cat := NewCatalog(CatalogOptions{})
+	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
+		t.Fatal(err)
 	}
-	if e := cl.sigs["hot"]; e.samples != 4 || e.factor != 2 {
-		t.Fatalf("hot row = {factor %v, samples %d}, want {2, 4}", e.factor, e.samples)
+	q := mustPrepare(t, bufferingQuery)
+	before, _ := cat.Info("bib")
+	cat.ObservePeak(before, q.plan.SigKey(), 7)
+	if err := cat.Swap("bib", writeTemp(t, "bib2.xml", catDoc2)); err != nil {
+		t.Fatal(err)
 	}
-
-	// A different workload dominates for one decay interval; its scans
-	// run at the predicted peak, dragging the global factor toward 1.
-	for i := 0; i < calibDecayEvery; i++ {
-		cl.observe("other", 1000, 1000)
+	if got, want := cat.Charge("bib", q), q.plan.PredictedPeakBytes(); got != want {
+		t.Fatalf("charge after swap = %d, want the prediction %d", got, want)
 	}
-	got := cl.adjust("hot", 1000)
-	e := cl.sigs["hot"]
-	if e.samples != 2 {
-		t.Fatalf("after one idle interval: samples = %d, want halved to 2", e.samples)
+	cat.ObservePeak(before, q.plan.SigKey(), 7) // a scan of the old file finishing late
+	if got, want := cat.Charge("bib", q), q.plan.PredictedPeakBytes(); got != want {
+		t.Fatalf("stale observation landed: charge = %d, want the prediction %d", got, want)
 	}
-	if e.factor >= 2 || e.factor <= 1 {
-		t.Fatalf("after one idle interval: factor = %v, want strictly between the global factor and 2", e.factor)
-	}
-	if want := int64(float64(1000)*e.factor + 0.5); got != want {
-		t.Fatalf("adjust used %d, want the decayed factor's %d", got, want)
-	}
-
-	// Two more idle intervals exhaust the remaining samples: the row is
-	// cold, adjust charges the global factor, and the next observation
-	// re-seeds the factor directly instead of folding into stale state.
-	for i := 0; i < 2*calibDecayEvery; i++ {
-		cl.observe("other", 1000, 1000)
-	}
-	if e := cl.sigs["hot"]; true {
-		cl.mu.Lock()
-		cl.decay(e)
-		cold := e.samples == 0 && e.factor == 1
-		cl.mu.Unlock()
-		if !cold {
-			t.Fatalf("after three idle intervals: {factor %v, samples %d}, want cold {1, 0}", e.factor, e.samples)
-		}
-	}
-	globalCharge := cl.adjust("", 1000)
-	if got := cl.adjust("hot", 1000); got != globalCharge {
-		t.Fatalf("cold row charged %d, want the global fallback %d", got, globalCharge)
-	}
-	cl.observe("hot", 1000, 4000)
-	if e := cl.sigs["hot"]; e.factor != 4 || e.samples != 1 {
-		t.Fatalf("re-seeded row = {factor %v, samples %d}, want {4, 1}", e.factor, e.samples)
+	after, _ := cat.Info("bib")
+	cat.ObservePeak(after, q.plan.SigKey(), 5)
+	if got := cat.Charge("bib", q); got != 5 {
+		t.Fatalf("charge after observing the new file = %d, want 5", got)
 	}
 }
 

@@ -16,8 +16,7 @@
 //	                                                # ... or from a named pipe
 //
 // Flags: [-addr :8700] [-window 2ms] [-max-batch 16] [-attrs] [-query-cache 256]
-// [-admin] [-batch-buffer-budget 0] [-max-scans-per-doc 0]
-// [-max-resident-buffer 0] [-shard-id -1] [-advertise addr]
+// [-admin] [-max-resident-buffer 0] [-shard-id -1] [-advertise addr]
 // [-stream-doc name=dtdpath ...] [-tail doc=path ...]
 //
 // Endpoints:
@@ -60,9 +59,8 @@
 //	GET  /streamz          live ingests and parked subscriptions
 //	GET  /stats            the typed flux.ServerStats snapshot:
 //	                       per-document serving counters, compiled-query
-//	                       cache counters, scan admission counters, and
-//	                       the predicted-peak calibration factor; schema
-//	                       in README
+//	                       cache counters, and scan admission counters;
+//	                       schema in README
 //	GET  /shardz           worker identity: the -shard-id this process
 //	                       asserts (-1 standalone), its -advertise
 //	                       address, and its document names — what
@@ -74,16 +72,17 @@
 // of each other (or up to -max-batch of them) execute in a single pass
 // of that document; events are routed so each query is delivered only
 // the subtrees its projected paths can match.
-// A batch whose summed predicted peak buffer bytes exceed
-// -batch-buffer-budget is split into sequential scans, and every scan is
-// admitted against -max-scans-per-doc / -max-resident-buffer, queueing
-// when over the limit; the admission byte charge is the static
-// prediction scaled by the observed-peak calibration factor. A client
-// that disconnects mid-result is detached from its shared scan at the
-// next event batch; sibling queries keep streaming. On a multicore host
-// each live ingest evaluates its subscriptions on a worker pool,
-// pipelined against its scan; shared scans of stored documents route
-// inline, since concurrent batches already fill the cores.
+// -max-resident-buffer is the one memory bound: each query is charged
+// the peak its plan buffered on the last completed run over the
+// document (the static prediction before one), a batch whose charges
+// sum over the bound is split into sequential scans, and every scan and
+// standing subscription queues for admission while the resident total
+// would exceed it. A client that disconnects mid-result is detached
+// from its shared scan at the next event batch; sibling queries keep
+// streaming. On a multicore host each live ingest evaluates its
+// subscriptions on a worker pool, pipelined against its scan; shared
+// scans of stored documents route inline, since concurrent batches
+// already fill the cores.
 package main
 
 import (
@@ -126,9 +125,7 @@ type config struct {
 	attrs       bool
 	cacheCap    int
 	admin       bool   // expose the mutating /admin/* endpoints
-	batchBudget int64  // cap on a scan's summed predicted buffer bytes (0 = unlimited)
-	maxScansDoc int    // admission: concurrent scans per document (0 = unlimited)
-	maxResident int64  // admission: total resident predicted buffer bytes (0 = unlimited)
+	maxResident int64  // the memory gate: total resident charged buffer bytes (0 = unlimited)
 	shardID     int    // shard identity asserted at /shardz (-1 = standalone)
 	advertise   string // reachable address reported at /shardz
 }
@@ -145,21 +142,14 @@ const maxSaneWindow = time.Minute
 // buildConfig validates the flag values and resolves the document set.
 // It is the startup gate: bad values produce errors here, not silent
 // defaults at serving time.
-func buildConfig(dtdFile, docFile, docroot string, window time.Duration, maxBatch, cacheCap int, attrs, admin bool, sched schedConfig, id shardConfig, streams streamFlags) (config, error) {
+func buildConfig(dtdFile, docFile, docroot string, window time.Duration, maxBatch, cacheCap int, attrs, admin bool, maxResident int64, id shardConfig, streams streamFlags) (config, error) {
 	cfg := config{
 		window: window, maxBatch: maxBatch, attrs: attrs, cacheCap: cacheCap, admin: admin,
-		batchBudget: sched.batchBudget, maxScansDoc: sched.maxScansDoc,
-		maxResident: sched.maxResident,
+		maxResident: maxResident,
 		shardID:     id.shardID, advertise: id.advertise,
 	}
-	if sched.batchBudget < 0 {
-		return cfg, fmt.Errorf("-batch-buffer-budget must be non-negative (0 = unlimited), got %d", sched.batchBudget)
-	}
-	if sched.maxScansDoc < 0 {
-		return cfg, fmt.Errorf("-max-scans-per-doc must be non-negative (0 = unlimited), got %d", sched.maxScansDoc)
-	}
-	if sched.maxResident < 0 {
-		return cfg, fmt.Errorf("-max-resident-buffer must be non-negative (0 = unlimited), got %d", sched.maxResident)
+	if maxResident < 0 {
+		return cfg, fmt.Errorf("-max-resident-buffer must be non-negative (0 = unlimited), got %d", maxResident)
 	}
 	if id.shardID < -1 {
 		return cfg, fmt.Errorf("-shard-id must be a shard index >= 0, or -1 for standalone, got %d", id.shardID)
@@ -252,13 +242,6 @@ func docName(path string) string {
 	return strings.TrimSuffix(base, filepath.Ext(base))
 }
 
-// schedConfig bundles the scheduling and admission flag values.
-type schedConfig struct {
-	batchBudget int64
-	maxScansDoc int
-	maxResident int64
-}
-
 // shardConfig bundles the shard-identity flag values.
 type shardConfig struct {
 	shardID   int
@@ -296,9 +279,7 @@ func main() {
 		attrs    = flag.Bool("attrs", false, "convert attributes to subelements (XSAX)")
 		admin    = flag.Bool("admin", false, "expose the mutating /admin/* endpoints (hot-swap); they accept server-side file paths, so enable only on trusted networks")
 
-		batchBudget = flag.Int64("batch-buffer-budget", 0, "cap on one scan's summed predicted peak buffer bytes; over-budget batches split into sequential scans (0 = unlimited)")
-		maxScansDoc = flag.Int("max-scans-per-doc", 0, "admission control: concurrent scans per document; excess scans queue (0 = unlimited)")
-		maxResident = flag.Int64("max-resident-buffer", 0, "admission control: total predicted resident buffer bytes across all scans; excess scans queue (0 = unlimited)")
+		maxResident = flag.Int64("max-resident-buffer", 0, "the one memory bound: total query buffer bytes of all admitted scans, each query charged its plan's observed peak on the document (the static prediction until a run completes); over-budget batches split into sequential scans, excess scans queue (0 = unlimited)")
 
 		shardID   = flag.Int("shard-id", -1, "shard index this worker asserts at /shardz, for fluxrouter supervision (-1 = standalone)")
 		advertise = flag.String("advertise", "", "reachable base URL reported at /shardz, when the listen address is not routable as written")
@@ -310,11 +291,8 @@ func main() {
 	flag.Var(&tails, "tail", "feed the named document's stream from a file or named pipe, as doc=path; a pipe is re-opened after each complete document (repeatable)")
 	flag.Parse()
 
-	cfg, err := buildConfig(*dtdFile, *docFile, *docroot, *window, *maxBatch, *cacheCap, *attrs, *admin, schedConfig{
-		batchBudget: *batchBudget,
-		maxScansDoc: *maxScansDoc,
-		maxResident: *maxResident,
-	}, shardConfig{shardID: *shardID, advertise: *advertise}, streamFlags{streamDocs: streamDocs, tails: tails})
+	cfg, err := buildConfig(*dtdFile, *docFile, *docroot, *window, *maxBatch, *cacheCap, *attrs, *admin, *maxResident,
+		shardConfig{shardID: *shardID, advertise: *advertise}, streamFlags{streamDocs: streamDocs, tails: tails})
 	if err != nil {
 		fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 func newServer(cfg config) (*shard.Server, error) {
 	cat := flux.NewCatalog(flux.CatalogOptions{
 		QueryCacheCap:          cfg.cacheCap,
-		MaxScansPerDoc:         cfg.maxScansDoc,
 		MaxResidentBufferBytes: cfg.maxResident,
 	})
 	for _, d := range cfg.docs {
@@ -48,7 +47,6 @@ func newServer(cfg config) (*shard.Server, error) {
 		Window:             cfg.window,
 		MaxBatch:           cfg.maxBatch,
 		AttrsToSubelements: cfg.attrs,
-		BatchBufferBudget:  cfg.batchBudget,
 	})
 	if err != nil {
 		return nil, err

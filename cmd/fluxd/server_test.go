@@ -472,7 +472,7 @@ func TestBuildConfigValidation(t *testing.T) {
 		{"ok docroot", "", "", dir, time.Millisecond, 16, 0, ""},
 	}
 	for _, tc := range cases {
-		_, err := buildConfig(tc.dtd, tc.doc, tc.docroot, tc.window, tc.maxBatch, tc.cacheCap, false, false, schedConfig{}, shardConfig{shardID: -1}, streamFlags{})
+		_, err := buildConfig(tc.dtd, tc.doc, tc.docroot, tc.window, tc.maxBatch, tc.cacheCap, false, false, 0, shardConfig{shardID: -1}, streamFlags{})
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -507,7 +507,7 @@ func TestServerDuplicateDocName(t *testing.T) {
 	dir := t.TempDir()
 	docPath := writeDocPair(t, dir, "bib", serverDoc)
 	dtdPath := filepath.Join(dir, "bib.dtd")
-	_, err := buildConfig(dtdPath, docPath, dir, time.Millisecond, 16, 0, false, false, schedConfig{}, shardConfig{shardID: -1}, streamFlags{})
+	_, err := buildConfig(dtdPath, docPath, dir, time.Millisecond, 16, 0, false, false, 0, shardConfig{shardID: -1}, streamFlags{})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("err = %v, want duplicate-name error", err)
 	}
@@ -544,21 +544,21 @@ func TestServerAdminDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestServerSchedulingStats: the scheduling knobs surface in /stats —
-// a split batch shows batch_splits/queries_deferred, selective fan-out
-// shows events_skipped, and the admission section counts every scan.
+// TestServerSchedulingStats: the memory gate surfaces in /stats — a
+// batch split by -max-resident-buffer shows batch_splits and
+// queries_deferred, selective fan-out shows events_skipped, and the
+// admission section counts every scan.
 func TestServerSchedulingStats(t *testing.T) {
 	dir := t.TempDir()
 	docPath := writeDocPair(t, dir, "bib", serverDoc)
-	// Budget below the buffering query's prediction (4096): it cannot
-	// share a scan with anything, so the batch of two splits in two.
-	budget := int64(4000)
+	// A budget below the buffering queries' cold charge (their 4096-byte
+	// prediction): neither can share a scan, so the batch of two splits
+	// in two.
 	s, err := newServer(config{
 		docs:        []shard.DocSpec{{Name: "bib", DocPath: docPath, DTDPath: filepath.Join(dir, "bib.dtd")}},
 		window:      30 * time.Second,
 		maxBatch:    2,
-		batchBudget: budget,
-		maxScansDoc: 1,
+		maxResident: 4000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -621,24 +621,23 @@ func TestServerSchedulingStats(t *testing.T) {
 	}
 }
 
-// TestSchedulingFlagValidation: the scheduling and admission flags are
-// validated at startup like everything else.
+// TestSchedulingFlagValidation: the memory gate's flag is validated at
+// startup like everything else.
 func TestSchedulingFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	docPath := writeDocPair(t, dir, "bib", serverDoc)
 	dtdPath := filepath.Join(dir, "bib.dtd")
 	cases := []struct {
-		name    string
-		sched   schedConfig
-		wantErr string
+		name        string
+		maxResident int64
+		wantErr     string
 	}{
-		{"negative budget", schedConfig{batchBudget: -1}, "-batch-buffer-budget"},
-		{"negative scans per doc", schedConfig{maxScansDoc: -1}, "-max-scans-per-doc"},
-		{"negative resident", schedConfig{maxResident: -1}, "-max-resident-buffer"},
-		{"ok limits", schedConfig{batchBudget: 1 << 20, maxScansDoc: 4, maxResident: 1 << 24}, ""},
+		{"negative resident", -1, "-max-resident-buffer"},
+		{"unlimited", 0, ""},
+		{"ok limit", 1 << 24, ""},
 	}
 	for _, tc := range cases {
-		_, err := buildConfig(dtdPath, docPath, "", time.Millisecond, 16, 0, false, false, tc.sched, shardConfig{shardID: -1}, streamFlags{})
+		_, err := buildConfig(dtdPath, docPath, "", time.Millisecond, 16, 0, false, false, tc.maxResident, shardConfig{shardID: -1}, streamFlags{})
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -687,7 +686,7 @@ func TestServerShardIdentity(t *testing.T) {
 	}
 
 	if _, err := buildConfig(dtdPath, docPath, "", time.Millisecond, 16, 0, false, false,
-		schedConfig{}, shardConfig{shardID: -2}, streamFlags{}); err == nil || !strings.Contains(err.Error(), "-shard-id") {
+		0, shardConfig{shardID: -2}, streamFlags{}); err == nil || !strings.Contains(err.Error(), "-shard-id") {
 		t.Fatalf("shard-id -2: err = %v, want -shard-id validation error", err)
 	}
 }
@@ -715,7 +714,7 @@ func TestStreamFlagValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		_, err := buildConfig(dtdPath, docPath, "", time.Millisecond, 16, 0, false, false,
-			schedConfig{}, shardConfig{shardID: -1}, tc.streams)
+			0, shardConfig{shardID: -1}, tc.streams)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
 		}
@@ -723,7 +722,7 @@ func TestStreamFlagValidation(t *testing.T) {
 
 	// A stream-doc-only server is a valid configuration: no file docs.
 	cfg, err := buildConfig("", "", "", time.Millisecond, 16, 0, false, false,
-		schedConfig{}, shardConfig{shardID: -1},
+		0, shardConfig{shardID: -1},
 		streamFlags{streamDocs: []string{"feed=" + dtdPath}, tails: []string{"feed=" + docPath}})
 	if err != nil {
 		t.Fatalf("stream-doc only: %v", err)
@@ -745,7 +744,7 @@ func TestServerTailIngest(t *testing.T) {
 	dtdPath := filepath.Join(dir, "bib.dtd")
 
 	cfg, err := buildConfig("", "", "", time.Millisecond, 16, 0, false, false,
-		schedConfig{}, shardConfig{shardID: -1},
+		0, shardConfig{shardID: -1},
 		streamFlags{streamDocs: []string{"feed=" + dtdPath}, tails: []string{"feed=" + docPath}})
 	if err != nil {
 		t.Fatal(err)

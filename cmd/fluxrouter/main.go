@@ -24,9 +24,8 @@
 // Flags: [-addr :8710] [-spawn N -docroot dir | -shards list]
 // [-shard-map file] [-health-interval 2s] [-admin]
 // [-rebalance-interval 0] [-rebalance-threshold 8] [-window 2ms]
-// [-max-batch 16] [-batch-buffer-budget 0] [-max-scans-per-doc 0]
-// [-max-resident-buffer 0] (the serving knobs apply to embedded shards
-// only).
+// [-max-batch 16] [-max-resident-buffer 0] (the serving knobs apply to
+// embedded shards only).
 //
 // -rebalance-interval starts the autonomous control plane: every
 // interval the router folds the per-(document, shard) query counts it
@@ -108,9 +107,7 @@ func main() {
 
 		window      = flag.Duration("window", 2*time.Millisecond, "embedded shards: batch window")
 		maxBatch    = flag.Int("max-batch", 16, "embedded shards: maximum queries per shared scan")
-		batchBudget = flag.Int64("batch-buffer-budget", 0, "embedded shards: cap on one scan's summed predicted peak buffer bytes (0 = unlimited)")
-		maxScansDoc = flag.Int("max-scans-per-doc", 0, "embedded shards: concurrent scans per document (0 = unlimited)")
-		maxResident = flag.Int64("max-resident-buffer", 0, "embedded shards: total predicted resident buffer bytes (0 = unlimited)")
+		maxResident = flag.Int64("max-resident-buffer", 0, "embedded shards: each shard's one memory bound, the total query buffer bytes of its admitted scans, each query charged its plan's observed peak on the document (the static prediction until a run completes) (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -153,12 +150,10 @@ func main() {
 		}
 		embedded, serr := shard.SpawnEmbedded(m, specs, shard.EmbeddedOptions{
 			Executor: flux.ExecutorOptions{
-				Window:            *window,
-				MaxBatch:          *maxBatch,
-				BatchBufferBudget: *batchBudget,
+				Window:   *window,
+				MaxBatch: *maxBatch,
 			},
 			Catalog: flux.CatalogOptions{
-				MaxScansPerDoc:         *maxScansDoc,
 				MaxResidentBufferBytes: *maxResident,
 			},
 			// Embedded workers inherit the router's admin stance: a

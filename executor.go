@@ -37,15 +37,17 @@ import (
 // a query ignores is not validated against its DTD; RunAll keeps
 // all-fanout delivery and with it full per-query validation.
 //
-// Dispatch is cost-based: each compiled plan carries a static predicted
-// peak buffer size (BufferReport.PredictedPeakBytes); when a batch's
-// sum exceeds ExecutorOptions.BatchBufferBudget the batch is split —
-// plans are grouped by buffer profile and the overflow runs as deferred
-// sub-batches after the first scan completes, bounding the resident
-// footprint of any single scan. Every scan is additionally admitted
-// through the catalog's admission control (Catalog.AdmitScan), which
-// bounds concurrent scans per document and total resident predicted
-// bytes across the process.
+// Dispatch is cost-based, against the catalog's one memory gate: each
+// query is charged Catalog.Charge — the peak its plan buffered on the
+// last completed run over the document, or the static prediction before
+// one — and when a batch's charges sum over
+// CatalogOptions.MaxResidentBufferBytes the batch is split: plans are
+// grouped by buffer profile and the overflow runs as deferred
+// sub-batches after the first scan completes, so no single scan's
+// charge exceeds the budget unless one query alone does. Every scan is
+// then admitted through Catalog.AdmitScan, which holds the summed
+// charge of all resident scans across the process to the same budget,
+// and every completed run records its observed peak (Catalog.ObservePeak).
 //
 // Each document gets its own batch window, so a burst against one
 // document never delays queries against another. Scanners and engine
@@ -85,14 +87,6 @@ type ExecutorOptions struct {
 	// AttrsToSubelements applies the XSAX attribute conversion to every
 	// scan.
 	AttrsToSubelements bool
-	// BatchBufferBudget caps the summed predicted peak buffer bytes
-	// (BufferReport.PredictedPeakBytes) of the queries sharing one scan.
-	// A batch over budget is split deterministically: queries are
-	// grouped by buffer profile and packed in order, and overflow
-	// sub-batches run one after another (deferred), each its own scan.
-	// A single query predicting more than the whole budget still runs,
-	// alone. 0 means unlimited.
-	BatchBufferBudget int64
 }
 
 // Defaults for ExecutorOptions zero values.
@@ -111,9 +105,6 @@ func NewExecutor(cat *Catalog, opt ExecutorOptions) (*Executor, error) {
 	}
 	if opt.MaxBatch < 0 {
 		return nil, fmt.Errorf("flux: negative max batch %d", opt.MaxBatch)
-	}
-	if opt.BatchBufferBudget < 0 {
-		return nil, fmt.Errorf("flux: negative batch buffer budget %d", opt.BatchBufferBudget)
 	}
 	if opt.Window == 0 {
 		opt.Window = DefaultWindow
@@ -142,10 +133,11 @@ type ExecResult struct {
 
 // execRequest is one enqueued execution.
 type execRequest struct {
-	ctx  context.Context
-	q    *Query
-	w    *guardWriter
-	done chan execOutcome
+	ctx    context.Context
+	q      *Query
+	w      *guardWriter
+	done   chan execOutcome
+	charge int64 // Catalog.Charge, priced when the batch dispatches
 }
 
 type execOutcome struct {
@@ -249,12 +241,16 @@ func (e *Executor) dispatch(b *docBatch) {
 	e.runBatch(b)
 }
 
-// runBatch schedules one collected batch: it splits the requests into
-// budget-respecting sub-batches by buffer profile and runs each as its
-// own admitted shared scan, in order — overflow work is deferred behind
-// the first scan rather than inflating its resident footprint.
+// runBatch schedules one collected batch: it prices every request,
+// splits the requests into sub-batches within the catalog's budget by
+// buffer profile, and runs each as its own admitted shared scan, in
+// order — overflow work is deferred behind the first scan rather than
+// inflating its resident footprint.
 func (e *Executor) runBatch(b *docBatch) {
-	subs := splitByBudget(b.reqs, e.opt.BatchBufferBudget)
+	for _, req := range b.reqs {
+		req.charge = e.cat.Charge(b.doc, req.q)
+	}
+	subs := splitByBudget(b.reqs, e.cat.adm.maxBytes)
 	if len(subs) > 1 {
 		c := e.counters(b.doc)
 		c.splits.Add(int64(len(subs) - 1))
@@ -270,12 +266,12 @@ func (e *Executor) runBatch(b *docBatch) {
 }
 
 // splitByBudget partitions a batch into sub-batches whose summed
-// predicted peak buffer bytes stay within budget (0 = no limit). The
-// split is deterministic for a given arrival order: requests are
-// stable-sorted by buffer profile (signature key), so plans with equal
-// routing behavior share a scan, then packed greedily in order. A
-// single request over the whole budget gets a sub-batch of its own,
-// and zero-predicted (fully streaming) queries never trigger a split —
+// charges stay within budget (<= 0 = no limit). The split is
+// deterministic for a given arrival order: requests are stable-sorted
+// by buffer profile (signature key), so plans with equal routing
+// behavior share a scan, then packed greedily in order. A single
+// request over the whole budget gets a sub-batch of its own,
+// and zero-charge (fully streaming) queries never trigger a split —
 // they add nothing to a scan's resident footprint, so deferring them
 // would cost a document pass for free (the admission layer exempts
 // them from the byte budget for the same reason).
@@ -288,14 +284,14 @@ func splitByBudget(reqs []*execRequest, budget int64) [][]*execRequest {
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return sorted[i].q.plan.SigKey() < sorted[j].q.plan.SigKey()
 	})
-	// Zero-predicted queries ride the first scan unconditionally — they
-	// add nothing to any scan's resident footprint, so deferring one
-	// behind a split would cost its caller a document pass for free.
+	// Zero-charge queries ride the first scan unconditionally — they add
+	// nothing to any scan's resident footprint, so deferring one behind a
+	// split would cost its caller a document pass for free.
 	var subs [][]*execRequest
 	var cur, riders []*execRequest
 	var sum int64
 	for _, req := range sorted {
-		p := req.q.plan.PredictedPeakBytes()
+		p := req.charge
 		if p == 0 {
 			riders = append(riders, req)
 			continue
@@ -317,12 +313,14 @@ func splitByBudget(reqs []*execRequest, budget int64) [][]*execRequest {
 	return subs
 }
 
-// runScan executes one shared scan over sub and delivers each request
-// its result. The scan is admitted through the catalog's admission
-// control before the document is opened. Requests whose context is
-// already done — common for deferred sub-batches whose callers timed
-// out behind an earlier scan — are dropped up front, and a fully dead
-// sub-batch never takes an admission slot or touches the document.
+// runScan executes one shared scan over reqs and delivers each request
+// its result. The scan is admitted for the requests' summed charges
+// before the document is opened. Requests whose context is already done
+// — common for deferred sub-batches whose callers timed out behind an
+// earlier scan — are dropped up front, a fully dead sub-batch never
+// takes admission capacity or touches the document, and a sub-batch
+// whose callers all leave while it queues for admission leaves the
+// queue.
 func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	c := e.counters(doc)
 	// dropDead removes requests whose caller is already gone, counting
@@ -343,11 +341,20 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	if reqs = dropDead(reqs); len(reqs) == 0 {
 		return
 	}
-	charges := make([]ScanCharge, len(reqs))
-	for i, req := range reqs {
-		charges[i] = ScanCharge{Sig: req.q.plan.SigKey(), PredictedBytes: req.q.plan.PredictedPeakBytes()}
+	var charge int64
+	for _, req := range reqs {
+		charge += req.charge
 	}
-	release := e.cat.AdmitScanCharges(doc, charges)
+	ctx, stop := context.Background(), func() {}
+	if e.cat.adm.maxBytes > 0 { // only a bounded gate makes a scan wait
+		ctx, stop = callersGone(reqs)
+	}
+	release, err := e.cat.AdmitScan(ctx, charge)
+	stop()
+	if err != nil {
+		dropDead(reqs) // every caller left the queue: that ended the wait
+		return
+	}
 	defer release()
 	// Admission may have queued for a while; callers that died waiting
 	// must not cost a scan.
@@ -373,6 +380,13 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 			req.done <- execOutcome{res: ExecResult{BatchSize: n}, err: err}
 		}
 	}
+	// The version is read before the file is opened: a Swap in between
+	// makes the observed peaks below stale, never misattributed.
+	info, err := e.cat.Info(doc)
+	if err != nil {
+		fail(err)
+		return
+	}
 	f, err := e.cat.Open(doc)
 	if err != nil {
 		fail(err)
@@ -381,12 +395,11 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	defer f.Close()
 
 	m := mux.NewSelective()
-	if mach, hit := e.machineFor(doc, reqs); mach != nil {
-		m.SetMachine(mach)
-		c.autoStates.Store(int64(mach.States()))
-		if hit {
-			c.autoHits.Add(1)
-		}
+	mach, hit := e.machineFor(info, reqs)
+	m.SetMachine(mach)
+	c.autoStates.Store(int64(mach.States()))
+	if hit {
+		c.autoHits.Add(1)
 	}
 	for _, req := range reqs {
 		m.AddContext(req.ctx, req.q.plan, req.w)
@@ -412,10 +425,9 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 			c.canceled.Add(1)
 		}
 		if r.Err == nil {
-			// A completed execution calibrates the cost model: the observed
-			// peak against the static prediction (failed or canceled runs
-			// observe a truncated peak and would bias the average low).
-			e.cat.ObservePeak(req.q.plan.SigKey(), req.q.plan.PredictedPeakBytes(), r.Stats.PeakBufferBytes)
+			// A completed run prices its signature's next admission (failed
+			// or canceled runs observe a truncated peak).
+			e.cat.ObservePeak(info, req.q.plan.SigKey(), r.Stats.PeakBufferBytes)
 		}
 		c.eventsSkipped.Add(r.SkippedEvents)
 	}
@@ -445,16 +457,37 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 // from cache anyway).
 const autoCacheCap = 256
 
-// machineFor returns the merged path automaton for this batch's
-// signature-key set against doc's current version, building and caching
-// it on first sight. The second result reports a cache hit. Returns nil
-// when the document is unknown (the scan will fail on Open anyway; the
-// Mux then builds its own machine).
-func (e *Executor) machineFor(doc string, reqs []*execRequest) (*autom.Machine, bool) {
-	info, err := e.cat.Info(doc)
-	if err != nil {
-		return nil, false
+// callersGone returns a context that ends once every request's caller
+// has gone: a shared scan stops waiting for admission only when nobody
+// is left to read its result. stop releases the watchers.
+func callersGone(reqs []*execRequest) (ctx context.Context, stop func()) {
+	if len(reqs) == 1 {
+		return reqs[0].ctx, func() {}
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var left atomic.Int64
+	left.Store(int64(len(reqs)))
+	stops := make([]func() bool, len(reqs))
+	for i, req := range reqs {
+		stops[i] = context.AfterFunc(req.ctx, func() {
+			if left.Add(-1) == 0 {
+				cancel()
+			}
+		})
+	}
+	return ctx, func() {
+		for _, s := range stops {
+			s()
+		}
+		cancel()
+	}
+}
+
+// machineFor returns the merged path automaton for this batch's
+// signature-key set against the document version info describes,
+// building and caching it on first sight. The second result reports a
+// cache hit.
+func (e *Executor) machineFor(info DocInfo, reqs []*execRequest) (*autom.Machine, bool) {
 	sigs := make(map[string]*engine.SigNode, len(reqs))
 	keys := make([]string, 0, len(reqs))
 	for _, req := range reqs {
@@ -465,7 +498,7 @@ func (e *Executor) machineFor(doc string, reqs []*execRequest) (*autom.Machine, 
 		}
 	}
 	sort.Strings(keys)
-	cacheKey := fmt.Sprintf("%s\x00%d\x00%s", doc, info.Swaps, strings.Join(keys, "\x1e"))
+	cacheKey := fmt.Sprintf("%s\x00%d\x00%s", info.Name, info.Swaps, strings.Join(keys, "\x1e"))
 	e.autoMu.Lock()
 	mach, ok := e.autoCache[cacheKey]
 	e.autoMu.Unlock()
@@ -506,8 +539,9 @@ type DocStats struct {
 	// queries; a lower bound when scanner pruning collapsed skipped
 	// subtrees into single tokens (see mux.Result.SkippedEvents).
 	EventsSkipped int64 `json:"events_skipped"`
-	// BatchSplits counts the extra scans forced by BatchBufferBudget
-	// (each split batch contributes its sub-batch count minus one).
+	// BatchSplits counts the extra scans forced by the catalog's
+	// MaxResidentBufferBytes budget (each split batch contributes its
+	// sub-batch count minus one).
 	BatchSplits int64 `json:"batch_splits"`
 	// Deferred counts queries moved behind another scan by a budget
 	// split instead of running in their batch's first scan.
@@ -569,8 +603,8 @@ func (e *Executor) Stats() map[string]DocStats {
 // ServerStats is the complete serving snapshot one serving process — a
 // standalone fluxd, or a shard worker behind fluxrouter — exports at
 // /stats. It is the typed form of that JSON payload: per-document
-// serving counters, the compiled-query cache counters, the scan
-// admission counters, and the predicted-peak calibration state.
+// serving counters, the compiled-query cache counters, and the scan
+// admission counters.
 // fluxrouter's stats merger (internal/shard) aggregates these per-shard
 // snapshots into one cross-shard rollup.
 type ServerStats struct {
@@ -582,14 +616,12 @@ type ServerStats struct {
 	Cache CacheStats `json:"cache"`
 	// Admission is the catalog's scan-admission counters.
 	Admission AdmissionStats `json:"admission"`
-	// Calibration is the catalog's predicted-peak correction state.
-	Calibration CalibrationStats `json:"calibration"`
 }
 
 // ServerStats assembles the process-wide serving snapshot: the
 // executor's per-document counters (every registered document included,
-// zero-valued until it serves) plus the catalog's cache, admission and
-// calibration counters.
+// zero-valued until it serves) plus the catalog's cache and admission
+// counters.
 func (e *Executor) ServerStats() ServerStats {
 	docs := e.Stats()
 	for _, name := range e.cat.Docs() {
@@ -598,10 +630,9 @@ func (e *Executor) ServerStats() ServerStats {
 		}
 	}
 	return ServerStats{
-		Docs:        docs,
-		Cache:       e.cat.CacheStats(),
-		Admission:   e.cat.AdmissionStats(),
-		Calibration: e.cat.CalibrationStats(),
+		Docs:      docs,
+		Cache:     e.cat.CacheStats(),
+		Admission: e.cat.AdmissionStats(),
 	}
 }
 

@@ -355,20 +355,21 @@ func TestPredictedPeakBytes(t *testing.T) {
 	}
 }
 
-// TestExecutorBatchSplit: a batch whose summed predicted peak bytes
-// exceed the budget splits deterministically into sequential scans, and
+// TestExecutorBatchSplit: a batch whose summed charges exceed the
+// catalog's budget splits deterministically into sequential scans, and
 // every query still gets its full, correct result.
 func TestExecutorBatchSplit(t *testing.T) {
-	cat := NewCatalog(CatalogOptions{})
+	// Cold, each buffering query is charged its prediction: two of them
+	// cannot share a scan under a budget of one.
+	budget := mustPrepare(t, bufferingQuery).BufferReport().PredictedPeakBytes
+	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: budget})
 	docPath := writeTemp(t, "bib.xml", catDoc)
 	if err := cat.Add("bib", docPath, catDTD); err != nil {
 		t.Fatal(err)
 	}
-	budget := mustPrepare(t, bufferingQuery).BufferReport().PredictedPeakBytes
 	ex, err := NewExecutor(cat, ExecutorOptions{
-		Window:            30 * time.Second,
-		MaxBatch:          2,
-		BatchBufferBudget: budget, // two buffering queries cannot share a scan
+		Window:   30 * time.Second,
+		MaxBatch: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,17 +410,16 @@ func TestExecutorBatchSplit(t *testing.T) {
 	}
 }
 
-// TestExecutorBudgetKeepsStreamingTogether: streaming queries predict
-// zero bytes, so even a tight budget never splits their batch.
+// TestExecutorBudgetKeepsStreamingTogether: streaming queries are
+// charged zero bytes, so even a tight budget never splits their batch.
 func TestExecutorBudgetKeepsStreamingTogether(t *testing.T) {
-	cat := NewCatalog(CatalogOptions{})
+	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 1})
 	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
 		t.Fatal(err)
 	}
 	ex, err := NewExecutor(cat, ExecutorOptions{
-		Window:            30 * time.Second,
-		MaxBatch:          2,
-		BatchBufferBudget: 1,
+		Window:   30 * time.Second,
+		MaxBatch: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -446,8 +446,14 @@ func TestExecutorBudgetKeepsStreamingTogether(t *testing.T) {
 	}
 }
 
+// chargedReq is a request priced at its plan's static prediction, the
+// charge a cold catalog quotes.
+func chargedReq(q *Query) *execRequest {
+	return &execRequest{q: q, charge: q.plan.PredictedPeakBytes()}
+}
+
 // TestSplitByBudget: the split is deterministic and packs by buffer
-// profile — a zero-cost plan rides along with a buffering one, the
+// profile — a zero-charge plan rides along with a buffering one, the
 // second buffering plan overflows into its own sub-batch.
 func TestSplitByBudget(t *testing.T) {
 	buf1 := mustPrepare(t, bufferingQuery)
@@ -455,7 +461,7 @@ func TestSplitByBudget(t *testing.T) {
 	stream := mustPrepare(t, streamingQuery)
 	budget := buf1.plan.PredictedPeakBytes()
 
-	reqs := []*execRequest{{q: buf1}, {q: buf2}, {q: stream}}
+	reqs := []*execRequest{chargedReq(buf1), chargedReq(buf2), chargedReq(stream)}
 	subs := splitByBudget(reqs, budget)
 	if len(subs) != 2 {
 		t.Fatalf("split into %d sub-batches, want 2", len(subs))
@@ -465,7 +471,7 @@ func TestSplitByBudget(t *testing.T) {
 		total += len(sub)
 		var sum int64
 		for _, r := range sub {
-			sum += r.q.plan.PredictedPeakBytes()
+			sum += r.charge
 		}
 		if sum > budget && len(sub) > 1 {
 			t.Errorf("sub-batch over budget: %d > %d with %d members", sum, budget, len(sub))
@@ -474,10 +480,10 @@ func TestSplitByBudget(t *testing.T) {
 	if total != len(reqs) {
 		t.Fatalf("split lost requests: %d of %d", total, len(reqs))
 	}
-	// A zero-cost rider never forces a split, whatever the pack order:
+	// A zero-charge rider never forces a split, whatever the pack order:
 	// pairing it with a plan that alone exceeds the budget still shares
 	// one scan — deferring either side would cost a pass for free.
-	pair := splitByBudget([]*execRequest{{q: stream}, {q: buf1}}, budget-1)
+	pair := splitByBudget([]*execRequest{chargedReq(stream), chargedReq(buf1)}, budget-1)
 	if len(pair) != 1 || len(pair[0]) != 2 {
 		t.Fatalf("zero-cost rider split off: %d sub-batches", len(pair))
 	}
@@ -535,11 +541,13 @@ func TestExecutorSelectiveSkipsEvents(t *testing.T) {
 	}
 }
 
-// TestExecutorAdmissionQueues: with MaxScansPerDoc 1, a scan submitted
-// while the document's admission slot is held queues — observable via
-// AdmissionStats — and starts only once the slot is released.
+// TestExecutorAdmissionQueues: a buffering scan submitted while the
+// catalog's byte budget is held queues — observable via AdmissionStats
+// — and starts only once the budget is released; its caller never sees
+// its own finished scan still counted active.
 func TestExecutorAdmissionQueues(t *testing.T) {
-	cat := NewCatalog(CatalogOptions{MaxScansPerDoc: 1})
+	budget := mustPrepare(t, bufferingQuery).BufferReport().PredictedPeakBytes
+	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: budget})
 	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
 		t.Fatal(err)
 	}
@@ -548,26 +556,20 @@ func TestExecutorAdmissionQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hold the document's only scan slot.
-	release := cat.AdmitScan("bib", 0)
+	// Hold the whole budget.
+	release := admit(t, cat, budget)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := ex.ExecuteContext(context.Background(), "bib", streamingQuery, io.Discard)
+		_, err := ex.ExecuteContext(context.Background(), "bib", bufferingQuery, io.Discard)
 		done <- err
 	}()
 
 	// The scan must queue, not start.
-	deadline := time.Now().Add(5 * time.Second)
-	for cat.AdmissionStats().Waiting == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("scan never queued for admission")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitWaiting(t, cat, 1)
 	select {
 	case err := <-done:
-		t.Fatalf("scan ran while over the per-doc limit (err=%v)", err)
+		t.Fatalf("scan ran while over the byte budget (err=%v)", err)
 	default:
 	}
 
@@ -581,14 +583,14 @@ func TestExecutorAdmissionQueues(t *testing.T) {
 	}
 }
 
-// TestSplitByBudgetRidersJoinFirstScan: wherever a zero-predicted query
+// TestSplitByBudgetRidersJoinFirstScan: wherever a zero-charge query
 // sorts, it rides the first sub-batch — never deferred behind a split.
 func TestSplitByBudgetRidersJoinFirstScan(t *testing.T) {
 	buf1 := mustPrepare(t, bufferingQuery)
 	buf2 := mustPrepare(t, bufferingQuery)
 	stream := mustPrepare(t, streamingQuery)
 	budget := buf1.plan.PredictedPeakBytes()
-	subs := splitByBudget([]*execRequest{{q: buf1}, {q: buf2}, {q: stream}}, budget)
+	subs := splitByBudget([]*execRequest{chargedReq(buf1), chargedReq(buf2), chargedReq(stream)}, budget)
 	if len(subs) != 2 {
 		t.Fatalf("split into %d sub-batches, want 2", len(subs))
 	}

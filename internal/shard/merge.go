@@ -12,11 +12,10 @@ import (
 // still drill into any shard.
 type MergedStats struct {
 	// Rollup aggregates the per-shard snapshots: per-document counters
-	// summed across shards (peak_batch_size is the max, the only
-	// non-additive counter), cache and admission counters summed, and
-	// the calibration factors — global and per signature — averaged
-	// weighted by each shard's sample counts. For replicated documents
-	// the rollup entry is the total across replicas.
+	// summed across shards (peak_batch_size and automaton_states, the
+	// gauges, take the max), and cache and admission counters summed.
+	// For replicated documents the rollup entry is the total across
+	// replicas.
 	Rollup flux.ServerStats `json:"rollup"`
 	// PerShard holds each reachable shard's own snapshot, keyed by
 	// decimal shard id.
@@ -28,17 +27,14 @@ type MergedStats struct {
 
 // Merge aggregates per-shard snapshots (keyed by shard id) into a
 // MergedStats. The rollup is pure arithmetic over the inputs — summing
-// every additive counter, taking the max of peak_batch_size, and
-// weighting the calibration factor by samples — so rollup equals the
-// shard sums exactly; the router's integration tests assert that.
+// every additive counter and taking the max of the gauges — so rollup
+// equals the shard sums exactly; the router's integration tests assert
+// that.
 func Merge(per map[string]flux.ServerStats) MergedStats {
 	out := MergedStats{
 		Rollup:   flux.ServerStats{Docs: make(map[string]flux.DocStats)},
 		PerShard: per,
 	}
-	var factorWeighted float64
-	sigWeighted := make(map[string]float64)
-	sigSamples := make(map[string]int64)
 	keys := make([]string, 0, len(per))
 	for k := range per {
 		keys = append(keys, k)
@@ -58,30 +54,6 @@ func Merge(per map[string]flux.ServerStats) MergedStats {
 		out.Rollup.Admission.Waiting += st.Admission.Waiting
 		out.Rollup.Admission.Queued += st.Admission.Queued
 		out.Rollup.Admission.Admitted += st.Admission.Admitted
-		out.Rollup.Calibration.Samples += st.Calibration.Samples
-		out.Rollup.Calibration.Evicted += st.Calibration.Evicted
-		factorWeighted += st.Calibration.Factor * float64(st.Calibration.Samples)
-		for sig, sc := range st.Calibration.Signatures {
-			sigWeighted[sig] += sc.Factor * float64(sc.Samples)
-			sigSamples[sig] += sc.Samples
-		}
-	}
-	if out.Rollup.Calibration.Samples > 0 {
-		out.Rollup.Calibration.Factor = factorWeighted / float64(out.Rollup.Calibration.Samples)
-	} else {
-		// No shard has calibrated yet; the rollup reports the neutral
-		// factor every shard is still applying.
-		out.Rollup.Calibration.Factor = 1
-	}
-	if len(sigSamples) > 0 {
-		out.Rollup.Calibration.Signatures = make(map[string]flux.SigCalibration, len(sigSamples))
-		for sig, n := range sigSamples {
-			f := 1.0
-			if n > 0 {
-				f = sigWeighted[sig] / float64(n)
-			}
-			out.Rollup.Calibration.Signatures[sig] = flux.SigCalibration{Factor: f, Samples: n}
-		}
 	}
 	return out
 }

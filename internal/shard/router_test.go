@@ -195,8 +195,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 // TestRouterMergedStats is the rollup arithmetic contract from the
 // acceptance criteria: after a spread of queries, the router's /stats
 // rollup equals the sum of the per-shard sections in the same payload —
-// per-document counters, cache counters, admission counters, and
-// calibration samples.
+// per-document counters, cache counters and admission counters.
 func TestRouterMergedStats(t *testing.T) {
 	_, _, ts := spawnTier(t, testDocs, 2, "")
 	for doc := range testDocs {
@@ -230,7 +229,6 @@ func TestRouterMergedStats(t *testing.T) {
 
 	// Recompute the rollup by hand from the per-shard sections.
 	sum := flux.ServerStats{Docs: make(map[string]flux.DocStats)}
-	var samples int64
 	for _, st := range merged.PerShard {
 		for doc, d := range st.Docs {
 			sum.Docs[doc] = addDocStats(sum.Docs[doc], d)
@@ -240,7 +238,6 @@ func TestRouterMergedStats(t *testing.T) {
 		sum.Cache.Size += st.Cache.Size
 		sum.Admission.Admitted += st.Admission.Admitted
 		sum.Admission.Queued += st.Admission.Queued
-		samples += st.Calibration.Samples
 	}
 	for doc := range testDocs {
 		got, want := merged.Rollup.Docs[doc], sum.Docs[doc]
@@ -261,8 +258,8 @@ func TestRouterMergedStats(t *testing.T) {
 	if merged.Rollup.Admission.Admitted != sum.Admission.Admitted || merged.Rollup.Admission.Admitted == 0 {
 		t.Errorf("rollup.admission.admitted = %d, want non-zero sum %d", merged.Rollup.Admission.Admitted, sum.Admission.Admitted)
 	}
-	if merged.Rollup.Calibration.Samples != samples {
-		t.Errorf("rollup.calibration.samples = %d, want sum %d", merged.Rollup.Calibration.Samples, samples)
+	if merged.Rollup.Admission.Queued != sum.Admission.Queued {
+		t.Errorf("rollup.admission.queued = %d, want sum %d", merged.Rollup.Admission.Queued, sum.Admission.Queued)
 	}
 }
 
@@ -438,7 +435,7 @@ func TestClientAgainstWorker(t *testing.T) {
 		t.Fatalf("docs = %+v, err %v", docs, err)
 	}
 	st, err := c.Stats(ctx)
-	if err != nil || st.Docs == nil || st.Calibration.Factor == 0 {
+	if err != nil || st.Docs == nil {
 		t.Fatalf("stats = %+v, err %v", st, err)
 	}
 }

@@ -22,11 +22,10 @@
 // dedicated goroutine, so one slow subscriber never stalls its
 // siblings' deliveries; what happens when the ring fills is the
 // subscription's Policy — block the scan (backpressure to the producer)
-// or drop the overflow with a counter. And each subscription charges
-// its plan's calibrated predicted peak bytes through the catalog's
-// admission gate for as long as it stands, with the observed peak fed
-// back to calibration when it completes — live queries budget against
-// batch queries, not beside them.
+// or drop the overflow with a counter. And each subscription holds its
+// plan's charge (flux.Catalog.Charge) in the catalog's memory gate for
+// as long as it stands, recording its observed peak when it completes —
+// live queries budget against batch queries, not beside them.
 package stream
 
 import (
@@ -117,9 +116,10 @@ func NewHub(cat *flux.Catalog, opt Options) *Hub {
 // Subscribe registers a standing query against the named document,
 // writing its results to w as they are produced. The query text is
 // compiled through the catalog (shared schema, compiled-query cache),
-// and the subscription charges its plan's calibrated predicted peak
-// bytes through the catalog's admission gate — Subscribe blocks while
-// the catalog is at capacity, which is the admission backpressure.
+// and the subscription holds its plan's charge (flux.Catalog.Charge) in
+// the catalog's memory gate — Subscribe blocks while the catalog is at
+// capacity, which is the admission backpressure, and returns ctx.Err()
+// if ctx ends while it waits.
 //
 // If an ingest for the document is live, the subscription activates at
 // its next sync point and observes the stream suffix from there; if
@@ -135,13 +135,17 @@ func (h *Hub) Subscribe(ctx context.Context, doc, queryText string, w io.Writer,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	plan := q.Plan()
-	release := h.cat.AdmitScanCharges(doc, []flux.ScanCharge{
-		{Sig: plan.SigKey(), PredictedBytes: plan.PredictedPeakBytes()},
-	})
+	info, err := h.cat.Info(doc)
+	if err != nil {
+		return nil, err
+	}
+	release, err := h.cat.AdmitScan(ctx, h.cat.Charge(doc, q))
+	if err != nil {
+		return nil, err
+	}
 	sub := &Subscription{
 		hub:       h,
-		doc:       doc,
+		doc:       info,
 		query:     q,
 		ctx:       ctx,
 		w:         w,

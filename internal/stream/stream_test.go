@@ -149,6 +149,11 @@ func TestStreamStaticEquivalence(t *testing.T) {
 		if st.DroppedBytes != 0 {
 			t.Fatalf("query %d dropped %d bytes under PolicyBlock", i, st.DroppedBytes)
 		}
+		// A clean end prices the next admission of the query's signature.
+		q, _ := cat.Prepare("live", liveQueries[i])
+		if got := cat.Charge("live", q); got != st.PeakBufferBytes {
+			t.Fatalf("query %d charge = %d, want its observed peak %d", i, got, st.PeakBufferBytes)
+		}
 	}
 	if st := cat.AdmissionStats(); st.ActiveScans != 0 {
 		t.Fatalf("admission charges not released: %d active", st.ActiveScans)
@@ -628,5 +633,54 @@ func TestStreamAbortFailsSubscriptions(t *testing.T) {
 	waitDone(t, sub)
 	if err := sub.Err(); err == nil || !strings.Contains(err.Error(), cause.Error()) {
 		t.Fatalf("subscription err after abort = %v, want the cause preserved", err)
+	}
+}
+
+// TestStreamSubscribeCanceledWhileQueued: a Subscribe queued behind a
+// full memory gate honours its context — it leaves the admission queue
+// and returns ctx.Err() instead of blocking its caller until capacity
+// frees.
+func TestStreamSubscribeCanceledWhileQueued(t *testing.T) {
+	cat := flux.NewCatalog(flux.CatalogOptions{MaxResidentBufferBytes: 1000})
+	if err := cat.AddStream("live", liveDTD); err != nil {
+		t.Fatal(err)
+	}
+	hub := stream.NewHub(cat, stream.Options{})
+	defer hub.Close()
+	// x precedes y in every a, so the where clause makes the query buffer.
+	const buffering = `{ for $a in /r/a where $a/y = 'ay1' return {$a/x} }`
+	q, err := cat.Prepare("live", buffering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat.Charge("live", q) == 0 {
+		t.Fatal("test query is charged nothing; it would never queue")
+	}
+	hold, err := cat.AdmitScan(context.Background(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	errc := make(chan error, 1)
+	go func() {
+		sub, err := hub.Subscribe(ctx, "live", buffering, &lockedBuffer{}, stream.PolicyBlock)
+		if sub != nil {
+			t.Error("a canceled Subscribe returned a subscription")
+		}
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Subscribe err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Subscribe still blocked on a canceled context: %+v", cat.AdmissionStats())
+	}
+	if st := cat.AdmissionStats(); st.Waiting != 0 || st.ActiveScans != 1 || st.ResidentBufferBytes != 1000 {
+		t.Fatalf("admission = %+v, want only the holder resident, nothing waiting", st)
 	}
 }

@@ -24,7 +24,7 @@ import (
 // complete.
 type Subscription struct {
 	hub     *Hub
-	doc     string
+	doc     flux.DocInfo // the version its observed peak is recorded against
 	query   *flux.Query
 	ctx     context.Context
 	w       io.Writer
@@ -50,8 +50,8 @@ type SubStats struct {
 	// full under PolicyDrop. Always 0 under PolicyBlock.
 	DroppedBytes int64 `json:"dropped_bytes"`
 	// PeakBufferBytes is the engine's peak buffered bytes for this
-	// query over the stream — the quantity admission charged for,
-	// predicted; this is what ObservePeak feeds back.
+	// query over the stream — what a clean end records through
+	// flux.Catalog.ObservePeak, pricing the signature's next admission.
 	PeakBufferBytes int64 `json:"peak_buffer_bytes"`
 	// Tokens is the number of SAX events delivered to this query.
 	Tokens int64 `json:"tokens"`
@@ -83,9 +83,9 @@ func (s *Subscription) Stats() SubStats {
 	return st
 }
 
-// finish records the subscription's final stats and failure, feeds the
-// observed peak back to the catalog's calibration, releases the
-// admission charge, and closes the ring's write side so the drain
+// finish records the subscription's final stats and failure, records
+// a clean run's observed peak with the catalog, releases the admission
+// charge, and closes the ring's write side so the drain
 // goroutine can deliver the tail and close Done. Idempotent — the first
 // outcome (mid-stream detach, end-of-stream result, rejection) wins.
 func (s *Subscription) finish(st engine.Stats, err error) {
@@ -97,8 +97,7 @@ func (s *Subscription) finish(st engine.Stats, err error) {
 		s.err = err
 		s.mu.Unlock()
 		if err == nil {
-			plan := s.query.Plan()
-			s.hub.cat.ObservePeak(plan.SigKey(), plan.PredictedPeakBytes(), st.PeakBufferBytes)
+			s.hub.cat.ObservePeak(s.doc, s.query.Plan().SigKey(), st.PeakBufferBytes)
 		}
 		s.release()
 		s.ring.closeWrite()

@@ -227,7 +227,7 @@ type GenOptions struct {
 	Seed int64
 }
 
-// bytesPerScale is the approximate output size at Scale 1.0, calibrated
+// bytesPerScale is the approximate output size at Scale 1.0, measured
 // once against the generator (see TestGenerateSizes).
 const bytesPerScale = 55_000_000
 

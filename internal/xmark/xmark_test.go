@@ -80,7 +80,7 @@ func TestGenerateValidAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateSizes calibrates ScaleForBytes: a requested size must come
+// TestGenerateSizes checks ScaleForBytes: a requested size must come
 // out within ±30%.
 func TestGenerateSizes(t *testing.T) {
 	for _, want := range []int64{256 << 10, 1 << 20} {
