@@ -55,14 +55,15 @@ lint-docs:
 	$(GO) run ./cmd/doclint -pkg . -pkg ./internal/shard -pkg ./internal/sax -pkg ./internal/mux -pkg ./internal/stream -pkg ./internal/autom -pkgtree . -md README.md -md ARCHITECTURE.md
 
 # Short-mode fuzz smoke: the native scanner targets (pull round trip,
-# batched ≡ per-event delivery, chunked push mode), the
-# automaton-dispatch equivalence target, and the streaming worker pool
-# against the batch scan, each for a few seconds on top of their
-# checked-in seeds.
+# batched ≡ per-event delivery, chunked push mode), the XQuery⁻
+# print → parse round trip, the automaton-dispatch equivalence target,
+# and the streaming worker pool against the batch scan, each for a few
+# seconds on top of their checked-in seeds.
 fuzz:
 	$(GO) test ./internal/sax -run='^FuzzScan$$' -fuzz='^FuzzScan$$' -fuzztime=10s
 	$(GO) test ./internal/sax -run='^FuzzScanBatched$$' -fuzz='^FuzzScanBatched$$' -fuzztime=10s
 	$(GO) test ./internal/sax -run='^FuzzScanChunked$$' -fuzz='^FuzzScanChunked$$' -fuzztime=10s
+	$(GO) test ./internal/xq -run='^FuzzParsePrint$$' -fuzz='^FuzzParsePrint$$' -fuzztime=10s
 	$(GO) test . -run='^FuzzAutomatonDispatch$$' -fuzz='^FuzzAutomatonDispatch$$' -fuzztime=10s
 	$(GO) test . -run='^FuzzParallelDispatch$$' -fuzz='^FuzzParallelDispatch$$' -fuzztime=10s
 

@@ -97,9 +97,9 @@ type Query struct {
 }
 
 // Prepare compiles queryText (XQuery⁻) against dtdText. It returns an
-// error if the query is outside the fragment, the DTD is malformed or
-// ambiguous, or scheduling produces an unsafe query (which Theorem 4.3
-// rules out; such an error indicates a bug and is checked defensively).
+// error if the query is outside the fragment or the DTD is malformed or
+// ambiguous. A schedule the engine refuses falls back to Example 3.4
+// (see PrepareWithSchema).
 func Prepare(queryText, dtdText string) (*Query, error) {
 	schema, err := dtd.Parse(dtdText)
 	if err != nil {
@@ -110,13 +110,15 @@ func Prepare(queryText, dtdText string) (*Query, error) {
 
 // PrepareWithSchema is Prepare for an already parsed schema.
 //
-// If the engine proves the Figure 2 schedule unexecutable in one pass (a
-// guard reading data of the very element being streamed, or a cross-scope
-// path whose completeness the DTD cannot establish — see DESIGN.md §5a),
-// Prepare falls back to the universal Example 3.4 schedule
-// { ps $ROOT: on-first past(*) return α }, which buffers the projected
-// paths until end of stream but is always correct. The fallback reason is
-// available via FallbackReason.
+// The schedule is compiled by engine.Compile, which admits it only if it
+// satisfies core.CheckSafety, the one rule for when a handler's data is
+// complete; Figure 2 plans against that rule. If the schedule is refused
+// anyway — the rule rejects it (Theorem 4.3 says it should not), or the
+// engine has no runtime for its shape, such as two on handlers for one
+// element in a scope — Prepare falls back to the universal Example 3.4
+// schedule { ps $ROOT: on-first past(*) return α }, which buffers the
+// projected paths until end of stream but is always correct. The
+// fallback reason is available via FallbackReason.
 func PrepareWithSchema(queryText string, schema *dtd.Schema) (*Query, error) {
 	src, err := xq.Parse(queryText)
 	if err != nil {
@@ -127,27 +129,25 @@ func PrepareWithSchema(queryText string, schema *dtd.Schema) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := core.CheckSafety(schema, f); err != nil {
-		return nil, err
-	}
 	q := &Query{schema: schema, source: src, norm: norm, flux: f}
 	plan, cerr := engine.Compile(schema, f)
 	if cerr != nil {
-		fallback := core.Flux(&core.PS{Var: xq.RootVar, Handlers: []core.Handler{
-			&core.OnFirst{Star: true, Body: norm},
-		}})
-		if serr := core.CheckSafety(schema, fallback); serr != nil {
+		q.flux = unscheduled(norm)
+		if plan, err = engine.Compile(schema, q.flux); err != nil {
 			return nil, cerr
 		}
-		plan, err = engine.Compile(schema, fallback)
-		if err != nil {
-			return nil, cerr
-		}
-		q.flux = fallback
 		q.fallback = "scheduled query not single-pass executable: " + cerr.Error()
 	}
 	q.plan = plan
 	return q, nil
+}
+
+// unscheduled is the Example 3.4 schedule of a normalized query: every
+// path it reads is buffered until the end of the stream.
+func unscheduled(norm xq.Expr) core.Flux {
+	return &core.PS{Var: xq.RootVar, Handlers: []core.Handler{
+		&core.OnFirst{Star: true, Body: norm},
+	}}
 }
 
 // FallbackReason reports why the Figure 2 schedule was replaced by the
@@ -159,9 +159,9 @@ func (q *Query) FallbackReason() string { return q.fallback }
 //
 //	{ ps $ROOT: on bib as $b return { $b }; on-first past(bib) return done }
 //
-// The query is checked safe w.r.t. the DTD (Definition 3.6) before
-// compilation; hand-written queries, unlike scheduler output, may fail
-// this check.
+// engine.Compile admits the query only if it satisfies core.CheckSafety
+// w.r.t. the DTD; hand-written queries, unlike scheduler output, may fail
+// it, and there is no fallback.
 func PrepareFlux(fluxText, dtdText string) (*Query, error) {
 	schema, err := dtd.Parse(dtdText)
 	if err != nil {
@@ -171,16 +171,9 @@ func PrepareFlux(fluxText, dtdText string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := core.CheckSafety(schema, f); err != nil {
-		return nil, err
-	}
-	plan, err := engine.Compile(schema, f)
-	if err != nil {
-		return nil, err
-	}
 	// The DOM baselines need an XQuery⁻ view; hand-written FluX has none,
 	// so baseline runs are refused for such queries.
-	return &Query{schema: schema, flux: f, plan: plan}, nil
+	return prepareFromFlux(schema, nil, nil, f)
 }
 
 // PrepareUnscheduled compiles queryText without schema-based scheduling:
@@ -198,25 +191,12 @@ func PrepareUnscheduled(queryText, dtdText string) (*Query, error) {
 		return nil, err
 	}
 	norm := xq.MergeLoops(xq.Normalize(src), schema)
-	f := core.Flux(&core.PS{Var: xq.RootVar, Handlers: []core.Handler{
-		&core.OnFirst{Star: true, Body: norm},
-	}})
-	if err := core.CheckSafety(schema, f); err != nil {
-		return nil, err
-	}
-	plan, err := engine.Compile(schema, f)
-	if err != nil {
-		return nil, err
-	}
-	return &Query{schema: schema, source: src, norm: norm, flux: f, plan: plan}, nil
+	return prepareFromFlux(schema, src, norm, unscheduled(norm))
 }
 
-// prepareFromFlux compiles a pre-scheduled FluX query; used by the
-// ablation benchmarks to execute alternative schedules.
+// prepareFromFlux compiles a scheduled FluX query whose XQuery⁻ source
+// and normal form are src and norm, or nil for hand-written FluX.
 func prepareFromFlux(schema *dtd.Schema, src, norm xq.Expr, f core.Flux) (*Query, error) {
-	if err := core.CheckSafety(schema, f); err != nil {
-		return nil, err
-	}
 	plan, err := engine.Compile(schema, f)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package flux
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -309,12 +310,12 @@ func TestBufferReport(t *testing.T) {
 	}
 }
 
-// TestFallbackToExample34 covers the case where the Figure 2 schedule is
-// formally safe (Definition 3.6) but not single-pass executable: with
-// year occurring exactly once per book, rewrite emits an on-year handler
-// whose guard reads the year's own value at its opening tag. Prepare must
-// fall back to the Example 3.4 schedule and still answer correctly.
-func TestFallbackToExample34(t *testing.T) {
+// TestExample45F1Prime runs F1' of Example 4.5: with year occurring
+// exactly once per book, Figure 2 buffers the year, whose value the guard
+// compares, until it closes, and streams the titles. The scheduler and
+// the engine agree on that schedule, so nothing falls back to Example
+// 3.4, and the peak buffer does not grow with the number of books.
+func TestExample45F1Prime(t *testing.T) {
 	d := `
 <!ELEMENT bib (book)*>
 <!ELEMENT book (publisher,year,title*)>
@@ -330,25 +331,39 @@ func TestFallbackToExample34(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.FallbackReason() == "" {
-		t.Fatal("expected Example 3.4 fallback for the self-guarded year handler")
+	if r := q.FallbackReason(); r != "" {
+		t.Fatalf("F1' fell back to Example 3.4: %s\n%s", r, q.FluxIndented())
 	}
-	doc := `<bib>` +
-		`<book><publisher>AW</publisher><year>1994</year><title>New</title></book>` +
-		`<book><publisher>AW</publisher><year>1990</year><title>Old</title></book>` +
-		`</bib>`
-	outF, _, err := q.RunString(doc, Options{})
-	if err != nil {
-		t.Fatal(err)
+	books := func(n int) string {
+		var b strings.Builder
+		b.WriteString("<bib>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "<book><publisher>AW</publisher><year>%d</year><title>T%d</title><title>U</title></book>", 1988+i%8, i)
+		}
+		b.WriteString("</bib>")
+		return b.String()
 	}
-	outN, _, err := q.RunString(doc, Options{Engine: Naive})
-	if err != nil {
-		t.Fatal(err)
+	var peaks []int64
+	for _, n := range []int{10, 1000} {
+		doc := books(n)
+		outF, st, err := q.RunString(doc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outN, _, err := q.RunString(doc, Options{Engine: Naive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outF != outN {
+			t.Fatalf("%d books: flux differs from oracle:\n flux: %q\n dom:  %q", n, outF, outN)
+		}
+		if !strings.Contains(outF, "<year>1994</year>") || strings.Contains(outF, "<year>1990</year>") {
+			t.Fatalf("%d books: wrong result: %q", n, outF)
+		}
+		peaks = append(peaks, st.PeakBufferBytes)
 	}
-	if outF != outN {
-		t.Errorf("fallback output differs from oracle:\n flux: %q\n dom:  %q", outF, outN)
+	if peaks[0] != peaks[1] {
+		t.Errorf("peak buffer grows with the document: %d bytes on 10 books, %d on 1000", peaks[0], peaks[1])
 	}
-	if !strings.Contains(outF, "<year>1994</year>") || strings.Contains(outF, "Old") {
-		t.Errorf("wrong result: %q", outF)
-	}
+	t.Logf("F1' peak buffer: %d bytes on 10 and 1000 books", peaks[0])
 }

@@ -92,17 +92,48 @@ func sortedSet(set map[string]bool) []string {
 // ranging over $y, anywhere inside α. The result is sorted.
 func Dependencies(y string, e xq.Expr) []string {
 	set := make(map[string]bool)
-	for _, cp := range xq.ExprCondPaths(e) {
-		if cp.Var == y && len(cp.Path) > 0 {
-			set[cp.Path[0]] = true
-		}
-	}
-	xq.Walk(e, func(x xq.Expr) {
-		if f, ok := x.(*xq.For); ok && f.Src == y && len(f.Path) > 0 {
-			set[f.Path[0]] = true
+	eachRead(e, func(v string, path xq.Path, _ bool) {
+		if v == y && len(path) > 0 {
+			set[path[0]] = true
 		}
 	})
 	return sortedSet(set)
+}
+
+// eachRead calls f for every path e reads: loop ranges and comparison
+// operands need the value (value = true), existence tests only the
+// element's start tag.
+func eachRead(e xq.Expr, f func(v string, path xq.Path, value bool)) {
+	var cond func(xq.Cond)
+	cond = func(c xq.Cond) {
+		switch c := c.(type) {
+		case *xq.And:
+			cond(c.L)
+			cond(c.R)
+		case *xq.Or:
+			cond(c.L)
+			cond(c.R)
+		case *xq.Not:
+			cond(c.X)
+		case *xq.Exists:
+			f(c.Var, c.Path, false)
+		case *xq.Cmp:
+			for _, o := range []xq.Operand{c.L, c.R} {
+				if o.Kind == xq.PathOperand {
+					f(o.Var, o.Path, true)
+				}
+			}
+		}
+	}
+	xq.Walk(e, func(x xq.Expr) {
+		switch x := x.(type) {
+		case *xq.For:
+			f(x.Src, x.Path, true)
+			cond(x.Where)
+		case *xq.If:
+			cond(x.Cond)
+		}
+	})
 }
 
 // IsSimple reports whether e is a simple expression per Section 3.2,
@@ -164,64 +195,6 @@ func IsSimple(e xq.Expr) (u string, ok bool) {
 		}
 	}
 	return u, true
-}
-
-// MaximalXQ collects the maximal XQuery⁻ subexpressions of a FluX
-// expression (Section 3.2; see Example 3.5).
-func MaximalXQ(f Flux) []xq.Expr {
-	var out []xq.Expr
-	var walk func(Flux)
-	walk = func(f Flux) {
-		switch f := f.(type) {
-		case *Simple:
-			out = append(out, f.Expr)
-		case *PS:
-			for _, h := range f.Handlers {
-				switch h := h.(type) {
-				case *OnFirst:
-					out = append(out, h.Body)
-				case *On:
-					walk(h.Body)
-				}
-			}
-		}
-	}
-	walk(f)
-	return out
-}
-
-// FreeVars returns the free variables of a FluX expression (Section 3.2),
-// sorted.
-func FreeVars(f Flux) []string {
-	set := make(map[string]bool)
-	var walk func(Flux)
-	walk = func(f Flux) {
-		switch f := f.(type) {
-		case *Simple:
-			for _, v := range xq.FreeVars(f.Expr) {
-				set[v] = true
-			}
-		case *PS:
-			set[f.Var] = true
-			for _, h := range f.Handlers {
-				switch h := h.(type) {
-				case *OnFirst:
-					for _, v := range xq.FreeVars(h.Body) {
-						set[v] = true
-					}
-				case *On:
-					inner := FreeVars(h.Body)
-					for _, v := range inner {
-						if v != h.Var {
-							set[v] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	walk(f)
-	return sortedSet(set)
 }
 
 // Print renders a FluX expression in the paper's surface syntax.

@@ -19,7 +19,7 @@ func (e *RewriteError) Error() string { return "core: rewrite: " + e.Msg }
 // Schedule is the full compilation pipeline from a parsed XQuery⁻ query to
 // a safe FluX query: Figure 1 normalization, Section 7 cardinality-based
 // loop merging, then the Figure 2 rewrite algorithm. The result is checked
-// safe (Definition 3.6) before being returned.
+// against the safety rule (CheckSafety) before being returned.
 func Schedule(schema *dtd.Schema, q xq.Expr) (Flux, error) {
 	n := xq.Normalize(q)
 	n = xq.MergeLoops(n, schema)
@@ -53,29 +53,16 @@ type rewriter struct {
 	schema *dtd.Schema
 }
 
-// ordSched is the order test ¬Ord$x(b, a) is applied to on line 30 of the
-// algorithm. It refines the declarative Ord for scheduling purposes:
-//
-//   - if b cannot occur among $x's children at all, nothing must be
-//     delayed for it (vacuously ordered);
-//   - if the loop step a is not a child of $x (the loop ranges over
-//     another variable's scope, line 31 case), no streaming order can be
-//     established, so b stays in X and forces an on-first handler — this
-//     matches the paper's Example 4.6 result on-first past(author) for the
-//     article scope;
-//   - otherwise the Glushkov order constraint decides.
-func (rw *rewriter) ordSched(elem, b, a string) bool {
-	prod, ok := rw.schema.Production(elem)
-	if !ok {
-		return false
-	}
-	if !prod.Auto.HasSymbol(b) {
-		return true
-	}
-	if !prod.Auto.HasSymbol(a) {
-		return false
-	}
-	return prod.Auto.Ord(b, a)
+// readsOpen reports whether α needs more of $x's child a than its start
+// tag: a's value in a comparison, a path below a, or a loop over a. While
+// an on a handler runs, a is open, so such a read is not complete; an
+// existence test on $x/a alone is.
+func readsOpen(x, a string, alpha xq.Expr) bool {
+	open := false
+	eachRead(alpha, func(v string, path xq.Path, value bool) {
+		open = open || v == x && len(path) > 0 && path[0] == a && (value || len(path) > 1)
+	})
+	return open
 }
 
 // pastStar returns symb($y) for the element bound to a variable.
@@ -93,12 +80,14 @@ func onFirst(past []string, star bool, body xq.Expr) *OnFirst {
 	return &OnFirst{Past: sorted, Star: star, Body: body}
 }
 
-// rewrite is the function of Figure 2. parentVar is $x, H the inherited
-// handler symbols, beta the normalized expression, binding the
-// variable→element map for schema lookups.
-func (rw *rewriter) rewrite(parentVar string, H []string, beta xq.Expr, binding map[string]string) (Flux, error) {
+// rewrite is the function of Figure 2. parentVar is $x, prev the handlers
+// that precede β's in $x's scope (their symbols are the algorithm's H),
+// beta the normalized expression, binding the variable→element map for
+// schema lookups.
+func (rw *rewriter) rewrite(parentVar string, prev []Handler, beta xq.Expr, binding map[string]string) (Flux, error) {
 	x := parentVar
 	elem := binding[x]
+	H := HSymb(prev)
 
 	// Line 5: {$x} ⪯ β — the parent's own subtree is output somewhere.
 	if xq.UsesVar(beta, x) {
@@ -112,7 +101,7 @@ func (rw *rewriter) rewrite(parentVar string, H []string, beta xq.Expr, binding 
 
 	// Line 14: sequence β1 β2.
 	if items := xq.Items(beta); len(items) >= 2 {
-		first, err := rw.rewrite(x, H, items[0], binding)
+		first, err := rw.rewrite(x, prev, items[0], binding)
 		if err != nil {
 			return nil, err
 		}
@@ -120,8 +109,8 @@ func (rw *rewriter) rewrite(parentVar string, H []string, beta xq.Expr, binding 
 		if !ok {
 			return nil, &RewriteError{Msg: fmt.Sprintf("sequence head did not rewrite to a process-stream expression: %s", xq.Print(items[0]))}
 		}
-		h2 := union(H, HSymb(ps1.Handlers))
-		rest, err := rw.rewrite(x, h2, xq.NewSeq(items[1:]...), binding)
+		prev2 := append(append([]Handler{}, prev...), ps1.Handlers...)
+		rest, err := rw.rewrite(x, prev2, xq.NewSeq(items[1:]...), binding)
 		if err != nil {
 			return nil, err
 		}
@@ -144,16 +133,27 @@ func (rw *rewriter) rewrite(parentVar string, H []string, beta xq.Expr, binding 
 			return nil, &RewriteError{Msg: "for-loop not normalized: " + xq.Print(f)}
 		}
 		a := f.Path[0]
-		// Line 30.
+		deps := union(Dependencies(x, f.Body), H)
+		if f.Src != x { // line 31: a is a step of another scope, so no order applies
+			return &PS{Var: x, Handlers: []Handler{onFirst(deps, false, beta)}}, nil
+		}
+		// Line 30. A self-dependency b = a is ordered (Ord(a, a) holds
+		// for a singleton a) only if neither the body nor an earlier
+		// on-first handler, which an on a handler makes fire at a's start
+		// tag, reads more of a than that tag.
+		reads := []xq.Expr{f.Body}
+		for _, h := range prev {
+			if h, ok := h.(*OnFirst); ok {
+				reads = append(reads, h.Body)
+			}
+		}
 		var X []string
-		for _, b := range union(Dependencies(x, f.Body), H) {
-			if !rw.ordSched(elem, b, a) {
+		for _, b := range deps {
+			if !rw.schema.Ord(elem, b, a) || b == a && readsOpen(x, a, xq.NewSeq(reads...)) {
 				X = append(X, b)
 			}
 		}
 		switch {
-		case f.Src != x: // line 31
-			return &PS{Var: x, Handlers: []Handler{onFirst(X, false, beta)}}, nil
 		case len(X) != 0: // line 33
 			return &PS{Var: x, Handlers: []Handler{onFirst(union(X, []string{a}), false, beta)}}, nil
 		default: // lines 36–39

@@ -176,12 +176,81 @@ func TestScheduledQueriesAreSafe(t *testing.T) {
 	}
 }
 
-func TestFreeVarsFlux(t *testing.T) {
-	f := &PS{Var: "$ROOT", Handlers: []Handler{
-		&On{Name: "bib", Var: "$b", Body: &Simple{Expr: xq.MustParse(`{ $b } { $w }`)}},
-	}}
-	got := strings.Join(FreeVars(f), ",")
-	if got != "$ROOT,$w" {
-		t.Errorf("FreeVars = %s, want $ROOT,$w", got)
+// TestSafetyTopLevelSimple: a top-level simple expression is judged in
+// the process-stream form the engine runs it in, where its prefix fires
+// at the document's start, before any of $ROOT/bib is read.
+func TestSafetyTopLevelSimple(t *testing.T) {
+	schema := dtd.MustParse(weakBibDTD)
+	if err := CheckSafety(schema, MustParseFlux(`<a> { if exists $ROOT/bib/book then x } </a>`)); err == nil {
+		t.Error("top-level simple expression reading $ROOT/bib accepted")
+	}
+	if err := CheckSafety(schema, MustParseFlux(`<all> { $ROOT } </all>`)); err != nil {
+		t.Errorf("stream copy of the document rejected: %v", err)
+	}
+}
+
+// TestSafetyOpenElement: an element is open while an on handler for it
+// runs, and while an on-first handler that precedes such a handler in ζ
+// runs at its start tag. Its start tag settles existence, not its value.
+func TestSafetyOpenElement(t *testing.T) {
+	schema := dtd.MustParse(q1OrderedDTD)
+	cases := []struct {
+		flux string
+		safe bool
+	}{
+		// F1' with the year streamed: the guard reads the open year's value.
+		{`{ ps $ROOT: on bib as $bib return { ps $bib: on book as $b return { ps $b:
+			on year as $y return { if $b/year > 1991 then { $y } } } } }`, false},
+		{`{ ps $ROOT: on bib as $bib return { ps $bib: on book as $b return { ps $b:
+			on year as $y return { if exists $b/year then { $y } } } } }`, true},
+		{`{ ps $ROOT: on bib as $bib return { ps $bib: on book as $b return { ps $b:
+			on-first past(year) return { for $y in $b/year return { if $b/year > 1991 then { $y } } } } } }`, true},
+		// The on-first handler fires at year's start tag, before on year
+		// streams it.
+		{`{ ps $ROOT: on bib as $bib return { ps $bib: on book as $b return { ps $b:
+			on-first past(year) return { if $b/year > 1991 then new };
+			on year as $y return { $y } } } }`, false},
+		{`{ ps $ROOT: on bib as $bib return { ps $bib: on book as $b return { ps $b:
+			on-first past(year) return { if $b/publisher = 'AW' then aw };
+			on year as $y return { $y } } } }`, true},
+	}
+	for i, c := range cases {
+		err := CheckSafety(schema, MustParseFlux(c.flux))
+		if (err == nil) != c.safe {
+			t.Errorf("case %d: CheckSafety = %v, want safe %v", i, err, c.safe)
+		}
+	}
+}
+
+// TestSafetyEnclosingScopePaths: a path on an enclosing scope is complete
+// if it diverges from the scope chain before an element it is ordered
+// before, or follows the chain through at-most-once steps to data the
+// current handler waits for.
+func TestSafetyEnclosingScopePaths(t *testing.T) {
+	cases := []struct {
+		dtdText, flux string
+		safe          bool
+	}{
+		// Example 4.6's F3': books precede articles.
+		{joinOrderedDTD, `{ ps $ROOT: on bib as $bib return { ps $bib: on article as $a return { ps $a:
+			on-first past(author) return { for $b in $bib/book return { $b } } } } }`, true},
+		{joinDTD, `{ ps $ROOT: on bib as $bib return { ps $bib: on article as $a return { ps $a:
+			on-first past(author) return { for $b in $bib/book return { $b } } } } }`, false},
+		// $ROOT/bib/book from inside a book: bib is a singleton, book
+		// repeats, so later books could match.
+		{joinOrderedDTD, `{ ps $ROOT: on bib as $bib return { ps $bib: on book as $b return { ps $b:
+			on-first past(*) return { for $c in $ROOT/bib/book return { $c } } } } }`, false},
+		// $ROOT/bib/book/title from inside a book's scope: the chain
+		// through bib is a singleton step, but book repeats.
+		{q1OrderedDTD, `{ ps $ROOT: on bib as $bib return { ps $bib: on book as $b return { ps $b:
+			on-first past(year) return { if $ROOT/bib/book/year > 1991 then new } } } }`, false},
+		{q1OrderedDTD, `{ ps $ROOT: on bib as $bib return { ps $bib: on book as $b return { ps $b:
+			on-first past(publisher) return { if $ROOT/bib/title = 'x' then new } } } }`, true},
+	}
+	for i, c := range cases {
+		err := CheckSafety(dtd.MustParse(c.dtdText), MustParseFlux(c.flux))
+		if (err == nil) != c.safe {
+			t.Errorf("case %d: CheckSafety = %v, want safe %v", i, err, c.safe)
+		}
 	}
 }

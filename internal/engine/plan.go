@@ -244,120 +244,25 @@ type compileCtx struct {
 	schema *dtd.Schema
 	scopes map[string]*scopeSpec // by variable
 	class  map[string]varClass
-	// stack is the scope chain from $ROOT to the scope being compiled;
-	// edges[i] is the on-handler element connecting stack[i] to
-	// stack[i+1]. Used by checkAvailable.
-	stack []*scopeSpec
-	edges []string
-	// curOn / curPast describe the handler whose programs are being
-	// compiled (for availability checks): curOn is the on-handler's
-	// element, curPast the on-first handler's resolved past set.
-	curOn   string
-	curPast []string
 	// conds collects, per scope variable, the canonical watcher set.
 	simpleHost *simpleSpec // when compiling inside a simple handler
 	simpleVar  string
 }
 
-// checkPathAvailable verifies that data denoted by a path rooted at a
-// scope variable is fully read by the time the current handler consults
-// it. Definition 3.6 covers paths rooted at the handler's own scope
-// variable; this check generalizes it to paths rooted at proper ancestor
-// scopes (which the paper's dependencies() does not track): walking the
-// scope chain, the path either diverges from the chain — then every
-// matching subtree must be ordered strictly before the chain edge — or it
-// follows the chain through provably-singleton steps into the current
-// scope, where the remaining first step must be covered by the current
-// handler (the on-handler's element order, or the on-first handler's past
-// set).
-//
-// needComplete is false only for pure existence tests whose path ends ON
-// the open ancestor chain (the element's own start tag already proves
-// existence). It closes real soundness gaps: XMark Q8 without Section 7
-// loop re-binding would consume /site/closed_auctions from inside the
-// still-open site scope and is rejected here, while Example 4.6's F3'
-// passes because Ord_bib(book, article).
-func (ctx *compileCtx) checkPathAvailable(v string, path []string, needComplete bool) error {
-	i := -1
-	for j, s := range ctx.stack {
-		if s.Var == v {
-			i = j
-			break
-		}
-	}
-	if i < 0 {
-		return nil // exec-bound or simple-child variable; complete by construction
-	}
-	cur := len(ctx.stack) - 1
-	reject := func(scope *scopeSpec, step, why string) error {
-		return &CompileError{Msg: fmt.Sprintf(
-			"data at %s/%s (under %s) is not complete when the %s scope's handler executes: %s; enable loop merging or restructure the query",
-			v, strings.Join(path, "/"), scope.Var, ctx.stack[cur].Var, why)}
-	}
-	k := 0
-	for ; i < cur; i++ {
-		if k == len(path) {
-			// The path denotes an element on the open ancestor chain.
-			if needComplete {
-				return reject(ctx.stack[i], "", "the element itself is still open")
-			}
-			return nil // its start tag was seen; existence is settled
-		}
-		edge := ctx.edges[i]
-		s := ctx.stack[i]
-		if path[k] != edge {
-			if !s.prod.Auto.Ord(path[k], edge) {
-				return reject(s, path[k], fmt.Sprintf("no order constraint Ord_%s(%s,%s)", s.Elem, path[k], edge))
-			}
-			return nil // all matching subtrees closed before this chain edge opened
-		}
-		if !s.prod.Auto.AtMostOnce(edge) {
-			return reject(s, path[k], fmt.Sprintf("%s may repeat under %s, so later siblings could match", edge, s.Elem))
-		}
-		k++
-	}
-	if k == len(path) {
-		if needComplete {
-			return reject(ctx.stack[cur], "", "the element itself is still open")
-		}
-		return nil
-	}
-	// Remaining first step relative to the current scope: the current
-	// handler must guarantee it is past. (Definition 3.6 ensures this for
-	// rewrite-produced queries except when the dependency coincides with
-	// the handler's own element — Ord(n,n) holds vacuously for singleton n
-	// while the current n is still open — so the check applies to
-	// own-scope paths as well.)
-	step := path[k]
-	y := ctx.stack[cur]
-	if k == len(path)-1 && !needComplete && ctx.curOn != "" && step == ctx.curOn {
-		// A pure existence test matched by the current on-element itself:
-		// its start tag set the flag before the handler fired, and future
-		// matches can only keep it true.
-		return nil
-	}
-	if ctx.curOn != "" {
-		if step != ctx.curOn && y.prod.Auto.Ord(step, ctx.curOn) {
-			return nil
-		}
-		return reject(y, step, fmt.Sprintf("no order constraint Ord_%s(%s,%s)", y.Elem, step, ctx.curOn))
-	}
-	for _, a := range ctx.curPast {
-		if a == step || y.prod.Auto.Ord(step, a) {
-			return nil
-		}
-	}
-	return reject(y, step, fmt.Sprintf("%s is not covered by the handler's past set %v", step, ctx.curPast))
-}
-
-// Compile translates a safe FluX query in normal form into an executable
-// plan.
+// Compile translates a FluX query in normal form into an executable
+// plan. It is the one gate every prepared query passes: the query must
+// satisfy core.CheckSafety, the rule that each handler runs only once the
+// data it reads is complete, which the engine then trusts. A top-level
+// simple expression compiles in the form core.LiftTopLevelSimple gives it.
+// Beyond the rule, the engine refuses shapes it has no runtime for: two on
+// handlers for one element in a scope, an on handler whose body is
+// neither a process-stream nor a simple expression over its variable, and
+// value joins on a simple handler's child variable.
 func Compile(schema *dtd.Schema, f core.Flux) (*Plan, error) {
-	f = liftTopLevelSimple(f, schema.Root)
-	ps, ok := f.(*core.PS)
-	if !ok || ps.Var != xq.RootVar {
-		return nil, &CompileError{Msg: "top-level expression must be a process-stream on " + xq.RootVar}
+	if err := core.CheckSafety(schema, f); err != nil {
+		return nil, err
 	}
+	ps := core.LiftTopLevelSimple(f, schema.Root).(*core.PS)
 	ctx := &compileCtx{
 		schema: schema,
 		scopes: make(map[string]*scopeSpec),
@@ -373,59 +278,8 @@ func Compile(schema *dtd.Schema, f core.Flux) (*Plan, error) {
 	if err := ctx.buildBufferTrees(root); err != nil {
 		return nil, err
 	}
-	pruneScopes(root)
 	plan.buildSignature()
 	return plan, nil
-}
-
-// liftTopLevelSimple wraps a top-level simple expression (a legal FluX
-// query, e.g. the stream-copy `<all> {$ROOT} </all>`) into an equivalent
-// process-stream form that still streams: the prefix fires at document
-// start, the {$ROOT} part becomes a stream-copying on-handler for the
-// document element, and the suffix fires at document end. Such
-// expressions only arise from Figure 2 line 8, which guarantees
-// dependencies($ROOT, β) = ∅, so no condition consults $ROOT paths.
-func liftTopLevelSimple(f core.Flux, rootElem string) core.Flux {
-	s, ok := f.(*core.Simple)
-	if !ok {
-		return f
-	}
-	var prefix, suffix []xq.Expr
-	var copyGuard xq.Cond
-	hasCopy := false
-	for _, it := range xq.Items(s.Expr) {
-		switch it := it.(type) {
-		case *xq.VarOut:
-			if it.Var == xq.RootVar {
-				hasCopy = true
-				continue
-			}
-		case *xq.If:
-			if v, ok := it.Then.(*xq.VarOut); ok && v.Var == xq.RootVar {
-				hasCopy, copyGuard = true, it.Cond
-				continue
-			}
-		}
-		if hasCopy {
-			suffix = append(suffix, it)
-		} else {
-			prefix = append(prefix, it)
-		}
-	}
-	handlers := []core.Handler{
-		&core.OnFirst{Past: nil, Body: xq.NewSeq(prefix...)},
-	}
-	if hasCopy {
-		const v = "$%doc"
-		var body xq.Expr = &xq.VarOut{Var: v}
-		if copyGuard != nil {
-			body = &xq.If{Cond: copyGuard, Then: body}
-		}
-		handlers = append(handlers, &core.On{Name: rootElem, Var: v,
-			Body: &core.Simple{Expr: body}})
-	}
-	handlers = append(handlers, &core.OnFirst{Star: true, Body: xq.NewSeq(suffix...)})
-	return &core.PS{Var: xq.RootVar, Handlers: handlers}
 }
 
 func (ctx *compileCtx) compileScope(ps *core.PS, elem string) (*scopeSpec, error) {
@@ -441,8 +295,6 @@ func (ctx *compileCtx) compileScope(ps *core.PS, elem string) (*scopeSpec, error
 	}
 	ctx.scopes[ps.Var] = s
 	ctx.class[ps.Var] = vScope
-	ctx.stack = append(ctx.stack, s)
-	defer func() { ctx.stack = ctx.stack[:len(ctx.stack)-1] }()
 
 	for _, h := range ps.Handlers {
 		switch h := h.(type) {
@@ -451,10 +303,7 @@ func (ctx *compileCtx) compileScope(ps *core.PS, elem string) (*scopeSpec, error
 			if h.Star {
 				past = prod.Auto.Symbols()
 			}
-			savedOn, savedPast := ctx.curOn, ctx.curPast
-			ctx.curOn, ctx.curPast = "", past
 			prog, err := ctx.compileExec(h.Body)
-			ctx.curOn, ctx.curPast = savedOn, savedPast
 			if err != nil {
 				return nil, err
 			}
@@ -472,9 +321,7 @@ func (ctx *compileCtx) compileScope(ps *core.PS, elem string) (*scopeSpec, error
 			hs := &handlerSpec{kind: hOn, name: h.Name, childV: h.Var}
 			switch body := h.Body.(type) {
 			case *core.PS:
-				ctx.edges = append(ctx.edges, h.Name)
 				child, err := ctx.compileScope(body, h.Name)
-				ctx.edges = ctx.edges[:len(ctx.edges)-1]
 				if err != nil {
 					return nil, err
 				}
@@ -504,12 +351,9 @@ func (ctx *compileCtx) compileSimple(e xq.Expr, childVar, childElem string) (*si
 	sp := &simpleSpec{}
 	ctx.class[childVar] = vChild
 	prevHost, prevVar := ctx.simpleHost, ctx.simpleVar
-	prevOn, prevPast := ctx.curOn, ctx.curPast
 	ctx.simpleHost, ctx.simpleVar = sp, childVar
-	ctx.curOn, ctx.curPast = childElem, nil
 	defer func() {
 		ctx.simpleHost, ctx.simpleVar = prevHost, prevVar
-		ctx.curOn, ctx.curPast = prevOn, prevPast
 		delete(ctx.class, childVar)
 	}()
 
@@ -583,9 +427,6 @@ func (ctx *compileCtx) compileExec(e xq.Expr) (*execProg, error) {
 	case *xq.For:
 		if len(e.Path) != 1 || e.Where != nil {
 			return nil, &CompileError{Msg: "for-loop not in normal form: " + xq.Print(e)}
-		}
-		if err := ctx.checkPathAvailable(e.Src, e.Path, true); err != nil {
-			return nil, err
 		}
 		ctx.class[e.Var] = vExec
 		body, err := ctx.compileExec(e.Body)
@@ -676,9 +517,6 @@ func (ctx *compileCtx) compileExistsAtom(c *xq.Exists) (*atomSpec, error) {
 		return nil, err
 	}
 	if stream {
-		if err := ctx.checkPathAvailable(c.Var, c.Path, false); err != nil {
-			return nil, err
-		}
 		ref, err := ctx.addWatcher(c.Var, &watcherSpec{
 			kind: wExists,
 			path: c.Path,
@@ -708,9 +546,6 @@ func (ctx *compileCtx) compileCmpAtom(c *xq.Cmp) (*atomSpec, error) {
 			return nil, err
 		}
 		if stream {
-			if err := ctx.checkPathAvailable(p.Var, p.Path, true); err != nil {
-				return nil, err
-			}
 			ref, err := ctx.addWatcher(p.Var, &watcherSpec{
 				kind:  wCmp,
 				path:  p.Path,
@@ -748,9 +583,6 @@ func (ctx *compileCtx) navOperand(o xq.Operand) (*navOperand, error) {
 	}
 	if cl == vChild {
 		return nil, &CompileError{Msg: "join condition on simple-handler variable " + o.Var + " is not supported"}
-	}
-	if err := ctx.checkPathAvailable(o.Var, o.Path, true); err != nil {
-		return nil, err
 	}
 	return &navOperand{varName: o.Var, path: o.Path, scale: o.Scale}, nil
 }
@@ -927,16 +759,6 @@ func (ctx *compileCtx) piCond(c *condSpec, local map[string]*bufTreeNode, resolv
 		return mark(a.rhs, true)
 	}
 	return nil
-}
-
-// pruneScopes drops empty onByName maps etc. (currently a no-op hook kept
-// for symmetry; pruning of buffer trees happens in buildBufferTrees).
-func pruneScopes(s *scopeSpec) {
-	for _, h := range s.handlers {
-		if h.child != nil {
-			pruneScopes(h.child)
-		}
-	}
 }
 
 // --- Plan description ---------------------------------------------------

@@ -428,8 +428,9 @@ func (e *engine) StartElement(name string) error {
 // punctuation event may have been triggered by the very child whose
 // content its body reads, e.g. the year loop of F1'). The one exception:
 // an on-first handler that precedes a firing on-handler in ζ must emit its
-// output before the on-handler streams the child, so it fires immediately
-// (its buffers then reflect the children before t_i; see DESIGN.md).
+// output before the on-handler streams the child, so it fires immediately.
+// Its buffers then reflect the children before t_i; core.CheckSafety
+// refuses such a handler if it reads more of t_i than its start tag.
 func (e *engine) scanHandlers(rt *scopeRT, name string, prevState, newState int, child *frame) error {
 	spec := rt.spec
 	if spec.prod.Mixed {

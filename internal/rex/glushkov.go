@@ -175,9 +175,9 @@ func MustBuild(e Expr) *Automaton {
 	return a
 }
 
-// computeReach fills reachPos and reachSyms with >=1-step reachability
-// (Delta+ in DESIGN.md). DTD content models are tiny, so the O(n^2)
-// propagation is irrelevant in practice.
+// computeReach fills reachPos and reachSyms with >=1-step reachability,
+// the transitive closure Δ⁺ of the transition relation. DTD content
+// models are tiny, so the O(n^2) propagation is irrelevant in practice.
 func (a *Automaton) computeReach() {
 	a.reachPos = make([]bitset, a.n)
 	a.reachSyms = make([]bitset, a.n)

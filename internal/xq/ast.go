@@ -255,21 +255,6 @@ func CondPaths(c Cond, out []CondPath) []CondPath {
 	return out
 }
 
-// ExprCondPaths collects the condition paths of every condition occurring
-// anywhere in e (the paper's "condition paths in α").
-func ExprCondPaths(e Expr) []CondPath {
-	var out []CondPath
-	Walk(e, func(x Expr) {
-		switch x := x.(type) {
-		case *For:
-			out = CondPaths(x.Where, out)
-		case *If:
-			out = CondPaths(x.Cond, out)
-		}
-	})
-	return out
-}
-
 // Walk calls f on e and every subexpression, pre-order.
 func Walk(e Expr, f func(Expr)) {
 	if e == nil {
@@ -440,31 +425,38 @@ func RenameVar(e Expr, old, new string) Expr {
 }
 
 func renameCondVar(c Cond, old, new string) Cond {
+	return mapCondPaths(c, func(v string, p Path) (string, Path) {
+		if v == old {
+			v = new
+		}
+		return v, p
+	})
+}
+
+// mapCondPaths returns c with every path $v/p replaced by f(v, p).
+func mapCondPaths(c Cond, f func(v string, p Path) (string, Path)) Cond {
 	switch c := c.(type) {
 	case nil:
 		return nil
 	case True:
 		return c
 	case *And:
-		return &And{L: renameCondVar(c.L, old, new), R: renameCondVar(c.R, old, new)}
+		return &And{L: mapCondPaths(c.L, f), R: mapCondPaths(c.R, f)}
 	case *Or:
-		return &Or{L: renameCondVar(c.L, old, new), R: renameCondVar(c.R, old, new)}
+		return &Or{L: mapCondPaths(c.L, f), R: mapCondPaths(c.R, f)}
 	case *Not:
-		return &Not{X: renameCondVar(c.X, old, new)}
+		return &Not{X: mapCondPaths(c.X, f)}
 	case *Cmp:
 		cc := *c
-		if cc.L.Var == old {
-			cc.L.Var = new
-		}
-		if cc.R.Var == old {
-			cc.R.Var = new
+		for _, o := range []*Operand{&cc.L, &cc.R} {
+			if o.Kind == PathOperand {
+				o.Var, o.Path = f(o.Var, o.Path)
+			}
 		}
 		return &cc
 	case *Exists:
-		if c.Var == old {
-			return &Exists{Var: new, Path: c.Path, Neg: c.Neg}
-		}
-		return c
+		v, p := f(c.Var, c.Path)
+		return &Exists{Var: v, Path: p, Neg: c.Neg}
 	default:
 		panic("xq: unknown condition type")
 	}

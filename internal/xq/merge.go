@@ -21,17 +21,24 @@ import (
 //     re-binding, rewrite() discovers past(people, closed_auctions) at the
 //     site level instead of giving up.
 //
-// Both preserve semantics: within one iteration of the outer loop the
+//  3. condition path re-binding — likewise, inside that body a condition
+//     path $z/a/π denotes the nodes of $v/π. Re-bound, it is a dependency
+//     of $v's scope that the scheduler sees and buffers once, instead of
+//     a second read of $z's scope through the open element a.
+//
+// All preserve semantics: within one iteration of the outer loop the
 // singleton cardinality means the two ranges are node-for-node identical.
 
-// MergeLoops applies both cardinality optimizations to a normalized query
+// MergeLoops applies the cardinality optimizations to a normalized query
 // until no rule applies. The variable→element binding needed to look up
 // cardinality facts is inferred structurally ($ROOT ↦ #document, a loop
 // over $y/a binds its variable to element a).
 func MergeLoops(q Expr, schema *dtd.Schema) Expr {
 	m := &merger{schema: schema}
 	binding := map[string]string{RootVar: dtd.DocumentVar}
-	return m.rewrite(Copy(q), binding)
+	q = m.rewrite(Copy(q), binding)
+	m.rebindConds(q, binding, nil)
+	return q
 }
 
 type merger struct {
@@ -134,4 +141,40 @@ func (m *merger) rebindWithin(outer *For, body Expr, binding map[string]string) 
 		}
 	}
 	return visit(body)
+}
+
+// step is one singleton loop step: variable v ranges over src/a.
+type step struct{ src, a string }
+
+// rebindConds re-binds, in place, the condition paths of e through the
+// enclosing singleton loops in via, repeatedly, so $z/a/b/π becomes $u/π
+// inside { for $v in $z/a return … { for $u in $v/b … } }.
+func (m *merger) rebindConds(e Expr, binding map[string]string, via map[step]string) {
+	rebind := func(v string, p Path) (string, Path) {
+		for len(p) > 1 && via[step{v, p[0]}] != "" {
+			v, p = via[step{v, p[0]}], p[1:]
+		}
+		return v, p
+	}
+	switch e := e.(type) {
+	case *Seq:
+		for _, it := range e.Items {
+			m.rebindConds(it, binding, via)
+		}
+	case *If:
+		e.Cond = mapCondPaths(e.Cond, rebind)
+		m.rebindConds(e.Then, binding, via)
+	case *For:
+		e.Where = mapCondPaths(e.Where, rebind)
+		inner := make(map[step]string, len(via)+1)
+		for k, u := range via {
+			if k.src != e.Var && u != e.Var { // not shadowed by e.Var
+				inner[k] = u
+			}
+		}
+		if len(e.Path) == 1 && m.singleton(binding, e.Src, e.Path[0]) {
+			inner[step{e.Src, e.Path[0]}] = e.Var
+		}
+		m.rebindConds(e.Body, extend(binding, e.Var, e.Path[len(e.Path)-1]), inner)
+	}
 }

@@ -297,3 +297,31 @@ func TestRebindRespectsCardinality(t *testing.T) {
 		t.Errorf("site loops = %d, want 2 (site repeats under top):\n%s", siteLoops, Print(merged))
 	}
 }
+
+// TestRebindConditionPaths: inside a loop over a singleton step, condition
+// paths through that step re-bind to the loop variable, through every
+// enclosing singleton loop; through a repeating step they stay.
+func TestRebindConditionPaths(t *testing.T) {
+	schema := dtd.MustParse(`
+<!ELEMENT r (a,b*)>
+<!ELEMENT a (d,e*)>
+<!ELEMENT b (#PCDATA)>
+<!ELEMENT d (#PCDATA)>
+<!ELEMENT e (#PCDATA)>
+`)
+	cases := []struct{ in, want string }{
+		{`{ for $v in $ROOT/r where $v/b != $ROOT/r/b return s }`,
+			`{ for $v in $ROOT/r return { if $v/b != $v/b then s } }`},
+		{`{ for $v in $ROOT/r/a return { if exists $ROOT/r/a/d and 2 * $ROOT/r/a/e = 1 then s } }`,
+			`{ for $r in $ROOT/r return { for $v in $r/a return { if exists $v/d and 2 * $v/e = 1 then s } } }`},
+		{`{ for $v in $ROOT/r/b return { if $ROOT/r/b = 1 then s } }`,
+			`{ for $r in $ROOT/r return { for $v in $r/b return { if $r/b = 1 then s } } }`},
+		{`{ for $v in $ROOT/r return { if $ROOT/r = 1 then s } }`,
+			`{ for $v in $ROOT/r return { if $ROOT/r = 1 then s } }`},
+	}
+	for _, c := range cases {
+		if got := Print(MergeLoops(Normalize(MustParse(c.in)), schema)); got != c.want {
+			t.Errorf("MergeLoops(%s)\n got %s\nwant %s", c.in, got, c.want)
+		}
+	}
+}

@@ -121,10 +121,7 @@ func (p *qparser) seq(inBrace bool) (Expr, error) {
 			}
 			items = append(items, e)
 		case '}':
-			if !inBrace {
-				return NewSeq(items...), nil
-			}
-			return NewSeq(items...), nil
+			return joinStrs(items), nil
 		default:
 			start := p.pos
 			for p.pos < len(p.in) && p.in[p.pos] != '{' && p.in[p.pos] != '}' {
@@ -139,7 +136,24 @@ func (p *qparser) seq(inBrace bool) (Expr, error) {
 	if inBrace {
 		return nil, p.errf("unexpected end of query: missing '}'")
 	}
-	return NewSeq(items...), nil
+	return joinStrs(items), nil
+}
+
+// joinStrs builds the flat sequence of items with adjacent strings
+// concatenated: `a { b }` outputs "ab", which is also what the printed
+// form `ab` reads back as.
+func joinStrs(items []Expr) Expr {
+	var out []Expr
+	for _, it := range Items(NewSeq(items...)) {
+		if s, ok := it.(*Str); ok && len(out) > 0 {
+			if prev, ok := out[len(out)-1].(*Str); ok {
+				out[len(out)-1] = &Str{S: prev.S + s.S}
+				continue
+			}
+		}
+		out = append(out, it)
+	}
+	return NewSeq(out...)
 }
 
 // braceExpr parses the contents of { ... } including the closing brace.

@@ -51,8 +51,12 @@ func TestParseConditions(t *testing.T) {
 		{`exists $x/a/b`, `exists $x/a/b`},
 		{`empty($p/person_income)`, `empty($p/person_income)`},
 		{`$p/profile/profile_income > (5000 * $o/initial)`,
-			`$p/profile/profile_income > (5000 * $o/initial)`},
-		{`$p/a > 5000 * $o/b`, `$p/a > (5000 * $o/b)`},
+			`$p/profile/profile_income > 5000 * $o/initial`},
+		{`$p/a > 5000 * $o/b`, `$p/a > 5000 * $o/b`},
+		{`0.5 * $v/d != $r/c`, `0.5 * $v/d != $r/c`},
+		{`not 1000000 * $v/d = $r/c`, `not 1000000 * $v/d = $r/c`},
+		{`$x/a = "it's"`, `$x/a = "it's"`},
+		{`$x/a = '-'`, `$x/a = '-'`},
 		{`true and $x/a != 'q'`, `true and $x/a != 'q'`},
 		{`($x/a = 1 or $x/b = 2) and $x/c >= 3`, `($x/a = 1 or $x/b = 2) and $x/c >= 3`},
 		{`$x/a <= 7`, `$x/a <= 7`},
@@ -156,7 +160,7 @@ func TestWhitespaceTrimming(t *testing.T) {
 
 func TestCondPathsCollection(t *testing.T) {
 	q := MustParse(`{ for $b in $y/book where $b/x = $w/y/z and exists $b/q return ok }`)
-	paths := ExprCondPaths(q)
+	paths := CondPaths(q.(*For).Where, nil)
 	var got []string
 	for _, cp := range paths {
 		got = append(got, cp.Var+"/"+cp.Path.String())
@@ -165,4 +169,33 @@ func TestCondPathsCollection(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("cond paths = %v, want %v", got, want)
 	}
+}
+
+// FuzzParsePrint: every query Parse accepts prints to text that parses
+// back to an equal AST.
+func FuzzParsePrint(f *testing.F) {
+	for _, s := range []string{
+		`{ if 0.5 * $v/d != $ROOT/r/c then x }`,
+		`{ if not 2 * $v/d < 7 then x }`,
+		`{ if (10 * $v/d >= $w/e or exists $v/d) and $v/k = 'a' then x }`,
+		`{ for $v in $ROOT/r/a where $v/k > (2 * $w/k) return { $v } }`,
+		`a { b } { { } $c } { if $x/a = "it's" then { { } for } }`,
+		`<r> { for $b in /bib/book where empty($b/year) or $b/title != '-' return <t> { $b/title } </t> } </r>`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		e1, err := Parse(in)
+		if err != nil {
+			return
+		}
+		text := Print(e1)
+		e2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its print %q does not parse: %v", in, text, err)
+		}
+		if !reflect.DeepEqual(e1, e2) {
+			t.Fatalf("Parse(%q) and Parse(Print) differ:\n  print:   %q\n  reprint: %q", in, text, Print(e2))
+		}
+	})
 }

@@ -2,6 +2,7 @@ package xq
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -100,34 +101,31 @@ func printCond(b *strings.Builder, c Cond, prec int) {
 
 func printOperand(b *strings.Builder, o Operand) {
 	if o.Kind == ConstOperand {
-		if isNumber(o.Const) {
+		switch {
+		case isNumber(o.Const):
 			b.WriteString(o.Const)
-		} else {
+		case strings.Contains(o.Const, "'"):
+			fmt.Fprintf(b, `"%s"`, o.Const)
+		default:
 			fmt.Fprintf(b, "'%s'", o.Const)
 		}
 		return
 	}
+	// The unparenthesized form parses on both sides of a comparison; a
+	// leading '(' would open a parenthesized condition instead.
 	if o.Scale != 0 {
-		fmt.Fprintf(b, "(%v * %s/%s)", o.Scale, o.Var, o.Path)
+		fmt.Fprintf(b, "%s * %s/%s", strconv.FormatFloat(o.Scale, 'f', -1, 64), o.Var, o.Path)
 		return
 	}
 	fmt.Fprintf(b, "%s/%s", o.Var, o.Path)
 }
 
+// isNumber reports whether s reads back as a number operand: the
+// parser's number lexeme (digits, '.', '-') that also parses as a float.
 func isNumber(s string) bool {
-	if s == "" {
+	if strings.Trim(s, "0123456789.-") != "" {
 		return false
 	}
-	dot := false
-	for i := 0; i < len(s); i++ {
-		switch {
-		case s[i] >= '0' && s[i] <= '9':
-		case s[i] == '-' && i == 0:
-		case s[i] == '.' && !dot:
-			dot = true
-		default:
-			return false
-		}
-	}
-	return true
+	_, err := strconv.ParseFloat(s, 64)
+	return err == nil
 }
