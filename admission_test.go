@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"flux"
+	"flux/internal/holdtest"
 	"flux/internal/stream"
 	"flux/internal/xmark"
 )
@@ -147,6 +148,7 @@ func TestChargeBoundsScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 		var wg sync.WaitGroup
 		for i := 0; i < 2; i++ {
 			wg.Add(1)
@@ -158,6 +160,7 @@ func TestChargeBoundsScan(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		release()
 		st := ex.Stats()["a"]
 		if st.BatchSplits != tc.splits || st.Scans != 1+tc.splits {
 			t.Errorf("budget %d: stats = %+v, want %d split(s) over %d scan(s)", tc.budget, st, tc.splits, 1+tc.splits)
@@ -262,6 +265,7 @@ func TestAdmissionConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 		ctx, cancel := context.WithCancel(context.Background())
 		errs := make(chan error, 2)
 		for i := 0; i < 2; i++ {
@@ -280,6 +284,7 @@ func TestAdmissionConservation(t *testing.T) {
 		// The queue empties while the holder still holds the budget: a
 		// sub-batch nobody waits for leaves it.
 		waiting(t, cat, 0)
+		release()
 		hold()
 		drained(t, cat)
 		// The batch runner counts the callers it dropped after they

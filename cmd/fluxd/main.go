@@ -68,10 +68,12 @@
 //	                       shard map
 //	GET  /healthz          liveness probe
 //
-// Concurrent requests for the same document that arrive within -window
-// of each other (or up to -max-batch of them) execute in a single pass
-// of that document; events are routed so each query is delivered only
-// the subtrees its projected paths can match.
+// A request that finds a processor free (the server holds no more
+// requests than GOMAXPROCS) runs at once, on a scan of its own. Under
+// load, concurrent requests for the same document that arrive within
+// -window of each other (or up to -max-batch of them) execute in a
+// single pass of that document; events are routed so each query is
+// delivered only the subtrees its projected paths can match.
 // -max-resident-buffer is the one memory bound: each query is charged
 // the peak its plan buffered on the last completed run over the
 // document (the static prediction before one), a batch whose charges
@@ -130,15 +132,6 @@ type config struct {
 	advertise   string // reachable address reported at /shardz
 }
 
-// maxSaneBatch bounds -max-batch: beyond this, a single scan fanning to
-// that many engines is a misconfiguration, not a workload.
-const maxSaneBatch = 4096
-
-// maxSaneWindow bounds -window: a batch window is a latency trade
-// measured in milliseconds; anything over a minute holds every first
-// request hostage.
-const maxSaneWindow = time.Minute
-
 // buildConfig validates the flag values and resolves the document set.
 // It is the startup gate: bad values produce errors here, not silent
 // defaults at serving time.
@@ -148,26 +141,11 @@ func buildConfig(dtdFile, docFile, docroot string, window time.Duration, maxBatc
 		maxResident: maxResident,
 		shardID:     id.shardID, advertise: id.advertise,
 	}
-	if maxResident < 0 {
-		return cfg, fmt.Errorf("-max-resident-buffer must be non-negative (0 = unlimited), got %d", maxResident)
+	if err := shard.CheckServingFlags(window, maxBatch, maxResident); err != nil {
+		return cfg, err
 	}
 	if id.shardID < -1 {
 		return cfg, fmt.Errorf("-shard-id must be a shard index >= 0, or -1 for standalone, got %d", id.shardID)
-	}
-	if window <= 0 {
-		// ExecutorOptions treats 0 as "use the default", so accepting 0
-		// here would silently re-introduce the 2ms default the user was
-		// trying to turn off.
-		return cfg, fmt.Errorf("-window must be positive (batching needs a window; try 100us for near-immediate dispatch), got %s", window)
-	}
-	if window > maxSaneWindow {
-		return cfg, fmt.Errorf("-window %s is absurd: batches would hold requests for over %s", window, maxSaneWindow)
-	}
-	if maxBatch <= 0 {
-		return cfg, fmt.Errorf("-max-batch must be positive, got %d", maxBatch)
-	}
-	if maxBatch > maxSaneBatch {
-		return cfg, fmt.Errorf("-max-batch %d is absurd (limit %d)", maxBatch, maxSaneBatch)
 	}
 	if cacheCap < 0 {
 		return cfg, fmt.Errorf("-query-cache must be non-negative, got %d", cacheCap)
@@ -273,7 +251,7 @@ func main() {
 		dtdFile  = flag.String("dtd", "", "path to the DTD for the single -doc document")
 		docFile  = flag.String("doc", "", "path to a single XML document to serve queries over")
 		docroot  = flag.String("docroot", "", "directory of <name>.xml + <name>.dtd pairs to serve")
-		window   = flag.Duration("window", 2*time.Millisecond, "how long the first query of a batch waits for companions")
+		window   = flag.Duration("window", 2*time.Millisecond, "how long the first query of a batch waits for companions while queries outnumber processors (a query that finds a processor free runs at once)")
 		maxBatch = flag.Int("max-batch", 16, "maximum queries per shared scan")
 		cacheCap = flag.Int("query-cache", flux.DefaultQueryCacheCap, "compiled-query cache capacity (0 disables)")
 		attrs    = flag.Bool("attrs", false, "convert attributes to subelements (XSAX)")

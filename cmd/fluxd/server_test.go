@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"flux"
+	"flux/internal/holdtest"
 	"flux/internal/shard"
 )
 
@@ -110,8 +111,9 @@ func postQuery(t *testing.T, url, query string) (*http.Response, string) {
 }
 
 // TestServerBatchesConcurrentRequests: with maxBatch == number of
-// concurrent clients and a long window, all requests must execute in one
-// shared scan and return exactly the single-run results.
+// concurrent clients, a long window and every processor held, all
+// requests must execute in one shared scan and return exactly the
+// single-run results.
 func TestServerBatchesConcurrentRequests(t *testing.T) {
 	queries := []string{
 		`<out> { for $b in /bib/book return {$b/title} } </out>`,
@@ -134,12 +136,14 @@ func TestServerBatchesConcurrentRequests(t *testing.T) {
 		want[i] = out
 	}
 
+	// The hold registers a second document, so name the one queried.
+	release := holdtest.Hold(t, s.Catalog().Add, s.Executor().ExecuteContext)
 	var wg sync.WaitGroup
 	for i, qt := range queries {
 		wg.Add(1)
 		go func(i int, qt string) {
 			defer wg.Done()
-			resp, body := postQuery(t, ts.URL+"/query", qt)
+			resp, body := postQuery(t, ts.URL+"/query?doc=bib", qt)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("query %d: status %d: %s", i, resp.StatusCode, body)
 				return
@@ -156,6 +160,7 @@ func TestServerBatchesConcurrentRequests(t *testing.T) {
 		}(i, qt)
 	}
 	wg.Wait()
+	release()
 
 	st := s.Executor().Stats()["bib"]
 	if st.Scans != 1 || st.Queries != int64(len(queries)) {
@@ -163,10 +168,11 @@ func TestServerBatchesConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestServerWindowDispatch: a lone request below maxBatch is dispatched
-// by the window timer, not stuck waiting for companions.
+// TestServerWindowDispatch: a lone request below maxBatch does not wait
+// out the window for companions; with a processor free it dispatches at
+// once, alone, even under a one-minute -window.
 func TestServerWindowDispatch(t *testing.T) {
-	_, ts := testServer(t, 100, 5*time.Millisecond)
+	_, ts := testServer(t, 100, time.Minute)
 	const query = `<titles> { for $b in /bib/book return {$b/title} } </titles>`
 	q, err := flux.Prepare(query, serverDTD)
 	if err != nil {
@@ -176,7 +182,11 @@ func TestServerWindowDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	resp, body := postQuery(t, ts.URL+"/query", query)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("lone request took %s under a one-minute window", d)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -371,6 +381,8 @@ func TestServerClientDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The hold registers a second document, so both clients name theirs.
+	release := holdtest.Hold(t, s.Catalog().Add, s.Executor().ExecuteContext)
 	// The surviving client.
 	type outcome struct {
 		body string
@@ -378,7 +390,7 @@ func TestServerClientDisconnect(t *testing.T) {
 	}
 	survived := make(chan outcome, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(query))
+		resp, err := http.Post(ts.URL+"/query?doc=big", "text/plain", strings.NewReader(query))
 		if err != nil {
 			survived <- outcome{err: err}
 			return
@@ -391,7 +403,7 @@ func TestServerClientDisconnect(t *testing.T) {
 	// The hanging client: joins the batch (filling it, which dispatches
 	// the shared scan), reads a little, then disconnects.
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", strings.NewReader(query))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query?doc=big", strings.NewReader(query))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +419,7 @@ func TestServerClientDisconnect(t *testing.T) {
 	resp.Body.Close()
 
 	out := <-survived
+	release()
 	if out.err != nil {
 		t.Fatalf("surviving client: %v", out.err)
 	}
@@ -573,18 +586,23 @@ func TestServerSchedulingStats(t *testing.T) {
 		`<out> { for $b in /bib/book where $b/year = '2004' return {$b} } </out>`,
 		`<out> { for $b in /bib/book where $b/title = 'XMark' return {$b/title} } </out>`,
 	}
+	// The hold registers a second document, so name the one queried;
+	// its scans are admitted too, so admission is counted from here.
+	release := holdtest.Hold(t, s.Catalog().Add, s.Executor().ExecuteContext)
+	held := s.Catalog().AdmissionStats().Admitted
 	var wg sync.WaitGroup
 	for _, q := range queries {
 		wg.Add(1)
 		go func(q string) {
 			defer wg.Done()
-			resp, _ := postQuery(t, ts.URL+"/query", q)
+			resp, _ := postQuery(t, ts.URL+"/query?doc=bib", q)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("query status = %d", resp.StatusCode)
 			}
 		}(q)
 	}
 	wg.Wait()
+	release()
 
 	resp, body := func() (*http.Response, string) {
 		r, err := http.Get(ts.URL + "/stats")
@@ -616,6 +634,7 @@ func TestServerSchedulingStats(t *testing.T) {
 		t.Errorf("docs.bib events_skipped = 0, want > 0 (selective fan-out is the default)")
 	}
 	adm := reply.Admission
+	adm.Admitted -= held
 	if adm.Admitted != 2 || adm.ActiveScans != 0 || adm.Waiting != 0 {
 		t.Errorf("admission = %+v, want 2 admitted, none active or waiting", adm)
 	}

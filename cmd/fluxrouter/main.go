@@ -25,7 +25,7 @@
 // [-shard-map file] [-health-interval 2s] [-admin]
 // [-rebalance-interval 0] [-rebalance-threshold 8] [-window 2ms]
 // [-max-batch 16] [-max-resident-buffer 0] (the serving knobs apply to
-// embedded shards only).
+// embedded shards only, and are validated at startup as fluxd's are).
 //
 // -rebalance-interval starts the autonomous control plane: every
 // interval the router folds the per-(document, shard) query counts it
@@ -105,7 +105,7 @@ func main() {
 		rebalInt  = flag.Duration("rebalance-interval", 0, "run the autonomous rebalancer with this tick period (0 = off; needs -admin)")
 		rebalThr  = flag.Float64("rebalance-threshold", 8, "minimum per-window load imbalance between hottest and coldest shard before the rebalancer acts")
 
-		window      = flag.Duration("window", 2*time.Millisecond, "embedded shards: batch window")
+		window      = flag.Duration("window", 2*time.Millisecond, "embedded shards: how long the first query of a batch waits for companions while queries outnumber processors (a query that finds a processor free runs at once)")
 		maxBatch    = flag.Int("max-batch", 16, "embedded shards: maximum queries per shared scan")
 		maxResident = flag.Int64("max-resident-buffer", 0, "embedded shards: each shard's one memory bound, the total query buffer bytes of its admitted scans, each query charged its plan's observed peak on the document (the static prediction until a run completes) (0 = unlimited)")
 	)
@@ -147,6 +147,9 @@ func main() {
 			if err := m.ApplyOverrides(overrides); err != nil {
 				fatal(fmt.Errorf("-shard-map: %w", err))
 			}
+		}
+		if err := shard.CheckServingFlags(*window, *maxBatch, *maxResident); err != nil {
+			fatal(err)
 		}
 		embedded, serr := shard.SpawnEmbedded(m, specs, shard.EmbeddedOptions{
 			Executor: flux.ExecutorOptions{

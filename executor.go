@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -24,6 +25,19 @@ import (
 // that arrive within one batch window (or until MaxBatch fills) run in
 // a single pass of that document — the scan is tokenized once and its
 // SAX events fan out to the whole batch.
+//
+// The window only gathers under load. The Executor counts the requests
+// it holds, from submission until each one's outcome is delivered;
+// while that count is at most runtime.GOMAXPROCS(0), a request for a
+// document with no open batch dispatches at once, as a batch of one. A
+// shared scan routes inline on one goroutine, so while queries do not
+// outnumber processors each can have a processor of its own, and
+// sharing would only save CPU that sits idle. Once they do outnumber
+// processors, requests gather in the document's batch and leave on the
+// window or on MaxBatch. The signal is requests held, not scans in
+// flight: in a closed loop every finished batch briefly lowers the
+// number of running scans, and gating on that would send the first
+// caller to come back off alone and fragment batches at saturation.
 //
 // Fan-out is selective by default: plans are partitioned by their
 // projected-path signature into event-routing groups, and a subtree no
@@ -64,6 +78,9 @@ type Executor struct {
 
 	mu      sync.Mutex
 	pending map[string]*docBatch // open batch per document name
+	// held counts the requests the Executor holds, from enqueue until
+	// each one's outcome is sent on its done channel (see finish).
+	held atomic.Int64
 
 	// autoCache memoizes merged path automata by (document, swap count,
 	// sorted signature-key set): a steady workload of repeating query
@@ -78,8 +95,10 @@ type Executor struct {
 // ExecutorOptions configures batching and scheduling.
 type ExecutorOptions struct {
 	// Window is how long the first query of a batch waits for
-	// companions; 0 means DefaultWindow. Batching trades that latency
-	// for shared scans under concurrency.
+	// companions while the Executor holds more queries than processors
+	// (runtime.GOMAXPROCS); below that a query dispatches at once. 0
+	// means DefaultWindow. Batching trades that latency for shared scans
+	// under saturation.
 	Window time.Duration
 	// MaxBatch dispatches a batch immediately once this many queries
 	// have joined; 0 means DefaultMaxBatch.
@@ -201,11 +220,19 @@ func (e *Executor) ExecuteQueryContext(ctx context.Context, doc string, q *Query
 	}
 }
 
-// enqueue adds req to doc's open batch. The first request of a batch
-// arms the dispatch timer; a full batch dispatches at once.
+// enqueue counts req as held and dispatches it at once, as a batch of
+// one, when doc has no open batch and the Executor holds no more
+// requests than there are processors. Otherwise req joins doc's open
+// batch: the first request of a batch arms the dispatch timer, and a
+// full batch dispatches at once.
 func (e *Executor) enqueue(doc string, req *execRequest) {
 	e.mu.Lock()
 	b := e.pending[doc]
+	if e.held.Add(1) <= int64(runtime.GOMAXPROCS(0)) && b == nil {
+		e.mu.Unlock()
+		go e.runBatch(&docBatch{doc: doc, reqs: []*execRequest{req}})
+		return
+	}
 	if b == nil {
 		b = &docBatch{doc: doc}
 		e.pending[doc] = b
@@ -331,7 +358,7 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 			if err := req.ctx.Err(); err != nil {
 				c.queries.Add(1)
 				c.canceled.Add(1)
-				req.done <- execOutcome{err: err}
+				e.finish(req, execOutcome{err: err})
 				continue
 			}
 			live = append(live, req)
@@ -377,7 +404,7 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 
 	fail := func(err error) {
 		for _, req := range reqs {
-			req.done <- execOutcome{res: ExecResult{BatchSize: n}, err: err}
+			e.finish(req, execOutcome{res: ExecResult{BatchSize: n}, err: err})
 		}
 	}
 	// The version is read before the file is opened: a Swap in between
@@ -437,7 +464,7 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	release()
 	for i, req := range reqs {
 		r := results[i]
-		req.done <- execOutcome{
+		e.finish(req, execOutcome{
 			res: ExecResult{
 				Stats: Stats{
 					PeakBufferBytes: r.Stats.PeakBufferBytes,
@@ -447,8 +474,16 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 				BatchSize: n,
 			},
 			err: r.Err,
-		}
+		})
 	}
+}
+
+// finish sends req its outcome; from then on the Executor no longer
+// holds it. The count falls first, so a caller that submits again at
+// once is not counted twice.
+func (e *Executor) finish(req *execRequest, out execOutcome) {
+	e.held.Add(-1)
+	req.done <- out
 }
 
 // autoCacheCap bounds the automaton cache; at the cap the whole cache

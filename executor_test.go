@@ -7,11 +7,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"flux/internal/holdtest"
 )
 
 // newTestExecutor builds a catalog with one document and an executor
@@ -30,8 +33,8 @@ func newTestExecutor(t *testing.T, maxBatch int, window time.Duration) (*Catalog
 	return cat, ex, docPath
 }
 
-// TestExecutorSingle: one query, window-driven dispatch, correct output
-// and stats.
+// TestExecutorSingle: one query, dispatched at once, correct output and
+// stats.
 func TestExecutorSingle(t *testing.T) {
 	_, ex, _ := newTestExecutor(t, 100, time.Millisecond)
 	const q = `<out> { for $b in /bib/book return {$b/title} } </out>`
@@ -65,15 +68,15 @@ func mustPrepare(t *testing.T, q string) *Query {
 	return p
 }
 
-// TestExecutorBatches: concurrent executions against one document share
-// a single scan when they fill MaxBatch.
+// TestExecutorBatches: with every processor held, concurrent executions
+// against one document share a single scan when they fill MaxBatch.
 func TestExecutorBatches(t *testing.T) {
 	queries := []string{
 		`<out> { for $b in /bib/book return {$b/title} } </out>`,
 		`<out> { for $b in /bib/book where $b/year = '2004' return {$b} } </out>`,
 		`<out> { for $b in /bib/book return <y> {$b/year} </y> } </out>`,
 	}
-	_, ex, _ := newTestExecutor(t, len(queries), 30*time.Second)
+	cat, ex, _ := newTestExecutor(t, len(queries), 30*time.Second)
 
 	want := make([]string, len(queries))
 	for i, q := range queries {
@@ -84,6 +87,7 @@ func TestExecutorBatches(t *testing.T) {
 		want[i] = out
 	}
 
+	release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 	var wg sync.WaitGroup
 	outs := make([]strings.Builder, len(queries))
 	for i, q := range queries {
@@ -101,6 +105,7 @@ func TestExecutorBatches(t *testing.T) {
 		}(i, q)
 	}
 	wg.Wait()
+	release()
 	for i := range queries {
 		if outs[i].String() != want[i] {
 			t.Errorf("query %d: output %q, want %q", i, outs[i].String(), want[i])
@@ -195,6 +200,7 @@ func TestExecutorCancelDetachesSibling(t *testing.T) {
 	defer cancel()
 	hw := &cancelOnWrite{cancel: cancel}
 
+	release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 	var wg sync.WaitGroup
 	var survivor strings.Builder
 	var survivorRes ExecResult
@@ -216,6 +222,7 @@ func TestExecutorCancelDetachesSibling(t *testing.T) {
 		writesAtReturn = hw.writes.Load()
 	}()
 	wg.Wait()
+	release()
 
 	if !errors.Is(canceledErr, context.Canceled) {
 		t.Fatalf("canceled caller: err = %v, want context.Canceled", canceledErr)
@@ -330,6 +337,223 @@ func TestExecutorFillingCallerCancels(t *testing.T) {
 	}
 }
 
+// --- dispatch rule -------------------------------------------------------
+
+// waitHeld polls until ex holds exactly n requests.
+func waitHeld(t *testing.T, ex *Executor, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for ex.held.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("executor holds %d requests, want %d", ex.held.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitGathering polls until doc has an open batch.
+func waitGathering(t *testing.T, ex *Executor, doc string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ex.mu.Lock()
+		open := ex.pending[doc] != nil
+		ex.mu.Unlock()
+		if open {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no batch gathering for %q", doc)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExecutorDispatchAtOnce: a lone request does not wait out the
+// window; with a processor free it dispatches at once, alone.
+func TestExecutorDispatchAtOnce(t *testing.T) {
+	_, ex, _ := newTestExecutor(t, 100, time.Minute)
+	start := time.Now()
+	res, err := ex.ExecuteContext(context.Background(), "bib", streamingQuery, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("lone request took %s under a one-minute window", d)
+	}
+	if res.BatchSize != 1 {
+		t.Errorf("batch size = %d, want 1", res.BatchSize)
+	}
+	waitHeld(t, ex, 0)
+}
+
+// TestExecutorDispatchBoundary: a request dispatches alone while the
+// Executor holds at most GOMAXPROCS requests, itself included; one
+// more request than that gathers, and N such requests leave as one
+// batch on MaxBatch.
+func TestExecutorDispatchBoundary(t *testing.T) {
+	const n = 3
+	cat, ex, _ := newTestExecutor(t, n, time.Minute)
+	procs := runtime.GOMAXPROCS(0)
+	release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
+	waitHeld(t, ex, int64(procs))
+
+	// One processor more: the next request is the last one that fits.
+	runtime.GOMAXPROCS(procs + 1)
+	res, err := ex.ExecuteContext(context.Background(), "bib", streamingQuery, io.Discard)
+	runtime.GOMAXPROCS(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BatchSize != 1 {
+		t.Fatalf("request at the boundary: batch size %d, want 1", res.BatchSize)
+	}
+
+	var wg sync.WaitGroup
+	sizes := make([]int, n)
+	for i := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := ex.ExecuteContext(context.Background(), "bib", streamingQuery, io.Discard)
+			if err != nil {
+				t.Error(err)
+			}
+			sizes[i] = res.BatchSize
+		}()
+		if i == 0 {
+			waitGathering(t, ex, "bib")
+		}
+	}
+	wg.Wait()
+	release()
+	for i, got := range sizes {
+		if got != n {
+			t.Errorf("request %d: batch size %d, want %d", i, got, n)
+		}
+	}
+	if st := ex.Stats()["bib"]; st.Scans != 2 || st.PeakBatch != n {
+		t.Errorf("doc stats = %+v, want one solo scan and one batch of %d", st, n)
+	}
+	waitHeld(t, ex, 0)
+}
+
+// TestExecutorDispatchCountDrains: the Executor's count of held
+// requests returns to zero whichever way a request leaves — canceled
+// while its batch gathers, dropped while its sub-batch queues in
+// admission, run in a split batch, or failed with its scan.
+func TestExecutorDispatchCountDrains(t *testing.T) {
+	// budgeted returns an executor over a catalog whose budget is one
+	// cold buffering query's charge.
+	budgeted := func(t *testing.T, window time.Duration) (*Catalog, *Executor) {
+		budget := mustPrepare(t, bufferingQuery).BufferReport().PredictedPeakBytes
+		cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: budget})
+		if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
+			t.Fatal(err)
+		}
+		ex, err := NewExecutor(cat, ExecutorOptions{Window: window, MaxBatch: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cat, ex
+	}
+
+	t.Run("canceled-while-gathering", func(t *testing.T) {
+		cat, ex, _ := newTestExecutor(t, 100, 50*time.Millisecond)
+		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := ex.ExecuteContext(ctx, "bib", streamingQuery, io.Discard)
+			errc <- err
+		}()
+		waitGathering(t, ex, "bib")
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		release()
+		waitHeld(t, ex, 0)
+		if st := ex.Stats()["bib"]; st.Scans != 0 || st.Canceled != 1 {
+			t.Errorf("doc stats = %+v, want no scan and 1 canceled", st)
+		}
+	})
+
+	t.Run("dropped-in-admission", func(t *testing.T) {
+		cat, ex := budgeted(t, time.Minute)
+		budget := cat.adm.maxBytes
+		hold, err := cat.AdmitScan(context.Background(), budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
+		ctx, cancel := context.WithCancel(context.Background())
+		errs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				_, err := ex.ExecuteContext(ctx, "bib", bufferingQuery, io.Discard)
+				errs <- err
+			}()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for cat.AdmissionStats().Waiting != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("the split batch never queued: %+v", cat.AdmissionStats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		for i := 0; i < 2; i++ {
+			if err := <-errs; !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		}
+		release()
+		waitHeld(t, ex, 0)
+		hold()
+	})
+
+	t.Run("split", func(t *testing.T) {
+		cat, ex := budgeted(t, time.Minute)
+		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := ex.ExecuteContext(context.Background(), "bib", bufferingQuery, io.Discard); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		release()
+		waitHeld(t, ex, 0)
+		if st := ex.Stats()["bib"]; st.BatchSplits != 1 {
+			t.Errorf("doc stats = %+v, want 1 split", st)
+		}
+	})
+
+	t.Run("failed-scan", func(t *testing.T) {
+		cat, ex, _ := newTestExecutor(t, 100, 50*time.Millisecond)
+		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
+		errc := make(chan error, 1)
+		go func() {
+			_, err := ex.ExecuteContext(context.Background(), "bib", streamingQuery, io.Discard)
+			errc <- err
+		}()
+		waitGathering(t, ex, "bib")
+		if err := cat.Remove("bib"); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; !errors.Is(err, ErrDocNotFound) {
+			t.Fatalf("err = %v, want ErrDocNotFound", err)
+		}
+		release()
+		waitHeld(t, ex, 0)
+	})
+}
+
 // --- cost-based scheduling ----------------------------------------------
 
 // bufferingQuery buffers each book subtree (predicted peak > 0); the
@@ -380,6 +604,7 @@ func TestExecutorBatchSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 	var wg sync.WaitGroup
 	outs := make([]strings.Builder, 2)
 	sizes := make([]int, 2)
@@ -396,6 +621,7 @@ func TestExecutorBatchSplit(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	release()
 	for i := range outs {
 		if outs[i].String() != want {
 			t.Errorf("query %d output = %q, want %q", i, outs[i].String(), want)
@@ -424,6 +650,7 @@ func TestExecutorBudgetKeepsStreamingTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -440,6 +667,7 @@ func TestExecutorBudgetKeepsStreamingTogether(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	release()
 	st := ex.Stats()["bib"]
 	if st.Scans != 1 || st.BatchSplits != 0 {
 		t.Fatalf("doc stats = %+v, want one unsplit scan", st)

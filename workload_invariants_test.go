@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"flux"
+	"flux/internal/holdtest"
 	"flux/internal/shard"
 	"flux/internal/stream"
 	"flux/internal/xmark"
@@ -133,12 +134,13 @@ func checkRouting(t *testing.T, w *workload) {
 	if err := cat.Add("doc", w.docPath, xmark.DTD); err != nil {
 		t.Fatal(err)
 	}
-	// A window far longer than the test: the batch leaves on MaxBatch,
-	// so all queries share exactly one scan.
+	// A window far longer than the test and every processor held: the
+	// batch leaves on MaxBatch, so all queries share exactly one scan.
 	ex, err := flux.NewExecutor(cat, flux.ExecutorOptions{Window: time.Minute, MaxBatch: len(queries)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 	exOuts := make([]bytes.Buffer, len(queries))
 	exResults := make([]flux.ExecResult, len(queries))
 	errs := make([]error, len(queries))
@@ -151,6 +153,7 @@ func checkRouting(t *testing.T, w *workload) {
 		}()
 	}
 	wg.Wait()
+	release()
 	var exTokens int64
 	for i := range queries {
 		if errs[i] != nil {
@@ -222,9 +225,9 @@ func postWave(t *testing.T, base, doc string) []servedAnswer {
 
 // spawnTier starts one embedded worker per shard of the placement and,
 // when withRouter is set, a Router over them; it returns the base URL
-// clients post to (the router's, or else the only worker's) and the
-// router, if any.
-func spawnTier(t *testing.T, w *workload, placement map[string][]int, shards int, ex flux.ExecutorOptions, withRouter bool) (string, *shard.Router) {
+// clients post to (the router's, or else the only worker's), the
+// router, if any, and the workers.
+func spawnTier(t *testing.T, w *workload, placement map[string][]int, shards int, ex flux.ExecutorOptions, withRouter bool) (string, *shard.Router, []*shard.EmbeddedShard) {
 	t.Helper()
 	m, err := shard.NewMapFromPlacement(placement, shards)
 	if err != nil {
@@ -244,7 +247,7 @@ func spawnTier(t *testing.T, w *workload, placement map[string][]int, shards int
 		}
 	})
 	if !withRouter {
-		return workers[0].Addr, nil
+		return workers[0].Addr, nil, workers
 	}
 	rt, err := shard.NewRouter(shard.RouterOptions{Map: m, Shards: shard.Addrs(workers), HealthInterval: -1, Admin: true})
 	if err != nil {
@@ -258,18 +261,22 @@ func spawnTier(t *testing.T, w *workload, placement map[string][]int, shards int
 	hs := &http.Server{Handler: rt}
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close() })
-	return "http://" + ln.Addr().String(), rt
+	return "http://" + ln.Addr().String(), rt, workers
 }
 
 // checkSharding: the document registered twice, served by one worker
 // holding both copies and by a Router over two workers holding one
 // each, answers every query with the same body and stats trailers.
 func checkSharding(t *testing.T, w *workload) {
-	// Each document's five queries leave as one batch (MaxBatch) in both
-	// tiers, so the batches, and with them the trailers, agree.
+	// With every worker's processors held, each document's five queries
+	// leave as one batch (MaxBatch) in both tiers, so the batches, and
+	// with them the trailers, agree.
 	ex := flux.ExecutorOptions{Window: time.Minute, MaxBatch: len(xmark.QueryNames)}
-	single, _ := spawnTier(t, w, map[string][]int{"x0": {0}, "x1": {0}}, 1, ex, false)
-	sharded, _ := spawnTier(t, w, map[string][]int{"x0": {0}, "x1": {1}}, 2, ex, true)
+	single, _, singleWorkers := spawnTier(t, w, map[string][]int{"x0": {0}, "x1": {0}}, 1, ex, false)
+	sharded, _, shardedWorkers := spawnTier(t, w, map[string][]int{"x0": {0}, "x1": {1}}, 2, ex, true)
+	for _, wk := range append(singleWorkers, shardedWorkers...) {
+		holdtest.Hold(t, wk.Worker().Catalog().Add, wk.Worker().Executor().ExecuteContext)
+	}
 	for _, doc := range []string{"x0", "x1"} {
 		want := postWave(t, single, doc)
 		got := postWave(t, sharded, doc)
@@ -294,7 +301,7 @@ const migrateWaves = 3
 // moving the document from shard 0 to shard 1 during the second wave,
 // and returns every answer in order with the summed X-Flux-Tokens.
 func migrationRun(t *testing.T, w *workload, live bool) ([]servedAnswer, int64) {
-	base, rt := spawnTier(t, w, map[string][]int{"m0": {0}}, 2,
+	base, rt, _ := spawnTier(t, w, map[string][]int{"m0": {0}}, 2,
 		flux.ExecutorOptions{Window: 2 * time.Millisecond, MaxBatch: len(xmark.QueryNames)}, true)
 	var all []servedAnswer
 	var tokens int64
