@@ -59,8 +59,9 @@ lint-docs:
 # Short-mode fuzz smoke: the native scanner targets (pull round trip,
 # batched ≡ per-event delivery, chunked push mode), the XQuery⁻
 # print → parse round trip, the automaton-dispatch equivalence target,
-# and the streaming worker pool against the batch scan, each for a few
-# seconds on top of their checked-in seeds.
+# the streaming worker pool against the batch scan, and generated
+# queries against the scheduler (every one must prepare and match the
+# naive oracle), each for a few seconds on top of their checked-in seeds.
 fuzz:
 	$(GO) test ./internal/sax -run='^FuzzScan$$' -fuzz='^FuzzScan$$' -fuzztime=10s
 	$(GO) test ./internal/sax -run='^FuzzScanBatched$$' -fuzz='^FuzzScanBatched$$' -fuzztime=10s
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/xq -run='^FuzzParsePrint$$' -fuzz='^FuzzParsePrint$$' -fuzztime=10s
 	$(GO) test . -run='^FuzzAutomatonDispatch$$' -fuzz='^FuzzAutomatonDispatch$$' -fuzztime=10s
 	$(GO) test . -run='^FuzzParallelDispatch$$' -fuzz='^FuzzParallelDispatch$$' -fuzztime=10s
+	$(GO) test . -run='^FuzzSchedule$$' -fuzz='^FuzzSchedule$$' -fuzztime=10s
 
 # Benchmark smoke: the paper's Figure 4 at 1 MB (five queries × flux,
 # naive, projection, each cell the fastest of three runs), failing when

@@ -110,7 +110,8 @@ func BenchmarkJoinScale(b *testing.B) {
 
 // BenchmarkAblationScheduling isolates the value of schema-based
 // scheduling: the same FluX runtime with the Figure 2 scheduler versus
-// the Example 3.4 fallback (everything behind on-first past(*)).
+// the universal Example 3.4 schedule (everything behind on-first
+// past(*)).
 func BenchmarkAblationScheduling(b *testing.B) {
 	doc := benchDocument(b)
 	for _, qname := range xmark.QueryNames {
@@ -118,14 +119,14 @@ func BenchmarkAblationScheduling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fallback, err := PrepareUnscheduled(xmark.Queries[qname], xmark.DTD)
+		unscheduled, err := PrepareUnscheduled(xmark.Queries[qname], xmark.DTD)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, v := range []struct {
 			name string
 			q    *Query
-		}{{"scheduled", scheduled}, {"unscheduled", fallback}} {
+		}{{"scheduled", scheduled}, {"unscheduled", unscheduled}} {
 			b.Run(strings.ToUpper(qname)+"/"+v.name, func(b *testing.B) {
 				b.SetBytes(int64(len(doc)))
 				var peak int64

@@ -91,15 +91,11 @@ type Query struct {
 	norm   xq.Expr
 	flux   core.Flux
 	plan   *engine.Plan
-	// fallback records why the Figure 2 schedule was replaced by the
-	// Example 3.4 fallback ("" = not replaced).
-	fallback string
 }
 
 // Prepare compiles queryText (XQuery⁻) against dtdText. It returns an
 // error if the query is outside the fragment or the DTD is malformed or
-// ambiguous. A schedule the engine refuses falls back to Example 3.4
-// (see PrepareWithSchema).
+// ambiguous, or if the engine refuses its schedule (a scheduler bug).
 func Prepare(queryText, dtdText string) (*Query, error) {
 	schema, err := dtd.Parse(dtdText)
 	if err != nil {
@@ -110,15 +106,13 @@ func Prepare(queryText, dtdText string) (*Query, error) {
 
 // PrepareWithSchema is Prepare for an already parsed schema.
 //
-// The schedule is compiled by engine.Compile, which admits it only if it
-// satisfies core.CheckSafety, the one rule for when a handler's data is
-// complete; Figure 2 plans against that rule. If the schedule is refused
-// anyway — the rule rejects it (Theorem 4.3 says it should not), or the
-// engine has no runtime for its shape, such as two on handlers for one
-// element in a scope — Prepare falls back to the universal Example 3.4
-// schedule { ps $ROOT: on-first past(*) return α }, which buffers the
-// projected paths until end of stream but is always correct. The
-// fallback reason is available via FallbackReason.
+// The Figure 2 schedule is compiled once by engine.Compile, which admits
+// it only if it satisfies core.CheckSafety, the one rule for when a
+// handler's data is complete, and the engine has a runtime for its
+// shape. Figure 2 meets both: its schedules are safe (Theorem 4.3), and
+// loop merging with the held-open rule of its line 30 leaves at most one
+// on handler per element in a scope. A refused schedule is therefore a
+// scheduler bug, and PrepareWithSchema returns the compile error.
 func PrepareWithSchema(queryText string, schema *dtd.Schema) (*Query, error) {
 	src, err := xq.Parse(queryText)
 	if err != nil {
@@ -129,17 +123,7 @@ func PrepareWithSchema(queryText string, schema *dtd.Schema) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{schema: schema, source: src, norm: norm, flux: f}
-	plan, cerr := engine.Compile(schema, f)
-	if cerr != nil {
-		q.flux = unscheduled(norm)
-		if plan, err = engine.Compile(schema, q.flux); err != nil {
-			return nil, cerr
-		}
-		q.fallback = "scheduled query not single-pass executable: " + cerr.Error()
-	}
-	q.plan = plan
-	return q, nil
+	return prepareFromFlux(schema, src, norm, f)
 }
 
 // unscheduled is the Example 3.4 schedule of a normalized query: every
@@ -150,18 +134,14 @@ func unscheduled(norm xq.Expr) core.Flux {
 	}}
 }
 
-// FallbackReason reports why the Figure 2 schedule was replaced by the
-// Example 3.4 fallback, or "" when the scheduled query runs as planned.
-func (q *Query) FallbackReason() string { return q.fallback }
-
 // PrepareFlux compiles a hand-written FluX query given in the paper's
 // surface syntax, e.g.
 //
 //	{ ps $ROOT: on bib as $b return { $b }; on-first past(bib) return done }
 //
 // engine.Compile admits the query only if it satisfies core.CheckSafety
-// w.r.t. the DTD; hand-written queries, unlike scheduler output, may fail
-// it, and there is no fallback.
+// w.r.t. the DTD and has a runtime for its shape; hand-written queries,
+// unlike scheduler output, may fail either test, and are then refused.
 func PrepareFlux(fluxText, dtdText string) (*Query, error) {
 	schema, err := dtd.Parse(dtdText)
 	if err != nil {
@@ -177,7 +157,7 @@ func PrepareFlux(fluxText, dtdText string) (*Query, error) {
 }
 
 // PrepareUnscheduled compiles queryText without schema-based scheduling:
-// the normalized query is wrapped in the Example 3.4 fallback
+// the normalized query is wrapped in the universal Example 3.4 schedule
 // { ps $ROOT: on-first past(*) return α }, so the engine buffers every
 // projected path until the end of the stream. This is the ablation
 // baseline that isolates the benefit of the Figure 2 scheduler.

@@ -283,25 +283,50 @@ type fuzzQuery struct {
 	joins    int    // value-join atoms in it
 }
 
+// fuzzRegressions are fixed corpus entries beyond the generated ones:
+// queries whose Figure 2 schedule put a second on handler for one
+// element in a scope, which the engine refuses, or re-buffered under
+// on-first past(r) what an on r scope already held.
+var fuzzRegressions = []struct {
+	si   int
+	text string
+}{
+	{1, `{ if empty($ROOT/r/a) and $ROOT/r/b >= 7 then { for $v1 in $ROOT/r/a return s2 } s0 { $ROOT/r/a } }`},
+	{4, `{ if $ROOT/part/pid < 7 then { $ROOT/part } leaf leaf } { for $v1 in $ROOT/part return { if $ROOT/part/pid != 1991 then leaf } leaf leaf }`},
+	{5, `{ for $v1 in $ROOT/j/m where exists $ROOT/j return leaf } { $ROOT/j/l } { for $v2 in $ROOT/j return leaf leaf } { if exists $ROOT/j then { if empty($ROOT/j/l) then leaf } { $ROOT/j/l } }`},
+	{2, `{ for $v1 in $ROOT/r/hdr return leaf leaf } s3 { if not exists $ROOT/r then { for $v2 in $ROOT/r/hdr where empty($v2/k) return leaf leaf } }`},
+}
+
+// genQuery generates the query of fuzz schema si and seed; a join-biased
+// query has the value-join shape of joinQuery.
+func genQuery(si int, seed int64, joinBias bool) fuzzQuery {
+	dtdText := fuzzSchemas[si]
+	schema := dtd.MustParse(dtdText)
+	g := &queryGen{r: rand.New(rand.NewSource(int64(si)*10000 + seed)), schema: schema, joinBias: joinBias}
+	root := binding{xq.RootVar, dtd.DocumentVar}
+	var queryAST xq.Expr
+	if joinBias {
+		queryAST = g.joinQuery(root)
+	} else {
+		queryAST = g.build([]binding{root}, 4)
+	}
+	return fuzzQuery{si: si, seed: int(seed), dtdText: dtdText, schema: schema,
+		text: xq.Print(queryAST), joins: g.joins}
+}
+
 // fuzzCorpus calls f for the differential corpus: 240 queries per fuzz
-// schema, the second half of the seeds join-shaped.
+// schema, the second half of the seeds join-shaped, then the fixed
+// fuzzRegressions.
 func fuzzCorpus(f func(fuzzQuery)) {
 	const queriesPerSchema = 120
-	for si, dtdText := range fuzzSchemas {
-		schema := dtd.MustParse(dtdText)
+	for si := range fuzzSchemas {
 		for seed := 0; seed < 2*queriesPerSchema; seed++ {
-			g := &queryGen{r: rand.New(rand.NewSource(int64(si*10000 + seed))), schema: schema,
-				joinBias: seed >= queriesPerSchema}
-			root := binding{xq.RootVar, dtd.DocumentVar}
-			var queryAST xq.Expr
-			if g.joinBias {
-				queryAST = g.joinQuery(root)
-			} else {
-				queryAST = g.build([]binding{root}, 4)
-			}
-			f(fuzzQuery{si: si, seed: seed, dtdText: dtdText, schema: schema,
-				text: xq.Print(queryAST), joins: g.joins})
+			f(genQuery(si, int64(seed), seed >= queriesPerSchema))
 		}
+	}
+	for i, r := range fuzzRegressions {
+		f(fuzzQuery{si: r.si, seed: 2*queriesPerSchema + i, dtdText: fuzzSchemas[r.si],
+			schema: dtd.MustParse(fuzzSchemas[r.si]), text: r.text})
 	}
 }
 
@@ -317,29 +342,12 @@ func (fq fuzzQuery) docs(n int, gen dtd.GenOptions) []string {
 	return out
 }
 
-// maxFuzzFallbacks bounds the corpus queries whose Figure 2 schedule the
-// engine refuses, so that they run the Example 3.4 schedule. It may only
-// tighten.
-const maxFuzzFallbacks = 10
-
 func TestFuzzDifferential(t *testing.T) {
 	total, joinQueries, joinAtoms := 0, 0, 0
 	strategies := map[string]int{}
-	fallbacks := map[string]int{}
 	fuzzCorpus(func(fq fuzzQuery) {
 		total++
-		// A printed AST that does not parse back is a printer or parser
-		// bug; a core or engine error rejects a query of the fragment.
-		if _, err := xq.Parse(fq.text); err != nil {
-			t.Fatalf("schema %d seed %d: printed query does not parse: %v\nquery: %s", fq.si, fq.seed, err, fq.text)
-		}
-		q, err := PrepareWithSchema(fq.text, fq.schema)
-		if err != nil {
-			t.Fatalf("schema %d seed %d: rejected: %v\nquery: %s", fq.si, fq.seed, err, fq.text)
-		}
-		if r := q.FallbackReason(); r != "" {
-			fallbacks[fallbackKind(r)]++
-		}
+		q := checkDifferential(t, fq)
 		if fq.joins > 0 {
 			joinQueries++
 			joinAtoms += fq.joins
@@ -349,53 +357,70 @@ func TestFuzzDifferential(t *testing.T) {
 				}
 			}
 		}
-		for d, doc := range fq.docs(3, dtd.GenOptions{}) {
-			outF, _, err := q.RunString(doc, Options{Engine: FluX})
-			if err != nil {
-				t.Fatalf("schema %d seed %d: flux run: %v\nquery: %s\ndoc: %s\nplan:\n%s",
-					fq.si, fq.seed, err, fq.text, doc, q.PlanText())
-			}
-			outN, _, err := q.RunString(doc, Options{Engine: Naive})
-			if err != nil {
-				t.Fatalf("schema %d seed %d: naive run: %v\nquery: %s", fq.si, fq.seed, err, fq.text)
-			}
-			outP, _, err := q.RunString(doc, Options{Engine: Projection})
-			if err != nil {
-				t.Fatalf("schema %d seed %d: projection run: %v\nquery: %s", fq.si, fq.seed, err, fq.text)
-			}
-			if outF != outN {
-				t.Fatalf("schema %d seed %d doc %d: flux differs from oracle\nquery: %s\nflux:  %q\noracle: %q\nFluX: %s\nplan:\n%s\ndoc: %s",
-					fq.si, fq.seed, d, fq.text, outF, outN, q.FluxText(), q.PlanText(), doc)
-			}
-			if outP != outN {
-				t.Fatalf("schema %d seed %d doc %d: projection differs from oracle\nquery: %s\nproj:  %q\noracle: %q\ndoc: %s",
-					fq.si, fq.seed, d, fq.text, outP, outN, doc)
-			}
-		}
 	})
-	n := 0
-	for _, c := range fallbacks {
-		n += c
-	}
-	if n > maxFuzzFallbacks {
-		t.Errorf("%d of %d queries fall back to the Example 3.4 schedule, more than %d: %v", n, total, maxFuzzFallbacks, fallbacks)
-	}
 	if joinQueries == 0 || strategies["hash"] == 0 || strategies["sorted"] == 0 {
 		t.Errorf("generator produced no indexed joins: %d join queries, strategies %v", joinQueries, strategies)
 	}
-	t.Logf("fuzz: %d queries, %d fall back to Example 3.4, by reason %v; %d join queries with %d join atoms, join loops by strategy %v",
-		total, n, fallbacks, joinQueries, joinAtoms, strategies)
+	t.Logf("fuzz: %d queries; %d join queries with %d join atoms, join loops by strategy %v",
+		total, joinQueries, joinAtoms, strategies)
 }
 
-// fallbackKind names the rule or engine limit a fallback reason cites.
-func fallbackKind(reason string) string {
-	for _, k := range []string{"element itself is still open", "not covered by the handler's past set",
-		"no order constraint", "may repeat", "multiple on handlers"} {
-		if strings.Contains(reason, k) {
-			return k
+// FuzzSchedule runs the differential check on generated queries beyond
+// the corpus: the input picks the fuzz schema (mod its count) and the
+// generator seed, whose parity picks the join shape. Every generated
+// query must schedule into a plan the engine runs, with the oracle's
+// output.
+func FuzzSchedule(f *testing.F) {
+	f.Add(0, int64(51))
+	f.Add(5, int64(3))
+	f.Add(4, int64(1001))
+	f.Fuzz(func(t *testing.T, si int, seed int64) {
+		si %= len(fuzzSchemas)
+		if si < 0 {
+			si += len(fuzzSchemas)
+		}
+		checkDifferential(t, genQuery(si, seed, seed%2 != 0))
+	})
+}
+
+// checkDifferential prepares a generated query, which must succeed, and
+// runs it over three generated documents through the FluX engine and
+// both baselines, which must agree with the naive oracle.
+func checkDifferential(t *testing.T, fq fuzzQuery) *Query {
+	t.Helper()
+	// A printed AST that does not parse back is a printer or parser bug;
+	// a core or engine error rejects a query of the fragment.
+	if _, err := xq.Parse(fq.text); err != nil {
+		t.Fatalf("schema %d seed %d: printed query does not parse: %v\nquery: %s", fq.si, fq.seed, err, fq.text)
+	}
+	q, err := PrepareWithSchema(fq.text, fq.schema)
+	if err != nil {
+		t.Fatalf("schema %d seed %d: rejected: %v\nquery: %s", fq.si, fq.seed, err, fq.text)
+	}
+	for d, doc := range fq.docs(3, dtd.GenOptions{}) {
+		outF, _, err := q.RunString(doc, Options{Engine: FluX})
+		if err != nil {
+			t.Fatalf("schema %d seed %d: flux run: %v\nquery: %s\ndoc: %s\nplan:\n%s",
+				fq.si, fq.seed, err, fq.text, doc, q.PlanText())
+		}
+		outN, _, err := q.RunString(doc, Options{Engine: Naive})
+		if err != nil {
+			t.Fatalf("schema %d seed %d: naive run: %v\nquery: %s", fq.si, fq.seed, err, fq.text)
+		}
+		outP, _, err := q.RunString(doc, Options{Engine: Projection})
+		if err != nil {
+			t.Fatalf("schema %d seed %d: projection run: %v\nquery: %s", fq.si, fq.seed, err, fq.text)
+		}
+		if outF != outN {
+			t.Fatalf("schema %d seed %d doc %d: flux differs from oracle\nquery: %s\nflux:  %q\noracle: %q\nFluX: %s\nplan:\n%s\ndoc: %s",
+				fq.si, fq.seed, d, fq.text, outF, outN, q.FluxText(), q.PlanText(), doc)
+		}
+		if outP != outN {
+			t.Fatalf("schema %d seed %d doc %d: projection differs from oracle\nquery: %s\nproj:  %q\noracle: %q\ndoc: %s",
+				fq.si, fq.seed, d, fq.text, outP, outN, doc)
 		}
 	}
-	return reason
+	return q
 }
 
 // TestScheduleNeverBuffersMore: on every corpus query and document, the

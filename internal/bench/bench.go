@@ -25,8 +25,8 @@ type Mode string
 
 // The benchmark columns. FluXNoSchema is the ablation: the FluX runtime
 // with scheduling disabled (everything behind on-first past(*), the
-// Example 3.4 fallback), isolating the contribution of schema-based
-// scheduling.
+// universal Example 3.4 schedule), isolating the contribution of
+// schema-based scheduling.
 const (
 	ModeFluX         Mode = "flux"
 	ModeNaive        Mode = "naive"

@@ -138,18 +138,22 @@ func (rw *rewriter) rewrite(parentVar string, prev []Handler, beta xq.Expr, bind
 			return &PS{Var: x, Handlers: []Handler{onFirst(deps, false, beta)}}, nil
 		}
 		// Line 30. A self-dependency b = a is ordered (Ord(a, a) holds
-		// for a singleton a) only if neither the body nor an earlier
-		// on-first handler, which an on a handler makes fire at a's start
-		// tag, reads more of a than that tag.
-		reads := []xq.Expr{f.Body}
+		// for a singleton a) only if no earlier on a handler holds a open
+		// and neither the body nor an earlier on-first handler, which an
+		// on a handler makes fire at a's start tag, reads more of a than
+		// that tag.
+		reads, heldOpen := []xq.Expr{f.Body}, false
 		for _, h := range prev {
-			if h, ok := h.(*OnFirst); ok {
+			switch h := h.(type) {
+			case *OnFirst:
 				reads = append(reads, h.Body)
+			case *On:
+				heldOpen = heldOpen || h.Name == a
 			}
 		}
 		var X []string
 		for _, b := range deps {
-			if !rw.schema.Ord(elem, b, a) || b == a && readsOpen(x, a, xq.NewSeq(reads...)) {
+			if !rw.schema.Ord(elem, b, a) || b == a && (heldOpen || readsOpen(x, a, xq.NewSeq(reads...))) {
 				X = append(X, b)
 			}
 		}

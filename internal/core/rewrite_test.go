@@ -191,6 +191,30 @@ func TestRewriteLoopOverOtherScope(t *testing.T) {
 	}
 }
 
+// TestRewriteLoopAfterOnHandler: an on hdr handler holds hdr open, so a
+// later loop over hdr in the same scope, which loop merging keeps apart
+// because s3 separates it, counts hdr as unordered and waits for
+// on-first past(hdr) rather than taking a second on hdr handler, which
+// the engine cannot run.
+func TestRewriteLoopAfterOnHandler(t *testing.T) {
+	f := schedule(t, `
+<!ELEMENT r (hdr,grp*)>
+<!ELEMENT hdr (k,v)>
+<!ELEMENT grp (k,(x|y)*,v?)>
+<!ELEMENT k (#PCDATA)>
+<!ELEMENT v (#PCDATA)>
+<!ELEMENT x (#PCDATA)>
+<!ELEMENT y (#PCDATA)>
+`, `{ for $v1 in $ROOT/r/hdr return leaf leaf } s3 { if not exists $ROOT/r then { for $v2 in $ROOT/r/hdr where empty($v2/k) return leaf leaf } }`)
+	want := `{ ps $ROOT: on r as $r return { ps $r:` +
+		` on hdr as $v1 return { ps $v1: on-first past() return leaf leaf };` +
+		` on-first past(hdr) return s3;` +
+		` on-first past(hdr) return { for $v2 in $r/hdr return { if not exists $ROOT/r and empty($v2/k) then leaf leaf } } } }`
+	if got := Print(f); got != want {
+		t.Errorf("loop after on hdr:\n got %s\nwant %s", got, want)
+	}
+}
+
 // Q3 of Example 4.6 (join of article authors with book editors).
 const q3Text = `<results>
 { for $bib in $ROOT/bib return

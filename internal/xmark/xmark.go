@@ -161,8 +161,8 @@ var QueryNames = []string{"q1", "q8", "q11", "q13", "q20"}
 // FanoutQueries are narrow queries with pairwise-disjoint projected
 // paths — one per top-level branch of the site — so selective fan-out
 // can route each to a different slice of the document. They drive
-// BenchmarkSelectiveFanout and the fanout-all/fanout-automaton
-// snapshot rows (internal/bench).
+// BenchmarkSelectiveFanout and are the fanout queries of the
+// serve-closed workload of benchmark/.
 var FanoutQueries = []string{
 	`<q> { for $i in /site/regions/australia/item return {$i/item_id} } </q>`,
 	`<q> { for $c in /site/categories/category return {$c/category_id} } </q>`,
@@ -201,9 +201,10 @@ var sharedPrefixTails = []string{
 // SharedPrefixQueries returns n queries that all iterate
 // /site/people/person and project two person subpaths each — maximal
 // path-prefix overlap across the batch, the workload where a merged
-// automaton's one-traversal dispatch pays off most. The queries are pairwise distinct up to the number of subpath
-// pairs (the enumeration cycles beyond that). They drive the
-// fanout-wide bench rows (internal/bench).
+// automaton's one-traversal dispatch pays off most. The queries are
+// pairwise distinct up to the number of subpath pairs (the enumeration
+// cycles beyond that). They are the prefix queries of benchmark/'s
+// serve-open, serve-closed, tier-http and stream-replay workloads.
 func SharedPrefixQueries(n int) []string {
 	out := make([]string, 0, n)
 	for len(out) < n {

@@ -13,7 +13,15 @@ import (
 //     ────────────────────────────────────────────────────────  (a ∈ ||≤1_$r)
 //     { for $x in $r/a return α β[$x'↦$x] }
 //
-//  2. nested loop re-binding — inside the body of {for $v in $z/a … }, a
+//  2. exact-once merging — the document element r occurs exactly once,
+//     so two loops over it merge across the items γ between them, which
+//     run once either way:
+//
+//     { for $x in $ROOT/r return α } γ { for $x' in $ROOT/r return β }
+//     ──────────────────────────────────────────────────────────────────
+//     { for $x in $ROOT/r return α γ β[$x'↦$x] }
+//
+//  3. nested loop re-binding — inside the body of {for $v in $z/a … }, a
 //     loop {for $u in $z/a return β} ranges over the very node $v when a
 //     occurs at most once among $z's children, so it collapses to
 //     β[$u↦$v]. This is what lets the scheduler handle the XMark queries'
@@ -21,7 +29,7 @@ import (
 //     re-binding, rewrite() discovers past(people, closed_auctions) at the
 //     site level instead of giving up.
 //
-//  3. condition path re-binding — likewise, inside that body a condition
+//  4. condition path re-binding — likewise, inside that body a condition
 //     path $z/a/π denotes the nodes of $v/π. Re-bound, it is a dependency
 //     of $v's scope that the scheduler sees and buffers once, instead of
 //     a second read of $z's scope through the open element a.
@@ -86,23 +94,30 @@ func (m *merger) singleton(binding map[string]string, src, a string) bool {
 	return m.schema.AtMostOnce(elem, a)
 }
 
-// mergeSiblings fuses adjacent loops over the same singleton step.
+// mergeSiblings fuses adjacent loops over the same singleton step, and
+// any two over the document element (rule 2).
 func (m *merger) mergeSiblings(items []Expr, binding map[string]string) []Expr {
 	var out []Expr
+next:
 	for _, it := range items {
-		cur, okCur := it.(*For)
-		if okCur && len(out) > 0 {
-			if prev, okPrev := out[len(out)-1].(*For); okPrev &&
-				prev.Src == cur.Src && len(prev.Path) == 1 && len(cur.Path) == 1 &&
-				prev.Path[0] == cur.Path[0] && prev.Where == nil && cur.Where == nil &&
-				m.singleton(binding, cur.Src, cur.Path[0]) {
-				body := RenameVar(cur.Body, cur.Var, prev.Var)
-				prev.Body = NewSeq(prev.Body, body)
-				// The merged body may expose new adjacent pairs one level
-				// down; re-run on it with the extended binding.
-				inner := extend(binding, prev.Var, prev.Path[0])
-				prev.Body = NewSeq(m.mergeSiblings(Items(prev.Body), inner)...)
-				continue
+		if cur, ok := it.(*For); ok && len(cur.Path) == 1 && cur.Where == nil && m.singleton(binding, cur.Src, cur.Path[0]) {
+			lo := len(out) - 1
+			if binding[cur.Src] == dtd.DocumentVar && cur.Path[0] == m.schema.Root {
+				lo = 0
+			}
+			for j := len(out) - 1; j >= max(lo, 0); j-- {
+				if prev, ok := out[j].(*For); ok && prev.Src == cur.Src && len(prev.Path) == 1 &&
+					prev.Path[0] == cur.Path[0] && prev.Where == nil {
+					body := RenameVar(cur.Body, cur.Var, prev.Var)
+					prev.Body = NewSeq(append(append([]Expr{prev.Body}, out[j+1:]...), body)...)
+					out = out[:j+1]
+					// The merged body may expose new pairs one level down, and
+					// the moved items may re-range over prev's step.
+					inner := extend(binding, prev.Var, prev.Path[0])
+					prev.Body = NewSeq(m.mergeSiblings(Items(prev.Body), inner)...)
+					prev.Body = m.rebindWithin(prev, prev.Body, inner)
+					continue next
+				}
 			}
 		}
 		out = append(out, it)

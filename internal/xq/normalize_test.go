@@ -235,6 +235,35 @@ func TestMergeDoesNotFuseRepeatable(t *testing.T) {
 	}
 }
 
+// TestMergeDocumentElementAcrossItems: the document element r occurs
+// exactly once, so two loops over it merge even with a string between
+// them, which moves into the merged body, and a condition moved with it
+// re-binds to the merged loop's variable. hdr occurs exactly once under
+// r but is not the document element: its loops, separated by output,
+// stay two.
+func TestMergeDocumentElementAcrossItems(t *testing.T) {
+	schema := dtd.MustParse(`
+<!ELEMENT r (hdr,grp*)>
+<!ELEMENT hdr (k,v)>
+<!ELEMENT grp (k,v?)>
+<!ELEMENT k (#PCDATA)>
+<!ELEMENT v (#PCDATA)>
+`)
+	cases := []struct{ in, want string }{
+		{`{ for $a in $ROOT/r return {$a/hdr} } s { for $b in $ROOT/r return {$b/grp} }`,
+			`{ for $a in $ROOT/r return { for $hdr in $a/hdr return { $hdr } } s { for $grp in $a/grp return { $grp } } }`},
+		{`{ $ROOT/r/hdr } s { if exists $ROOT/r/grp then t } { $ROOT/r/grp }`,
+			`{ for $r in $ROOT/r return { for $hdr in $r/hdr return { $hdr } } s { if exists $r/grp then t } { for $grp in $r/grp return { $grp } } }`},
+		{`{ for $r in $ROOT/r return { for $h in $r/hdr return {$h/k} } s { for $h2 in $r/hdr return {$h2/v} } }`,
+			`{ for $r in $ROOT/r return { for $h in $r/hdr return { for $k in $h/k return { $k } } } s { for $h2 in $r/hdr return { for $v in $h2/v return { $v } } } }`},
+	}
+	for _, c := range cases {
+		if got := Print(MergeLoops(Normalize(MustParse(c.in)), schema)); got != c.want {
+			t.Errorf("MergeLoops(%s)\n got %s\nwant %s", c.in, got, c.want)
+		}
+	}
+}
+
 // TestRebindNestedAbsolutePath is the XMark Q8 pattern: an absolute path
 // re-opened inside an inner scope collapses onto the enclosing singleton
 // binding.

@@ -6,9 +6,10 @@ import (
 	"flux/internal/xmark"
 )
 
-// TestSharedPrefixQueriesCompile pins the fanout-wide bench workload:
-// every generated shared-prefix query (all subpath pairs) must compile
-// and schedule against the XMark DTD.
+// TestSharedPrefixQueriesCompile pins the prefix queries of the
+// serve-open, serve-closed, tier-http and stream-replay workloads of
+// benchmark/: every generated shared-prefix query (all subpath pairs)
+// must compile and schedule against the XMark DTD.
 func TestSharedPrefixQueriesCompile(t *testing.T) {
 	qs := xmark.SharedPrefixQueries(171)
 	seen := make(map[string]bool, len(qs))
