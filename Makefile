@@ -36,11 +36,12 @@ race-fault:
 # endpoints, which host hubs — at GOMAXPROCS 1 and 4, under the race
 # detector. 1 pins the inline streaming path; 4 interleaves the scan
 # goroutine and the workers even on a smaller CI machine. The root
-# pattern also takes the Executor's batching and dispatch tests: its
-# dispatch rule reads GOMAXPROCS, so 1 and 4 run it in both regimes.
+# pattern also takes the Executor's batching, dispatch and admission
+# tests: its dispatch rule reads GOMAXPROCS, so 1 and 4 run it in both
+# regimes.
 race-cpu:
 	$(GO) test -race -cpu 1,4 ./internal/mux ./internal/stream
-	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming|Admit|Admission|Split|Batch|Dispatch' .
+	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming|Admit|Admission|Batch|Dispatch|Budget|Charge' .
 	$(GO) test -race -cpu 1,4 -run 'Stream|Ingest|Subscribe' ./internal/shard
 
 fmt-check:

@@ -119,19 +119,22 @@ func TestChargeIsExact(t *testing.T) {
 }
 
 // TestChargeBoundsScan: one budget bounds a scan. Two warmed q8s on the
-// 1 MB document charge 139,492 bytes each, so a budget from 139,492 up
-// to 278,983 splits their batch into two scans, and 278,984 lets them
-// share one.
+// 1 MB document charge 139,492 bytes each, so under a budget from
+// 139,492 up to 278,983 the second queues for admission and runs in a
+// scan of its own, and 278,984 lets them share one. A query that waits
+// for admission never fills the first one's batch, so the window of
+// the cases that cannot share is short.
 func TestChargeBoundsScan(t *testing.T) {
 	path := writeXMark(t, t.TempDir(), "a", 1<<20)
 	const q8peak = 139_492
 	for _, tc := range []struct {
 		budget int64
-		splits int64
+		scans  int64
+		window time.Duration
 	}{
-		{q8peak, 1},
-		{2*q8peak - 1, 1},
-		{2 * q8peak, 0},
+		{q8peak, 2, 20 * time.Millisecond},
+		{2*q8peak - 1, 2, 20 * time.Millisecond},
+		{2 * q8peak, 1, time.Minute},
 	} {
 		cat := flux.NewCatalog(flux.CatalogOptions{MaxResidentBufferBytes: tc.budget})
 		if err := cat.Add("a", path, xmark.DTD); err != nil {
@@ -144,7 +147,7 @@ func TestChargeBoundsScan(t *testing.T) {
 		if _, err := warm.ExecuteContext(context.Background(), "a", xmark.Queries["q8"], io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		ex, err := flux.NewExecutor(cat, flux.ExecutorOptions{Window: time.Minute, MaxBatch: 2})
+		ex, err := flux.NewExecutor(cat, flux.ExecutorOptions{Window: tc.window, MaxBatch: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,17 +164,19 @@ func TestChargeBoundsScan(t *testing.T) {
 		}
 		wg.Wait()
 		release()
-		st := ex.Stats()["a"]
-		if st.BatchSplits != tc.splits || st.Scans != 1+tc.splits {
-			t.Errorf("budget %d: stats = %+v, want %d split(s) over %d scan(s)", tc.budget, st, tc.splits, 1+tc.splits)
+		if st := ex.Stats()["a"]; st.Queries != 2 || st.Scans != tc.scans {
+			t.Errorf("budget %d: stats = %+v, want 2 queries over %d scan(s)", tc.budget, st, tc.scans)
+		}
+		if st := cat.AdmissionStats(); st.Queued != tc.scans-1 {
+			t.Errorf("budget %d: admission = %+v, want %d queued", tc.budget, st, tc.scans-1)
 		}
 	}
 }
 
-// TestAdmissionConservation: whichever way a scan leaves the admission
-// queue — a Subscribe whose context was canceled, a split batch whose
-// callers all leave while it queues, or a clean run — Waiting,
-// ActiveScans and ResidentBufferBytes return to zero.
+// TestAdmissionConservation: whichever way a query leaves the admission
+// queue — a Subscribe whose context was canceled, a batch over the
+// budget whose callers all leave while they queue, or a clean run —
+// Waiting, Active and ResidentBufferBytes return to zero.
 func TestAdmissionConservation(t *testing.T) {
 	const dtd = `
 <!ELEMENT bib (book*)>
@@ -211,7 +216,7 @@ func TestAdmissionConservation(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			st := cat.AdmissionStats()
-			if st.Waiting == 0 && st.ActiveScans == 0 && st.ResidentBufferBytes == 0 {
+			if st.Waiting == 0 && st.Active == 0 && st.ResidentBufferBytes == 0 {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -220,7 +225,7 @@ func TestAdmissionConservation(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// waiting polls until n scans queue.
+	// waiting polls until n queries queue.
 	waiting := func(t *testing.T, cat *flux.Catalog, n int64) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -236,7 +241,7 @@ func TestAdmissionConservation(t *testing.T) {
 		cat, budget := setup(t)
 		hub := stream.NewHub(cat, stream.Options{})
 		defer hub.Close()
-		hold, err := cat.AdmitScan(context.Background(), budget)
+		hold, err := cat.Admit(context.Background(), budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,11 +266,10 @@ func TestAdmissionConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hold, err := cat.AdmitScan(context.Background(), budget)
+		hold, err := cat.Admit(context.Background(), budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 		ctx, cancel := context.WithCancel(context.Background())
 		errs := make(chan error, 2)
 		for i := 0; i < 2; i++ {
@@ -274,7 +278,7 @@ func TestAdmissionConservation(t *testing.T) {
 				errs <- err
 			}()
 		}
-		waiting(t, cat, 1) // the first sub-batch queues behind the holder
+		waiting(t, cat, 2) // both queue behind the holder
 		cancel()
 		for i := 0; i < 2; i++ {
 			if err := <-errs; !errors.Is(err, context.Canceled) {
@@ -282,19 +286,12 @@ func TestAdmissionConservation(t *testing.T) {
 			}
 		}
 		// The queue empties while the holder still holds the budget: a
-		// sub-batch nobody waits for leaves it.
+		// caller that leaves takes its query out of it.
 		waiting(t, cat, 0)
-		release()
 		hold()
 		drained(t, cat)
-		// The batch runner counts the callers it dropped after they
-		// returned; wait for both, then check nothing was scanned.
-		deadline := time.Now().Add(5 * time.Second)
-		for ex.Stats()["bib"].Canceled != 2 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if st := ex.Stats()["bib"]; st.Scans != 0 || st.Canceled != 2 || st.BatchSplits != 1 {
-			t.Fatalf("doc stats = %+v, want no scan, 2 canceled, 1 split", st)
+		if st := ex.Stats()["bib"]; st.Scans != 0 || st.Canceled != 2 {
+			t.Fatalf("doc stats = %+v, want no scan, 2 canceled", st)
 		}
 	})
 
@@ -316,8 +313,8 @@ func TestAdmissionConservation(t *testing.T) {
 		}
 		wg.Wait()
 		drained(t, cat)
-		if st := cat.AdmissionStats(); st.Admitted != ex.Stats()["bib"].Scans {
-			t.Fatalf("admitted %d scans, executor ran %d", st.Admitted, ex.Stats()["bib"].Scans)
+		if st := cat.AdmissionStats(); st.Admitted != ex.Stats()["bib"].Queries {
+			t.Fatalf("admitted %d queries, executor ran %d", st.Admitted, ex.Stats()["bib"].Queries)
 		}
 	})
 }

@@ -32,13 +32,14 @@ import (
 // handle), while every later request opens the new one.
 //
 // The catalog is also the process's one memory gate for query buffers:
-// AdmitScan holds the scans over its documents to the
+// Admit holds the queries over its documents to the
 // CatalogOptions.MaxResidentBufferBytes budget, queueing (not
 // rejecting) work that exceeds it, and Charge prices each query at the
 // peak a run of its plan was observed to buffer on the document (the
 // static prediction until one has completed). The Executor admits every
-// shared scan through it, and the streaming hub every standing
-// subscription; embedders running their own scans may do the same.
+// query through it before the query joins a batch, and the streaming
+// hub every standing subscription; embedders running their own scans
+// may do the same.
 type Catalog struct {
 	mu      sync.RWMutex
 	docs    map[string]*catalogDoc
@@ -95,10 +96,10 @@ type CatalogOptions struct {
 	// MaxResidentBufferBytes is the process's one memory bound, B: the
 	// summed charge (see Charge — the observed peak of each query's plan
 	// on its document, or the static prediction before one) of all
-	// admitted scans across every document. A scan that would push the
-	// total over B queues until capacity frees, and the Executor splits
-	// a batch whose charges sum over B into sequential scans. Fully
-	// streaming scans (charge 0) are never blocked. A single scan
+	// admitted queries across every document. A query that would push
+	// the total over B queues until capacity frees, before it joins a
+	// batch, so every shared scan holds only admitted queries. Fully
+	// streaming queries (charge 0) are never blocked. A single query
 	// charging more than B is admitted only when nothing else is
 	// resident, so oversized work degrades to serial execution instead
 	// of deadlocking. Values <= 0 mean unlimited.
@@ -447,8 +448,7 @@ func (qc *queryCache) stats() CacheStats {
 const maxPeakSigs = 256
 
 // Charge is the memory gate's one pricing rule: the query buffer bytes
-// admission charges for one run of q over doc, and what the Executor
-// packs batches by. Once a run of q's plan signature has completed on
+// admission charges for one run of q over doc. Once a run of q's plan signature has completed on
 // the document's current version (see ObservePeak), the charge is the
 // largest peak such a run buffered — buffering is deterministic for a
 // given plan and document, so that is exact. Before, and after every
@@ -496,7 +496,7 @@ func (c *Catalog) ObservePeak(doc DocInfo, sig string, observed int64) {
 }
 
 // admission is the catalog's byte budget for resident query buffers
-// with a FIFO wait queue. Admission is starvation-free: a scan that
+// with a FIFO wait queue. Admission is starvation-free: a query that
 // charges bytes may not barge past an older waiter that does not fit,
 // so the capacity an oversized waiter needs eventually drains to it.
 type admission struct {
@@ -507,25 +507,25 @@ type admission struct {
 	active int64
 	queue  []*admitWaiter // FIFO; only unadmitted waiters
 
-	queued   int64 // cumulative scans that had to wait
-	admitted int64 // cumulative admitted scans
+	queued   int64 // cumulative queries that had to wait
+	admitted int64 // cumulative admitted queries
 }
 
-// admitWaiter is one scan waiting for admission.
+// admitWaiter is one query waiting for admission.
 type admitWaiter struct {
 	bytes int64
 	ready chan struct{} // closed when capacity has been reserved
 }
 
-// fits reports whether a scan charging bytes fits the budget now. A zero
-// charge always fits — a fully streaming scan adds nothing resident —
+// fits reports whether a query charging bytes fits the budget now. A
+// zero charge always fits — a fully streaming query adds nothing resident —
 // and a charge over the whole budget fits when nothing is resident, so
 // oversized work runs alone rather than never. Caller holds a.mu.
 func (a *admission) fits(bytes int64) bool {
 	return bytes == 0 || a.bytes == 0 || a.bytes+bytes <= a.maxBytes
 }
 
-// reserve takes capacity for an admitted scan. Caller holds a.mu.
+// reserve takes capacity for an admitted query. Caller holds a.mu.
 func (a *admission) reserve(bytes int64) {
 	a.bytes += bytes
 	a.active++
@@ -552,18 +552,18 @@ func (a *admission) drain() {
 	a.queue = rest
 }
 
-// AdmitScan blocks until a scan charging bytes of query buffer — the
-// sum of Charge over the queries sharing it — fits the catalog's
-// MaxResidentBufferBytes budget, then reserves the bytes and returns the
-// release function that frees them. Waiters are served in FIFO order
-// and a scan that charges bytes cannot barge past an older waiter, so
-// every scan — including one charging more than the whole budget, which
-// runs alone — is admitted eventually. If ctx ends first, the scan
-// leaves the queue and AdmitScan returns ctx.Err() with nothing
-// reserved. Release must be called when the scan ends; calling it more
-// than once is safe. With no budget configured AdmitScan admits
-// immediately and only maintains counters.
-func (c *Catalog) AdmitScan(ctx context.Context, bytes int64) (release func(), err error) {
+// Admit blocks until a query charging bytes of query buffer — its
+// Charge — fits the catalog's MaxResidentBufferBytes budget, then
+// reserves the bytes and returns the release function that frees them.
+// Waiters are served in FIFO order and a query that charges bytes
+// cannot barge past an older waiter, so every query — including one
+// charging more than the whole budget, which runs alone — is admitted
+// eventually. If ctx ends first, the query leaves the queue and Admit
+// returns ctx.Err() with nothing reserved. Release must be called when
+// the query's run ends; calling it more than once is safe. With no
+// budget configured Admit admits immediately and only maintains
+// counters.
+func (c *Catalog) Admit(ctx context.Context, bytes int64) (release func(), err error) {
 	a := c.adm
 	a.mu.Lock()
 	if a.maxBytes <= 0 {
@@ -600,7 +600,7 @@ func (c *Catalog) AdmitScan(ctx context.Context, bytes int64) (release func(), e
 }
 
 // releaseFunc builds the idempotent release closure for one admitted
-// scan: it returns the scan's bytes and drains the wait queue.
+// query: it returns the query's bytes and drains the wait queue.
 func (a *admission) releaseFunc(bytes int64) func() {
 	var once sync.Once
 	return func() {
@@ -614,29 +614,29 @@ func (a *admission) releaseFunc(bytes int64) func() {
 	}
 }
 
-// AdmissionStats are the catalog's scan-admission counters.
+// AdmissionStats are the catalog's query-admission counters.
 type AdmissionStats struct {
-	// ActiveScans is the number of currently admitted scans.
-	ActiveScans int64 `json:"active_scans"`
+	// Active is the number of currently admitted queries.
+	Active int64 `json:"active"`
 	// ResidentBufferBytes is the summed charge (see Charge) of the
-	// currently admitted scans.
+	// currently admitted queries.
 	ResidentBufferBytes int64 `json:"resident_buffer_bytes"`
-	// Waiting is the number of scans currently queued for admission.
+	// Waiting is the number of queries currently queued for admission.
 	Waiting int64 `json:"waiting"`
-	// Queued is the cumulative number of scans that had to wait before
+	// Queued is the cumulative number of queries that had to wait before
 	// being admitted.
 	Queued int64 `json:"queued"`
-	// Admitted is the cumulative number of admitted scans.
+	// Admitted is the cumulative number of admitted queries.
 	Admitted int64 `json:"admitted"`
 }
 
-// AdmissionStats reports the catalog's scan-admission counters.
+// AdmissionStats reports the catalog's query-admission counters.
 func (c *Catalog) AdmissionStats() AdmissionStats {
 	a := c.adm
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return AdmissionStats{
-		ActiveScans:         a.active,
+		Active:              a.active,
 		ResidentBufferBytes: a.bytes,
 		Waiting:             int64(len(a.queue)),
 		Queued:              a.queued,

@@ -228,14 +228,14 @@ func TestCatalogSwap(t *testing.T) {
 // waits never cancel.
 func admit(t *testing.T, cat *Catalog, bytes int64) func() {
 	t.Helper()
-	rel, err := cat.AdmitScan(context.Background(), bytes)
+	rel, err := cat.Admit(context.Background(), bytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rel
 }
 
-// waitWaiting polls until n scans are queued for admission.
+// waitWaiting polls until n queries are queued for admission.
 func waitWaiting(t *testing.T, cat *Catalog, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -247,10 +247,10 @@ func waitWaiting(t *testing.T, cat *Catalog, n int64) {
 	}
 }
 
-// TestAdmitScanByteBudget: the resident-bytes bound queues a scan that
+// TestAdmitByteBudget: the resident-bytes bound queues a query that
 // would overflow it and admits it once capacity frees; an oversized
-// scan is admitted only when nothing else is resident.
-func TestAdmitScanByteBudget(t *testing.T) {
+// query is admitted only when nothing else is resident.
+func TestAdmitByteBudget(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
 
 	relA := admit(t, cat, 60)
@@ -260,55 +260,55 @@ func TestAdmitScanByteBudget(t *testing.T) {
 	waitWaiting(t, cat, 1)
 	select {
 	case <-admitted:
-		t.Fatal("second scan admitted while over the byte budget")
+		t.Fatal("second query admitted while over the byte budget")
 	default:
 	}
 
 	relA()
 	relB := <-admitted
 	st := cat.AdmissionStats()
-	if st.ActiveScans != 1 || st.ResidentBufferBytes != 60 || st.Queued != 1 {
-		t.Fatalf("admission stats = %+v, want one active 60-byte scan after one queued wait", st)
+	if st.Active != 1 || st.ResidentBufferBytes != 60 || st.Queued != 1 {
+		t.Fatalf("admission stats = %+v, want one active 60-byte query after one queued wait", st)
 	}
 	relB()
 	relB() // double release must be safe (sync.Once)
 
 	// Oversized: a charge over the whole budget still admits when idle.
 	relBig := admit(t, cat, 1000)
-	if st := cat.AdmissionStats(); st.ActiveScans != 1 || st.ResidentBufferBytes != 1000 {
-		t.Fatalf("oversized scan not admitted when idle: %+v", st)
+	if st := cat.AdmissionStats(); st.Active != 1 || st.ResidentBufferBytes != 1000 {
+		t.Fatalf("oversized query not admitted when idle: %+v", st)
 	}
 	relBig()
-	if st := cat.AdmissionStats(); st.ActiveScans != 0 || st.ResidentBufferBytes != 0 {
+	if st := cat.AdmissionStats(); st.Active != 0 || st.ResidentBufferBytes != 0 {
 		t.Fatalf("release did not drain: %+v", st)
 	}
 }
 
-// TestAdmitScanUnlimited: with no budget configured, AdmitScan never
+// TestAdmitUnlimited: with no budget configured, Admit never
 // blocks and only maintains counters.
-func TestAdmitScanUnlimited(t *testing.T) {
+func TestAdmitUnlimited(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{})
 	var releases []func()
 	for i := 0; i < 8; i++ {
 		releases = append(releases, admit(t, cat, 1<<40))
 	}
 	st := cat.AdmissionStats()
-	if st.ActiveScans != 8 || st.Queued != 0 {
+	if st.Active != 8 || st.Queued != 0 {
 		t.Fatalf("admission stats = %+v, want 8 active, none queued", st)
 	}
 	for _, r := range releases {
 		r()
 	}
-	if st := cat.AdmissionStats(); st.ActiveScans != 0 || st.Admitted != 8 {
+	if st := cat.AdmissionStats(); st.Active != 0 || st.Admitted != 8 {
 		t.Fatalf("admission stats = %+v, want drained with 8 admitted", st)
 	}
 }
 
-// TestAdmitScanNoBargeFIFO: a scan charging more than the whole byte
+// TestAdmitNoBargeFIFO: a query charging more than the whole byte
 // budget cannot be starved — byte-consuming newcomers queue behind it
 // instead of barging, so capacity drains to the oversized waiter; a
-// zero-charge scan still passes freely.
-func TestAdmitScanNoBargeFIFO(t *testing.T) {
+// zero-charge query still passes freely.
+func TestAdmitNoBargeFIFO(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
 
 	relA := admit(t, cat, 60)
@@ -330,47 +330,47 @@ func TestAdmitScanNoBargeFIFO(t *testing.T) {
 	}()
 	waitWaiting(t, cat, 2)
 
-	// A zero-charge scan does not conflict and is admitted immediately.
+	// A zero-charge query does not conflict and is admitted immediately.
 	relZero := admit(t, cat, 0)
 	relZero()
 
-	// Releasing the first scan drains the queue in FIFO order: the
-	// oversized scan runs (alone), then the 30-byte scan.
+	// Releasing the first query drains the queue in FIFO order: the
+	// oversized query runs (alone), then the 30-byte query.
 	relA()
 	if got := <-order; got != "big" {
 		t.Fatalf("first admitted after release = %q, want the oversized waiter", got)
 	}
 	if got := <-order; got != "c" {
-		t.Fatalf("second admitted = %q, want the queued 30-byte scan", got)
+		t.Fatalf("second admitted = %q, want the queued 30-byte query", got)
 	}
 }
 
-// TestAdmitScanZeroCostNeverByteBlocked: a fully streaming scan (charge
+// TestAdmitZeroCostNeverByteBlocked: a fully streaming query (charge
 // 0) adds nothing to the resident total, so the byte budget never
-// queues it — even while an oversized scan holds the whole budget.
-func TestAdmitScanZeroCostNeverByteBlocked(t *testing.T) {
+// queues it — even while an oversized query holds the whole budget.
+func TestAdmitZeroCostNeverByteBlocked(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
 	relBig := admit(t, cat, 1000) // oversized, admitted while idle
 	relZero := admit(t, cat, 0)   // must not wait behind it
 	st := cat.AdmissionStats()
-	if st.ActiveScans != 2 || st.Queued != 0 {
+	if st.Active != 2 || st.Queued != 0 {
 		t.Fatalf("admission stats = %+v, want both active with none queued", st)
 	}
 	relZero()
 	relBig()
 }
 
-// TestAdmitScanZeroCostSameDocPassesByteWaiter: a zero-charge scan is
+// TestAdmitZeroCostSameDocPassesByteWaiter: a zero-charge query is
 // admitted immediately even when an older byte-blocked waiter is queued
 // — passing it takes no capacity the waiter needs.
-func TestAdmitScanZeroCostSameDocPassesByteWaiter(t *testing.T) {
+func TestAdmitZeroCostSameDocPassesByteWaiter(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
 	relA := admit(t, cat, 60)
 	blocked := make(chan func(), 1)
 	go func() { blocked <- admit(t, cat, 60) }()
 	waitWaiting(t, cat, 1)
 	relZero := admit(t, cat, 0) // must not queue behind the byte waiter
-	if st := cat.AdmissionStats(); st.ActiveScans != 2 || st.Waiting != 1 {
+	if st := cat.AdmissionStats(); st.Active != 2 || st.Waiting != 1 {
 		t.Fatalf("admission stats = %+v, want zero-charge admitted past the byte waiter", st)
 	}
 	relZero()
@@ -379,10 +379,10 @@ func TestAdmitScanZeroCostSameDocPassesByteWaiter(t *testing.T) {
 	rel()
 }
 
-// TestAdmitScanCanceledWaiterLeaves: a waiter whose context ends leaves
+// TestAdmitCanceledWaiterLeaves: a waiter whose context ends leaves
 // the queue with ctx.Err() and nothing reserved, and the younger waiter
 // it was blocking is admitted at once.
-func TestAdmitScanCanceledWaiterLeaves(t *testing.T) {
+func TestAdmitCanceledWaiterLeaves(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 100})
 	relA := admit(t, cat, 60)
 	defer relA()
@@ -390,7 +390,7 @@ func TestAdmitScanCanceledWaiterLeaves(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cat.AdmitScan(ctx, 1000) // oversized: blocks the next one
+		_, err := cat.Admit(ctx, 1000) // oversized: blocks the next one
 		errc <- err
 	}()
 	waitWaiting(t, cat, 1)
@@ -403,8 +403,8 @@ func TestAdmitScanCanceledWaiterLeaves(t *testing.T) {
 		t.Fatalf("canceled waiter err = %v, want context.Canceled", err)
 	}
 	rel := <-admitted // 60+30 fits once the oversized waiter is gone
-	if st := cat.AdmissionStats(); st.Waiting != 0 || st.ActiveScans != 2 || st.ResidentBufferBytes != 90 {
-		t.Fatalf("admission stats = %+v, want the 60- and 30-byte scans resident, none waiting", st)
+	if st := cat.AdmissionStats(); st.Waiting != 0 || st.Active != 2 || st.ResidentBufferBytes != 90 {
+		t.Fatalf("admission stats = %+v, want the 60- and 30-byte queries resident, none waiting", st)
 	}
 	rel()
 }

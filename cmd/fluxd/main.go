@@ -59,7 +59,7 @@
 //	GET  /streamz          live ingests and parked subscriptions
 //	GET  /stats            the typed flux.ServerStats snapshot:
 //	                       per-document serving counters, compiled-query
-//	                       cache counters, and scan admission counters;
+//	                       cache counters, and query admission counters;
 //	                       schema in README
 //	GET  /shardz           worker identity: the -shard-id this process
 //	                       asserts (-1 standalone), its -advertise
@@ -76,10 +76,9 @@
 // delivered only the subtrees its projected paths can match.
 // -max-resident-buffer is the one memory bound: each query is charged
 // the peak its plan buffered on the last completed run over the
-// document (the static prediction before one), a batch whose charges
-// sum over the bound is split into sequential scans, and every scan and
+// document (the static prediction before one), and every query and
 // standing subscription queues for admission while the resident total
-// would exceed it. A client that disconnects mid-result is detached
+// would exceed it; a query joins a batch only once admitted. A client that disconnects mid-result is detached
 // from its shared scan at the next event batch; sibling queries keep
 // streaming. On a multicore host each live ingest evaluates its
 // subscriptions on a worker pool, pipelined against its scan; shared
@@ -257,7 +256,7 @@ func main() {
 		attrs    = flag.Bool("attrs", false, "convert attributes to subelements (XSAX)")
 		admin    = flag.Bool("admin", false, "expose the mutating /admin/* endpoints (hot-swap); they accept server-side file paths, so enable only on trusted networks")
 
-		maxResident = flag.Int64("max-resident-buffer", 0, "the one memory bound: total query buffer bytes of all admitted scans, each query charged its plan's observed peak on the document (the static prediction until a run completes); over-budget batches split into sequential scans, excess scans queue (0 = unlimited)")
+		maxResident = flag.Int64("max-resident-buffer", 0, "the one memory bound: total query buffer bytes of all admitted queries, each charged its plan's observed peak on the document (the static prediction until a run completes); a query that does not fit queues before it joins a batch (0 = unlimited)")
 
 		shardID   = flag.Int("shard-id", -1, "shard index this worker asserts at /shardz, for fluxrouter supervision (-1 = standalone)")
 		advertise = flag.String("advertise", "", "reachable base URL reported at /shardz, when the listen address is not routable as written")

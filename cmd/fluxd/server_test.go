@@ -557,19 +557,19 @@ func TestServerAdminDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestServerSchedulingStats: the memory gate surfaces in /stats — a
-// batch split by -max-resident-buffer shows batch_splits and
-// queries_deferred, selective fan-out shows events_skipped, and the
-// admission section counts every scan.
+// TestServerSchedulingStats: the memory gate surfaces in /stats — two
+// queries over -max-resident-buffer together run in two scans, the
+// second queued for admission, selective fan-out shows events_skipped,
+// and the admission section counts every query.
 func TestServerSchedulingStats(t *testing.T) {
 	dir := t.TempDir()
 	docPath := writeDocPair(t, dir, "bib", serverDoc)
 	// A budget below the buffering queries' cold charge (their 4096-byte
-	// prediction): neither can share a scan, so the batch of two splits
-	// in two.
+	// prediction): each runs alone, so the second waits for admission and
+	// never fills the first's batch — a short window.
 	s, err := newServer(config{
 		docs:        []shard.DocSpec{{Name: "bib", DocPath: docPath, DTDPath: filepath.Join(dir, "bib.dtd")}},
-		window:      30 * time.Second,
+		window:      20 * time.Millisecond,
 		maxBatch:    2,
 		maxResident: 4000,
 	})
@@ -625,18 +625,15 @@ func TestServerSchedulingStats(t *testing.T) {
 	}
 	st := reply.Docs["bib"]
 	if st.Queries != 2 || st.Scans != 2 {
-		t.Errorf("docs.bib = %+v, want 2 queries over 2 scans (budget split)", st)
-	}
-	if st.BatchSplits != 1 || st.Deferred != 1 {
-		t.Errorf("docs.bib = %+v, want batch_splits 1, queries_deferred 1", st)
+		t.Errorf("docs.bib = %+v, want 2 queries over 2 scans (over the budget together)", st)
 	}
 	if st.EventsSkipped == 0 {
 		t.Errorf("docs.bib events_skipped = 0, want > 0 (selective fan-out is the default)")
 	}
 	adm := reply.Admission
 	adm.Admitted -= held
-	if adm.Admitted != 2 || adm.ActiveScans != 0 || adm.Waiting != 0 {
-		t.Errorf("admission = %+v, want 2 admitted, none active or waiting", adm)
+	if adm.Admitted != 2 || adm.Queued != 1 || adm.Active != 0 || adm.Waiting != 0 {
+		t.Errorf("admission = %+v, want 2 admitted, 1 queued, none active or waiting", adm)
 	}
 }
 

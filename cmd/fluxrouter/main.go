@@ -107,7 +107,7 @@ func main() {
 
 		window      = flag.Duration("window", 2*time.Millisecond, "embedded shards: how long the first query of a batch waits for companions while queries outnumber processors (a query that finds a processor free runs at once)")
 		maxBatch    = flag.Int("max-batch", 16, "embedded shards: maximum queries per shared scan")
-		maxResident = flag.Int64("max-resident-buffer", 0, "embedded shards: each shard's one memory bound, the total query buffer bytes of its admitted scans, each query charged its plan's observed peak on the document (the static prediction until a run completes) (0 = unlimited)")
+		maxResident = flag.Int64("max-resident-buffer", 0, "embedded shards: each shard's one memory bound, the total query buffer bytes of its admitted queries, each charged its plan's observed peak on the document (the static prediction until a run completes) (0 = unlimited)")
 	)
 	flag.Parse()
 

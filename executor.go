@@ -27,7 +27,7 @@ import (
 // SAX events fan out to the whole batch.
 //
 // The window only gathers under load. The Executor counts the requests
-// it holds, from submission until each one's outcome is delivered;
+// it holds, from admission until each one's outcome is delivered;
 // while that count is at most runtime.GOMAXPROCS(0), a request for a
 // document with no open batch dispatches at once, as a batch of one. A
 // shared scan routes inline on one goroutine, so while queries do not
@@ -39,29 +39,28 @@ import (
 // number of running scans, and gating on that would send the first
 // caller to come back off alone and fragment batches at saturation.
 //
-// Fan-out is selective by default: plans are partitioned by their
-// projected-path signature into event-routing groups, and a subtree no
-// path of a group's signature can match is skipped for that group in a
-// single step, so each query of a wide batch is delivered only the
-// events its projection can reach (DocStats.EventsSkipped counts the
-// rest). Routing decisions are made by one merged path automaton per
-// batch (internal/autom), compiled once per distinct (document,
+// Fan-out is selective: plans are partitioned by their projected-path
+// signature into event-routing groups, and a subtree no path of a
+// group's signature can match is skipped for that group in a single
+// step, so each query of a wide batch is delivered only the events its
+// projection can reach (DocStats.EventsSkipped counts the rest).
+// Routing decisions are made by one merged path automaton per batch
+// (internal/autom), compiled once per distinct (document,
 // signature-set) pair and cached until the document is swapped —
 // DocStats.AutomatonHits counts cache reuse. The interior of a subtree
 // a query ignores is not validated against its DTD; RunAll keeps
 // all-fanout delivery and with it full per-query validation.
 //
-// Dispatch is cost-based, against the catalog's one memory gate: each
+// Memory is bounded by the catalog's one gate, query by query: each
 // query is charged Catalog.Charge — the peak its plan buffered on the
 // last completed run over the document, or the static prediction before
-// one — and when a batch's charges sum over
-// CatalogOptions.MaxResidentBufferBytes the batch is split: plans are
-// grouped by buffer profile and the overflow runs as deferred
-// sub-batches after the first scan completes, so no single scan's
-// charge exceeds the budget unless one query alone does. Every scan is
-// then admitted through Catalog.AdmitScan, which holds the summed
-// charge of all resident scans across the process to the same budget,
-// and every completed run records its observed peak (Catalog.ObservePeak).
+// one — and admitted through Catalog.Admit before it joins a batch, so
+// the charges of every query resident in the process, gathering or
+// scanning, stay within CatalogOptions.MaxResidentBufferBytes unless
+// one query alone exceeds it. A query that does not fit waits for
+// admission on its caller's context, then gathers in a fresh window;
+// the charge is returned as the query's outcome is delivered, and every
+// completed run records its observed peak (Catalog.ObservePeak).
 //
 // Each document gets its own batch window, so a burst against one
 // document never delays queries against another. Scanners and engine
@@ -152,11 +151,11 @@ type ExecResult struct {
 
 // execRequest is one enqueued execution.
 type execRequest struct {
-	ctx    context.Context
-	q      *Query
-	w      *guardWriter
-	done   chan execOutcome
-	charge int64 // Catalog.Charge, priced when the batch dispatches
+	ctx     context.Context
+	q       *Query
+	w       *guardWriter
+	done    chan execOutcome
+	release func() // returns the request's admitted charge (see finish)
 }
 
 type execOutcome struct {
@@ -172,11 +171,13 @@ type docBatch struct {
 }
 
 // ExecuteContext compiles queryText against doc's schema (cache-backed
-// via the catalog), joins doc's open batch, and blocks until the
-// result has streamed to w or ctx is done. On cancellation it returns
-// ctx.Err() immediately; the in-flight scan detaches the query at the
-// next event batch (after which w is never written again) and sibling
-// queries keep streaming.
+// via the catalog), waits for the catalog to admit the query's charge,
+// joins doc's open batch, and blocks until the result has streamed to w
+// or ctx is done. On cancellation it returns ctx.Err() immediately; a
+// query still waiting for admission leaves the queue, and one in
+// flight is detached from its scan at the next event batch (after
+// which w is never written again) while sibling queries keep
+// streaming.
 func (e *Executor) ExecuteContext(ctx context.Context, doc, queryText string, w io.Writer) (ExecResult, error) {
 	q, err := e.cat.Prepare(doc, queryText)
 	if err != nil {
@@ -193,11 +194,20 @@ func (e *Executor) ExecuteQueryContext(ctx context.Context, doc string, q *Query
 	if err := ctx.Err(); err != nil {
 		return ExecResult{}, err
 	}
+	release, err := e.cat.Admit(ctx, e.cat.Charge(doc, q))
+	if err != nil {
+		// The caller left while its query queued for admission.
+		c := e.counters(doc)
+		c.queries.Add(1)
+		c.canceled.Add(1)
+		return ExecResult{}, err
+	}
 	req := &execRequest{
-		ctx:  ctx,
-		q:    q,
-		w:    &guardWriter{w: w},
-		done: make(chan execOutcome, 1),
+		ctx:     ctx,
+		q:       q,
+		w:       &guardWriter{w: w},
+		done:    make(chan execOutcome, 1),
+		release: release,
 	}
 	e.enqueue(doc, req)
 	select {
@@ -230,7 +240,7 @@ func (e *Executor) enqueue(doc string, req *execRequest) {
 	b := e.pending[doc]
 	if e.held.Add(1) <= int64(runtime.GOMAXPROCS(0)) && b == nil {
 		e.mu.Unlock()
-		go e.runBatch(&docBatch{doc: doc, reqs: []*execRequest{req}})
+		go e.runScan(doc, []*execRequest{req})
 		return
 	}
 	if b == nil {
@@ -248,7 +258,7 @@ func (e *Executor) enqueue(doc string, req *execRequest) {
 		// Dispatch on a fresh goroutine: the filling caller must fall
 		// through to its ctx select like everyone else, or its own
 		// cancellation could not unblock it mid-scan.
-		go e.runBatch(b)
+		go e.runScan(b.doc, b.reqs)
 		return
 	}
 	e.mu.Unlock()
@@ -265,127 +275,26 @@ func (e *Executor) dispatch(b *docBatch) {
 	}
 	delete(e.pending, b.doc)
 	e.mu.Unlock()
-	e.runBatch(b)
-}
-
-// runBatch schedules one collected batch: it prices every request,
-// splits the requests into sub-batches within the catalog's budget by
-// buffer profile, and runs each as its own admitted shared scan, in
-// order — overflow work is deferred behind the first scan rather than
-// inflating its resident footprint.
-func (e *Executor) runBatch(b *docBatch) {
-	for _, req := range b.reqs {
-		req.charge = e.cat.Charge(b.doc, req.q)
-	}
-	subs := splitByBudget(b.reqs, e.cat.adm.maxBytes)
-	if len(subs) > 1 {
-		c := e.counters(b.doc)
-		c.splits.Add(int64(len(subs) - 1))
-		deferred := 0
-		for _, sub := range subs[1:] {
-			deferred += len(sub)
-		}
-		c.deferred.Add(int64(deferred))
-	}
-	for _, sub := range subs {
-		e.runScan(b.doc, sub)
-	}
-}
-
-// splitByBudget partitions a batch into sub-batches whose summed
-// charges stay within budget (<= 0 = no limit). The split is
-// deterministic for a given arrival order: requests are stable-sorted
-// by buffer profile (signature key), so plans with equal routing
-// behavior share a scan, then packed greedily in order. A single
-// request over the whole budget gets a sub-batch of its own,
-// and zero-charge (fully streaming) queries never trigger a split —
-// they add nothing to a scan's resident footprint, so deferring them
-// would cost a document pass for free (the admission layer exempts
-// them from the byte budget for the same reason).
-func splitByBudget(reqs []*execRequest, budget int64) [][]*execRequest {
-	if budget <= 0 || len(reqs) <= 1 {
-		return [][]*execRequest{reqs}
-	}
-	sorted := make([]*execRequest, len(reqs))
-	copy(sorted, reqs)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].q.plan.SigKey() < sorted[j].q.plan.SigKey()
-	})
-	// Zero-charge queries ride the first scan unconditionally — they add
-	// nothing to any scan's resident footprint, so deferring one behind a
-	// split would cost its caller a document pass for free.
-	var subs [][]*execRequest
-	var cur, riders []*execRequest
-	var sum int64
-	for _, req := range sorted {
-		p := req.charge
-		if p == 0 {
-			riders = append(riders, req)
-			continue
-		}
-		if len(cur) > 0 && sum+p > budget {
-			subs = append(subs, cur)
-			cur, sum = nil, 0
-		}
-		cur = append(cur, req)
-		sum += p
-	}
-	if len(cur) > 0 {
-		subs = append(subs, cur)
-	}
-	if len(subs) == 0 {
-		return [][]*execRequest{riders}
-	}
-	subs[0] = append(subs[0], riders...)
-	return subs
+	e.runScan(b.doc, b.reqs)
 }
 
 // runScan executes one shared scan over reqs and delivers each request
-// its result. The scan is admitted for the requests' summed charges
-// before the document is opened. Requests whose context is already done
-// — common for deferred sub-batches whose callers timed out behind an
-// earlier scan — are dropped up front, a fully dead sub-batch never
-// takes admission capacity or touches the document, and a sub-batch
-// whose callers all leave while it queues for admission leaves the
-// queue.
+// its result. Requests whose caller left while the batch gathered are
+// dropped up front, counted as canceled queries that never scanned; a
+// batch with nobody left never touches the document.
 func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	c := e.counters(doc)
-	// dropDead removes requests whose caller is already gone, counting
-	// them as canceled queries that never scanned.
-	dropDead := func(rs []*execRequest) []*execRequest {
-		live := rs[:0]
-		for _, req := range rs {
-			if err := req.ctx.Err(); err != nil {
-				c.queries.Add(1)
-				c.canceled.Add(1)
-				e.finish(req, execOutcome{err: err})
-				continue
-			}
-			live = append(live, req)
-		}
-		return live
-	}
-	if reqs = dropDead(reqs); len(reqs) == 0 {
-		return
-	}
-	var charge int64
+	live := reqs[:0]
 	for _, req := range reqs {
-		charge += req.charge
+		if err := req.ctx.Err(); err != nil {
+			c.queries.Add(1)
+			c.canceled.Add(1)
+			e.finish(req, execOutcome{err: err})
+			continue
+		}
+		live = append(live, req)
 	}
-	ctx, stop := context.Background(), func() {}
-	if e.cat.adm.maxBytes > 0 { // only a bounded gate makes a scan wait
-		ctx, stop = callersGone(reqs)
-	}
-	release, err := e.cat.AdmitScan(ctx, charge)
-	stop()
-	if err != nil {
-		dropDead(reqs) // every caller left the queue: that ended the wait
-		return
-	}
-	defer release()
-	// Admission may have queued for a while; callers that died waiting
-	// must not cost a scan.
-	if reqs = dropDead(reqs); len(reqs) == 0 {
+	if reqs = live; len(reqs) == 0 {
 		return
 	}
 
@@ -458,10 +367,6 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 		}
 		c.eventsSkipped.Add(r.SkippedEvents)
 	}
-	// The scan is over: return its admission before any caller sees its
-	// outcome, for the same reason, and so that a caller that queries
-	// again at once does not queue behind its own finished scan.
-	release()
 	for i, req := range reqs {
 		r := results[i]
 		e.finish(req, execOutcome{
@@ -479,9 +384,11 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 }
 
 // finish sends req its outcome; from then on the Executor no longer
-// holds it. The count falls first, so a caller that submits again at
-// once is not counted twice.
+// holds it. The request's admitted charge is returned and the count
+// falls first, so a caller that submits again at once neither queues
+// behind its own finished query nor is counted twice.
 func (e *Executor) finish(req *execRequest, out execOutcome) {
+	req.release()
 	e.held.Add(-1)
 	req.done <- out
 }
@@ -491,32 +398,6 @@ func (e *Executor) finish(req *execRequest, out execOutcome) {
 // storm here would mean the workload has no repeating batches to serve
 // from cache anyway).
 const autoCacheCap = 256
-
-// callersGone returns a context that ends once every request's caller
-// has gone: a shared scan stops waiting for admission only when nobody
-// is left to read its result. stop releases the watchers.
-func callersGone(reqs []*execRequest) (ctx context.Context, stop func()) {
-	if len(reqs) == 1 {
-		return reqs[0].ctx, func() {}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var left atomic.Int64
-	left.Store(int64(len(reqs)))
-	stops := make([]func() bool, len(reqs))
-	for i, req := range reqs {
-		stops[i] = context.AfterFunc(req.ctx, func() {
-			if left.Add(-1) == 0 {
-				cancel()
-			}
-		})
-	}
-	return ctx, func() {
-		for _, s := range stops {
-			s()
-		}
-		cancel()
-	}
-}
 
 // machineFor returns the merged path automaton for this batch's
 // signature-key set against the document version info describes,
@@ -567,20 +448,14 @@ type DocStats struct {
 	Shared int64 `json:"queries_shared"`
 	// PeakBatch is the largest batch dispatched so far.
 	PeakBatch int64 `json:"peak_batch_size"`
-	// Canceled counts queries detached mid-scan by cancellation.
+	// Canceled counts queries whose caller left: detached mid-scan, or
+	// gone before any scan while queued for admission or gathering.
 	Canceled int64 `json:"canceled"`
 	// EventsSkipped counts scan events selective fan-out withheld from
 	// queries whose projection could not match them, summed over all
 	// queries; a lower bound when scanner pruning collapsed skipped
 	// subtrees into single tokens (see mux.Result.SkippedEvents).
 	EventsSkipped int64 `json:"events_skipped"`
-	// BatchSplits counts the extra scans forced by the catalog's
-	// MaxResidentBufferBytes budget (each split batch contributes its
-	// sub-batch count minus one).
-	BatchSplits int64 `json:"batch_splits"`
-	// Deferred counts queries moved behind another scan by a budget
-	// split instead of running in their batch's first scan.
-	Deferred int64 `json:"queries_deferred"`
 	// AutomatonStates is the state count of the most recent merged path
 	// automaton a batch against this document compiled (or fetched from
 	// cache) — a size gauge for the shared dispatch structure. 0 until
@@ -598,8 +473,6 @@ type docCounters struct {
 	peakBatch     atomic.Int64
 	canceled      atomic.Int64
 	eventsSkipped atomic.Int64
-	splits        atomic.Int64
-	deferred      atomic.Int64
 	autoStates    atomic.Int64
 	autoHits      atomic.Int64
 }
@@ -625,8 +498,6 @@ func (e *Executor) Stats() map[string]DocStats {
 			PeakBatch:       c.peakBatch.Load(),
 			Canceled:        c.canceled.Load(),
 			EventsSkipped:   c.eventsSkipped.Load(),
-			BatchSplits:     c.splits.Load(),
-			Deferred:        c.deferred.Load(),
 			AutomatonStates: c.autoStates.Load(),
 			AutomatonHits:   c.autoHits.Load(),
 		}
@@ -638,7 +509,7 @@ func (e *Executor) Stats() map[string]DocStats {
 // ServerStats is the complete serving snapshot one serving process — a
 // standalone fluxd, or a shard worker behind fluxrouter — exports at
 // /stats. It is the typed form of that JSON payload: per-document
-// serving counters, the compiled-query cache counters, and the scan
+// serving counters, the compiled-query cache counters, and the query
 // admission counters.
 // fluxrouter's stats merger (internal/shard) aggregates these per-shard
 // snapshots into one cross-shard rollup.
@@ -649,7 +520,7 @@ type ServerStats struct {
 	Docs map[string]DocStats `json:"docs"`
 	// Cache is the catalog's compiled-query cache counters.
 	Cache CacheStats `json:"cache"`
-	// Admission is the catalog's scan-admission counters.
+	// Admission is the catalog's query-admission counters.
 	Admission AdmissionStats `json:"admission"`
 }
 

@@ -440,8 +440,9 @@ func TestExecutorDispatchBoundary(t *testing.T) {
 
 // TestExecutorDispatchCountDrains: the Executor's count of held
 // requests returns to zero whichever way a request leaves — canceled
-// while its batch gathers, dropped while its sub-batch queues in
-// admission, run in a split batch, or failed with its scan.
+// while its batch gathers, run in a batch the budget split across
+// scans, or failed with its scan — and a request canceled while it
+// queues for admission never raises it.
 func TestExecutorDispatchCountDrains(t *testing.T) {
 	// budgeted returns an executor over a catalog whose budget is one
 	// cold buffering query's charge.
@@ -481,12 +482,7 @@ func TestExecutorDispatchCountDrains(t *testing.T) {
 
 	t.Run("dropped-in-admission", func(t *testing.T) {
 		cat, ex := budgeted(t, time.Minute)
-		budget := cat.adm.maxBytes
-		hold, err := cat.AdmitScan(context.Background(), budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
+		hold := admit(t, cat, cat.adm.maxBytes)
 		ctx, cancel := context.WithCancel(context.Background())
 		errs := make(chan error, 2)
 		for i := 0; i < 2; i++ {
@@ -495,12 +491,9 @@ func TestExecutorDispatchCountDrains(t *testing.T) {
 				errs <- err
 			}()
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for cat.AdmissionStats().Waiting != 1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("the split batch never queued: %+v", cat.AdmissionStats())
-			}
-			time.Sleep(time.Millisecond)
+		waitWaiting(t, cat, 2)
+		if n := ex.held.Load(); n != 0 {
+			t.Fatalf("executor holds %d requests queued for admission, want 0", n)
 		}
 		cancel()
 		for i := 0; i < 2; i++ {
@@ -508,13 +501,17 @@ func TestExecutorDispatchCountDrains(t *testing.T) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 		}
-		release()
 		waitHeld(t, ex, 0)
 		hold()
+		if st := ex.Stats()["bib"]; st.Queries != 2 || st.Canceled != 2 || st.Scans != 0 {
+			t.Errorf("doc stats = %+v, want 2 canceled queries and no scan", st)
+		}
 	})
 
 	t.Run("split", func(t *testing.T) {
-		cat, ex := budgeted(t, time.Minute)
+		// The second request queues for admission until the first one's
+		// scan ends, so it can never fill the batch: a short window.
+		cat, ex := budgeted(t, 20*time.Millisecond)
 		release := holdtest.Hold(t, cat.Add, ex.ExecuteContext)
 		var wg sync.WaitGroup
 		for i := 0; i < 2; i++ {
@@ -529,8 +526,8 @@ func TestExecutorDispatchCountDrains(t *testing.T) {
 		wg.Wait()
 		release()
 		waitHeld(t, ex, 0)
-		if st := ex.Stats()["bib"]; st.BatchSplits != 1 {
-			t.Errorf("doc stats = %+v, want 1 split", st)
+		if st := ex.Stats()["bib"]; st.Scans != 2 || st.PeakBatch != 1 {
+			t.Errorf("doc stats = %+v, want 2 scans of one query each", st)
 		}
 	})
 
@@ -579,12 +576,14 @@ func TestPredictedPeakBytes(t *testing.T) {
 	}
 }
 
-// TestExecutorBatchSplit: a batch whose summed charges exceed the
-// catalog's budget splits deterministically into sequential scans, and
-// every query still gets its full, correct result.
+// TestExecutorBatchSplit: concurrent queries whose summed charges
+// exceed the catalog's budget never share a scan — the one that does
+// not fit queues for admission and runs after the first — and every
+// query still gets its full, correct result.
 func TestExecutorBatchSplit(t *testing.T) {
 	// Cold, each buffering query is charged its prediction: two of them
-	// cannot share a scan under a budget of one.
+	// cannot share a scan under a budget of one. The second waits for
+	// admission, so it never fills the first's batch: a short window.
 	budget := mustPrepare(t, bufferingQuery).BufferReport().PredictedPeakBytes
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: budget})
 	docPath := writeTemp(t, "bib.xml", catDoc)
@@ -592,7 +591,7 @@ func TestExecutorBatchSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex, err := NewExecutor(cat, ExecutorOptions{
-		Window:   30 * time.Second,
+		Window:   20 * time.Millisecond,
 		MaxBatch: 2,
 	})
 	if err != nil {
@@ -627,17 +626,20 @@ func TestExecutorBatchSplit(t *testing.T) {
 			t.Errorf("query %d output = %q, want %q", i, outs[i].String(), want)
 		}
 		if sizes[i] != 1 {
-			t.Errorf("query %d batch size = %d, want 1 (budget split)", i, sizes[i])
+			t.Errorf("query %d batch size = %d, want 1 (over the budget together)", i, sizes[i])
 		}
 	}
-	st := ex.Stats()["bib"]
-	if st.Scans != 2 || st.BatchSplits != 1 || st.Deferred != 1 {
-		t.Fatalf("doc stats = %+v, want 2 scans, 1 split, 1 deferred", st)
+	if st := ex.Stats()["bib"]; st.Scans != 2 {
+		t.Fatalf("doc stats = %+v, want 2 scans", st)
+	}
+	if st := cat.AdmissionStats(); st.Queued != 1 || st.Waiting != 0 || st.Active != 0 {
+		t.Fatalf("admission stats = %+v, want 1 queued, none waiting or active", st)
 	}
 }
 
 // TestExecutorBudgetKeepsStreamingTogether: streaming queries are
-// charged zero bytes, so even a tight budget never splits their batch.
+// charged zero bytes, so even a tight budget never keeps them from
+// sharing a batch.
 func TestExecutorBudgetKeepsStreamingTogether(t *testing.T) {
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: 1})
 	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
@@ -669,67 +671,8 @@ func TestExecutorBudgetKeepsStreamingTogether(t *testing.T) {
 	wg.Wait()
 	release()
 	st := ex.Stats()["bib"]
-	if st.Scans != 1 || st.BatchSplits != 0 {
-		t.Fatalf("doc stats = %+v, want one unsplit scan", st)
-	}
-}
-
-// chargedReq is a request priced at its plan's static prediction, the
-// charge a cold catalog quotes.
-func chargedReq(q *Query) *execRequest {
-	return &execRequest{q: q, charge: q.plan.PredictedPeakBytes()}
-}
-
-// TestSplitByBudget: the split is deterministic and packs by buffer
-// profile — a zero-charge plan rides along with a buffering one, the
-// second buffering plan overflows into its own sub-batch.
-func TestSplitByBudget(t *testing.T) {
-	buf1 := mustPrepare(t, bufferingQuery)
-	buf2 := mustPrepare(t, bufferingQuery)
-	stream := mustPrepare(t, streamingQuery)
-	budget := buf1.plan.PredictedPeakBytes()
-
-	reqs := []*execRequest{chargedReq(buf1), chargedReq(buf2), chargedReq(stream)}
-	subs := splitByBudget(reqs, budget)
-	if len(subs) != 2 {
-		t.Fatalf("split into %d sub-batches, want 2", len(subs))
-	}
-	total := 0
-	for _, sub := range subs {
-		total += len(sub)
-		var sum int64
-		for _, r := range sub {
-			sum += r.charge
-		}
-		if sum > budget && len(sub) > 1 {
-			t.Errorf("sub-batch over budget: %d > %d with %d members", sum, budget, len(sub))
-		}
-	}
-	if total != len(reqs) {
-		t.Fatalf("split lost requests: %d of %d", total, len(reqs))
-	}
-	// A zero-charge rider never forces a split, whatever the pack order:
-	// pairing it with a plan that alone exceeds the budget still shares
-	// one scan — deferring either side would cost a pass for free.
-	pair := splitByBudget([]*execRequest{chargedReq(stream), chargedReq(buf1)}, budget-1)
-	if len(pair) != 1 || len(pair[0]) != 2 {
-		t.Fatalf("zero-cost rider split off: %d sub-batches", len(pair))
-	}
-
-	// Determinism: same input, same split.
-	again := splitByBudget(reqs, budget)
-	if len(again) != len(subs) {
-		t.Fatalf("second split into %d sub-batches, first %d", len(again), len(subs))
-	}
-	for i := range subs {
-		if len(again[i]) != len(subs[i]) {
-			t.Fatalf("sub-batch %d sizes differ: %d vs %d", i, len(again[i]), len(subs[i]))
-		}
-		for j := range subs[i] {
-			if again[i][j] != subs[i][j] {
-				t.Fatalf("sub-batch %d member %d differs between runs", i, j)
-			}
-		}
+	if st.Scans != 1 {
+		t.Fatalf("doc stats = %+v, want one shared scan", st)
 	}
 }
 
@@ -769,10 +712,10 @@ func TestExecutorSelectiveSkipsEvents(t *testing.T) {
 	}
 }
 
-// TestExecutorAdmissionQueues: a buffering scan submitted while the
+// TestExecutorAdmissionQueues: a buffering query submitted while the
 // catalog's byte budget is held queues — observable via AdmissionStats
 // — and starts only once the budget is released; its caller never sees
-// its own finished scan still counted active.
+// its own finished query still counted active.
 func TestExecutorAdmissionQueues(t *testing.T) {
 	budget := mustPrepare(t, bufferingQuery).BufferReport().PredictedPeakBytes
 	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: budget})
@@ -806,29 +749,137 @@ func TestExecutorAdmissionQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cat.AdmissionStats()
-	if st.Queued != 1 || st.Waiting != 0 || st.ActiveScans != 0 {
+	if st.Queued != 1 || st.Waiting != 0 || st.Active != 0 {
 		t.Fatalf("admission stats = %+v, want 1 queued, none waiting or active", st)
 	}
 }
 
-// TestSplitByBudgetRidersJoinFirstScan: wherever a zero-charge query
-// sorts, it rides the first sub-batch — never deferred behind a split.
-func TestSplitByBudgetRidersJoinFirstScan(t *testing.T) {
-	buf1 := mustPrepare(t, bufferingQuery)
-	buf2 := mustPrepare(t, bufferingQuery)
-	stream := mustPrepare(t, streamingQuery)
-	budget := buf1.plan.PredictedPeakBytes()
-	subs := splitByBudget([]*execRequest{chargedReq(buf1), chargedReq(buf2), chargedReq(stream)}, budget)
-	if len(subs) != 2 {
-		t.Fatalf("split into %d sub-batches, want 2", len(subs))
+// gatedWriter blocks every write until open is closed, holding the
+// scan that writes to it — and with it its queries' admitted charges.
+type gatedWriter struct {
+	open <-chan struct{}
+	sb   strings.Builder
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	<-g.open
+	return g.sb.Write(p)
+}
+
+// TestExecutorBudgetBurst: the bound under a burst. With a budget of
+// two buffering queries' charges, eight buffering callers at once
+// leave exactly two resident and six queued; four streaming callers
+// sent while those two are held mid-scan finish without queueing; a
+// sampler never sees the resident charges over the budget; every
+// output equals the query's solo run; and every gauge returns to zero.
+func TestExecutorBudgetBurst(t *testing.T) {
+	const nBuf, nStream = 8, 4
+	buffering, streaming := mustPrepare(t, bufferingQuery), mustPrepare(t, streamingQuery)
+	solo := func(q *Query) string {
+		var sb strings.Builder
+		if _, err := q.Run(strings.NewReader(catDoc), &sb, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	found := false
-	for _, r := range subs[0] {
-		if r.q == stream {
-			found = true
+	wantBuf, wantStream := solo(buffering), solo(streaming)
+
+	charge := buffering.plan.PredictedPeakBytes()
+	budget := 2 * charge
+	cat := NewCatalog(CatalogOptions{MaxResidentBufferBytes: budget})
+	if err := cat.Add("bib", writeTemp(t, "bib.xml", catDoc), catDTD); err != nil {
+		t.Fatal(err)
+	}
+	if got := cat.Charge("bib", buffering); got != charge {
+		t.Fatalf("cold charge = %d, want the prediction %d", got, charge)
+	}
+	ex, err := NewExecutor(cat, ExecutorOptions{Window: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stopSampling := make(chan struct{})
+	peak := make(chan int64)
+	go func() {
+		var max int64
+		for {
+			if b := cat.AdmissionStats().ResidentBufferBytes; b > max {
+				max = b
+			}
+			select {
+			case <-stopSampling:
+				peak <- max
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+
+	open := make(chan struct{})
+	bufOuts := make([]*gatedWriter, nBuf)
+	var wg sync.WaitGroup
+	for i := range bufOuts {
+		bufOuts[i] = &gatedWriter{open: open}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ex.ExecuteContext(context.Background(), "bib", bufferingQuery, bufOuts[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	// Two buffering queries fill the budget and hold it mid-scan; the
+	// other six queue for admission, and no batch is left gathering
+	// that a streaming caller could join.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := cat.AdmissionStats()
+		ex.mu.Lock()
+		gathering := ex.pending["bib"] != nil
+		ex.mu.Unlock()
+		if st.Active == 2 && st.Waiting == nBuf-2 && !gathering {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the burst never settled at two resident, six waiting: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	streamOuts := make([]strings.Builder, nStream)
+	var swg sync.WaitGroup
+	for i := range streamOuts {
+		swg.Add(1)
+		go func() {
+			defer swg.Done()
+			if _, err := ex.ExecuteContext(context.Background(), "bib", streamingQuery, &streamOuts[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	swg.Wait()
+	if st := cat.AdmissionStats(); st.Queued != nBuf-2 || st.Waiting != nBuf-2 {
+		t.Errorf("admission after the streaming callers = %+v, want only the six buffering queries queued", st)
+	}
+	for i := range streamOuts {
+		if got := streamOuts[i].String(); got != wantStream {
+			t.Errorf("streaming caller %d output = %q, want %q", i, got, wantStream)
 		}
 	}
-	if !found {
-		t.Fatalf("streaming query not in the first sub-batch: %d/%d members", len(subs[0]), len(subs[1]))
+
+	close(open)
+	wg.Wait()
+	close(stopSampling)
+	if max := <-peak; max > budget {
+		t.Errorf("resident charges reached %d, over the budget %d", max, budget)
+	}
+	for i, w := range bufOuts {
+		if got := w.sb.String(); got != wantBuf {
+			t.Errorf("buffering caller %d output = %q, want %q", i, got, wantBuf)
+		}
+	}
+	waitHeld(t, ex, 0)
+	if st := cat.AdmissionStats(); st.Waiting != 0 || st.Active != 0 || st.ResidentBufferBytes != 0 {
+		t.Errorf("admission after the burst = %+v, want nothing waiting or resident", st)
 	}
 }

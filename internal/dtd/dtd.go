@@ -247,11 +247,6 @@ func (s *Schema) Production(name string) (*Production, bool) {
 	return p, ok
 }
 
-// Elements returns the declared element names in declaration order.
-func (s *Schema) Elements() []string {
-	return append([]string(nil), s.order...)
-}
-
 // Ord reports the order constraint Ord_elem(first, then) for the content
 // model of elem (vacuously true for undeclared elements or symbols).
 func (s *Schema) Ord(elem, first, then string) bool {

@@ -7,9 +7,9 @@ import (
 	"flux/internal/sax"
 )
 
-// RunSelective executes a compiled plan with signature-pruned scanning:
-// the plan's projected-path signature is handed to the batched scanner
-// as a prune trie (sax.Options.Prune), so subtrees the plan provably
+// RunSelectiveContext executes a compiled plan with signature-pruned
+// scanning: the plan's projected-path signature is handed to the
+// batched scanner as a prune trie (sax.Options.Prune), so subtrees the plan provably
 // ignores are consumed raw at the byte level — no tokenization, no
 // event delivery — and reach the engine as single SkipSubtree steps.
 // This is the streaming counterpart of the DOM projection baseline's
@@ -21,12 +21,7 @@ import (
 // against the DTD or for tag well-formedness (its own tag is still
 // validated by the parent's content model), the same trade
 // mux.NewSelective makes for shared scans. Use ValidateDocument when
-// full-document validation is required.
-func RunSelective(plan *Plan, r io.Reader, w io.Writer, opt sax.Options) (Stats, error) {
-	return RunSelectiveContext(context.Background(), plan, r, w, opt)
-}
-
-// RunSelectiveContext is RunSelective with cancellation, with the same
+// full-document validation is required. Cancellation follows the same
 // contract as RunContext.
 func RunSelectiveContext(ctx context.Context, plan *Plan, r io.Reader, w io.Writer, opt sax.Options) (Stats, error) {
 	if plan.Signature() == nil {

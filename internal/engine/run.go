@@ -509,39 +509,12 @@ func (e *engine) fireSimple(sp *simpleSpec, child *frame, name string) error {
 	return nil
 }
 
-// Text implements sax.Handler.
-func (e *engine) Text(data string) error {
-	e.tokens++
-	top := &e.frames[len(e.frames)-1]
-	if !top.prod.Mixed && top.prod.Name != dtd.DocumentVar && !allXMLSpace(data) {
-		return &RunError{Msg: fmt.Sprintf("character data not allowed inside <%s>", top.name)}
-	}
-	if top.copying {
-		if err := e.w.Text(data); err != nil {
-			return err
-		}
-	}
-	for _, c := range top.captures {
-		if k := len(c.node.Kids); k > 0 && c.node.Kids[k-1].IsText() {
-			c.node.Kids[k-1].Text += data
-		} else {
-			n := e.newNode()
-			n.Text = data
-			c.node.Kids = append(c.node.Kids, n)
-		}
-		e.account(c.owner, int64(len(data)))
-	}
-	for _, a := range top.accs {
-		a.sb.WriteString(data)
-	}
-	return nil
-}
-
-// textBytes is Text for arena-backed payloads from the batched scan
-// path. The token's bytes are only valid for the current batch window,
-// so every retention point — buffer captures and value accumulators —
-// copies here; the write-through path (w.TextBytes) and the whitespace
-// check consume the bytes without copying.
+// textBytes handles one character-data event, the engine's one text
+// path. The bytes are borrowed — from a scan they are only valid for
+// the current batch window — so every retention point (buffer captures
+// and value accumulators) copies here; the write-through path
+// (w.TextBytes) and the whitespace check consume the bytes without
+// copying.
 func (e *engine) textBytes(data []byte) error {
 	e.tokens++
 	top := &e.frames[len(e.frames)-1]
@@ -935,17 +908,6 @@ func (e *engine) operandValues(o *navOperand, env *execEnv, dst []cmpVal) ([]cmp
 }
 
 func allXMLSpaceBytes(s []byte) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func allXMLSpace(s string) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\n', '\r':

@@ -47,12 +47,9 @@ func (s *Session) StartElement(name string) error {
 	return s.eng.StartElement(name)
 }
 
-// Text implements sax.Handler.
+// Text implements sax.Handler; it is TextBytes on a copy of data.
 func (s *Session) Text(data string) error {
-	if s.done {
-		return errClosed
-	}
-	return s.eng.Text(data)
+	return s.TextBytes([]byte(data))
 }
 
 // EndElement implements sax.Handler.
@@ -63,8 +60,8 @@ func (s *Session) EndElement(name string) error {
 	return s.eng.EndElement(name)
 }
 
-// TextBytes delivers a character-data event as a byte slice, the
-// batched-scan counterpart of Text. The engine treats data as borrowed:
+// TextBytes delivers a character-data event as a byte slice, as every
+// scan does. The engine treats data as borrowed:
 // anything it must retain past the call (buffered subtrees, value
 // accumulators) is copied, so the caller may reuse the backing array —
 // e.g. a sax batch arena — afterwards.

@@ -49,7 +49,7 @@ func Merge(per map[string]flux.ServerStats) MergedStats {
 		out.Rollup.Cache.Misses += st.Cache.Misses
 		out.Rollup.Cache.Evictions += st.Cache.Evictions
 		out.Rollup.Cache.Size += st.Cache.Size
-		out.Rollup.Admission.ActiveScans += st.Admission.ActiveScans
+		out.Rollup.Admission.Active += st.Admission.Active
 		out.Rollup.Admission.ResidentBufferBytes += st.Admission.ResidentBufferBytes
 		out.Rollup.Admission.Waiting += st.Admission.Waiting
 		out.Rollup.Admission.Queued += st.Admission.Queued
@@ -66,8 +66,6 @@ func addDocStats(a, b flux.DocStats) flux.DocStats {
 	a.Shared += b.Shared
 	a.Canceled += b.Canceled
 	a.EventsSkipped += b.EventsSkipped
-	a.BatchSplits += b.BatchSplits
-	a.Deferred += b.Deferred
 	a.AutomatonHits += b.AutomatonHits
 	if b.PeakBatch > a.PeakBatch {
 		a.PeakBatch = b.PeakBatch

@@ -12,11 +12,11 @@ func TestMergeRollupArithmetic(t *testing.T) {
 	per := map[string]flux.ServerStats{
 		"0": {
 			Docs: map[string]flux.DocStats{
-				"alpha": {Queries: 10, Scans: 4, Shared: 8, PeakBatch: 3, Canceled: 1, EventsSkipped: 100, BatchSplits: 2, Deferred: 3},
+				"alpha": {Queries: 10, Scans: 4, Shared: 8, PeakBatch: 3, Canceled: 1, EventsSkipped: 100},
 				"both":  {Queries: 5, Scans: 5, PeakBatch: 1},
 			},
 			Cache:     flux.CacheStats{Hits: 7, Misses: 3, Evictions: 1, Size: 3},
-			Admission: flux.AdmissionStats{ActiveScans: 1, ResidentBufferBytes: 4096, Waiting: 2, Queued: 5, Admitted: 9},
+			Admission: flux.AdmissionStats{Active: 1, ResidentBufferBytes: 4096, Waiting: 2, Queued: 5, Admitted: 9},
 		},
 		"1": {
 			Docs: map[string]flux.DocStats{
@@ -32,13 +32,13 @@ func TestMergeRollupArithmetic(t *testing.T) {
 	if d := got.Rollup.Docs["both"]; d.Queries != 12 || d.Scans != 8 || d.PeakBatch != 4 {
 		t.Errorf("rollup.both = %+v, want queries 12, scans 8, peak 4 (max)", d)
 	}
-	if d := got.Rollup.Docs["alpha"]; d.EventsSkipped != 100 || d.BatchSplits != 2 || d.Deferred != 3 || d.Canceled != 1 || d.Shared != 8 {
+	if d := got.Rollup.Docs["alpha"]; d.EventsSkipped != 100 || d.Canceled != 1 || d.Shared != 8 {
 		t.Errorf("rollup.alpha = %+v, want shard 0's counters verbatim", d)
 	}
 	if c := got.Rollup.Cache; c.Hits != 8 || c.Misses != 12 || c.Evictions != 1 || c.Size != 12 {
 		t.Errorf("rollup.cache = %+v", c)
 	}
-	if a := got.Rollup.Admission; a.ActiveScans != 1 || a.ResidentBufferBytes != 4096 || a.Waiting != 2 || a.Queued != 5 || a.Admitted != 14 {
+	if a := got.Rollup.Admission; a.Active != 1 || a.ResidentBufferBytes != 4096 || a.Waiting != 2 || a.Queued != 5 || a.Admitted != 14 {
 		t.Errorf("rollup.admission = %+v", a)
 	}
 	if len(got.PerShard) != 2 {

@@ -269,7 +269,7 @@ func (rt *Router) probe(b *backend) {
 		b.markDead(err)
 		return
 	}
-	b.load.Store(st.Admission.ActiveScans + st.Admission.Waiting)
+	b.load.Store(st.Admission.Active + st.Admission.Waiting)
 	b.lastErr.Store("")
 	b.alive.Store(true)
 }

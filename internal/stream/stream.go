@@ -139,7 +139,7 @@ func (h *Hub) Subscribe(ctx context.Context, doc, queryText string, w io.Writer,
 	if err != nil {
 		return nil, err
 	}
-	release, err := h.cat.AdmitScan(ctx, h.cat.Charge(doc, q))
+	release, err := h.cat.Admit(ctx, h.cat.Charge(doc, q))
 	if err != nil {
 		return nil, err
 	}

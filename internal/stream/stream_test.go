@@ -109,8 +109,8 @@ func TestStreamStaticEquivalence(t *testing.T) {
 	if st := hub.Stats(); st.WaitingSubscriptions != 3 {
 		t.Fatalf("parked subscriptions = %d, want 3", st.WaitingSubscriptions)
 	}
-	if st := cat.AdmissionStats(); st.ActiveScans != 3 {
-		t.Fatalf("admitted charges = %d, want 3", st.ActiveScans)
+	if st := cat.AdmissionStats(); st.Active != 3 {
+		t.Fatalf("admitted charges = %d, want 3", st.Active)
 	}
 
 	ing, err := hub.StartIngest(context.Background(), "live")
@@ -155,8 +155,8 @@ func TestStreamStaticEquivalence(t *testing.T) {
 			t.Fatalf("query %d charge = %d, want its observed peak %d", i, got, st.PeakBufferBytes)
 		}
 	}
-	if st := cat.AdmissionStats(); st.ActiveScans != 0 {
-		t.Fatalf("admission charges not released: %d active", st.ActiveScans)
+	if st := cat.AdmissionStats(); st.Active != 0 {
+		t.Fatalf("admission charges not released: %d active", st.Active)
 	}
 	if ing.Events() == 0 {
 		t.Fatal("ingest reports zero scan events")
@@ -656,7 +656,7 @@ func TestStreamSubscribeCanceledWhileQueued(t *testing.T) {
 	if cat.Charge("live", q) == 0 {
 		t.Fatal("test query is charged nothing; it would never queue")
 	}
-	hold, err := cat.AdmitScan(context.Background(), 1000)
+	hold, err := cat.Admit(context.Background(), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +680,7 @@ func TestStreamSubscribeCanceledWhileQueued(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("Subscribe still blocked on a canceled context: %+v", cat.AdmissionStats())
 	}
-	if st := cat.AdmissionStats(); st.Waiting != 0 || st.ActiveScans != 1 || st.ResidentBufferBytes != 1000 {
+	if st := cat.AdmissionStats(); st.Waiting != 0 || st.Active != 1 || st.ResidentBufferBytes != 1000 {
 		t.Fatalf("admission = %+v, want only the holder resident, nothing waiting", st)
 	}
 }
