@@ -32,8 +32,10 @@ race-fault:
 
 # Streaming-pipeline gate: everything a live ingest's worker pool cuts
 # across — mux dispatch, the stream hub, the root-level streaming vs
-# batch-scan differential, and the shard workers' ingest and subscribe
-# endpoints, which host hubs — at GOMAXPROCS 1 and 4, under the race
+# batch-scan differential, the shard workers' ingest and subscribe
+# endpoints, which host hubs, and the slow-reader stall tests, whose
+# write deadline detaches a client from a shared scan — at GOMAXPROCS 1
+# and 4, under the race
 # detector. 1 pins the inline streaming path; 4 interleaves the scan
 # goroutine and the workers even on a smaller CI machine. The root
 # pattern also takes the Executor's batching, dispatch and admission
@@ -42,7 +44,7 @@ race-fault:
 race-cpu:
 	$(GO) test -race -cpu 1,4 ./internal/mux ./internal/stream
 	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming|Admit|Admission|Batch|Dispatch|Budget|Charge' .
-	$(GO) test -race -cpu 1,4 -run 'Stream|Ingest|Subscribe' ./internal/shard
+	$(GO) test -race -cpu 1,4 -run 'Stream|Ingest|Subscribe|Stall' ./internal/shard
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

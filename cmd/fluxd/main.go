@@ -51,11 +51,14 @@
 //	                       the producer may hold the request open and
 //	                       trickle the document in. Responds with a JSON
 //	                       summary when the stream ends
-//	POST /subscribe?doc=name[&policy=block|drop]
+//	POST /subscribe?doc=name
 //	                       register the query in the body as a standing
 //	                       subscription; results stream back as matching
 //	                       subtrees complete, stats and any failure ride
-//	                       in HTTP trailers when the stream ends
+//	                       in HTTP trailers when the stream ends. A slow
+//	                       subscriber applies backpressure to the ingest;
+//	                       one whose write does not complete within 30 s
+//	                       is detached and the stream resumes
 //	GET  /streamz          live ingests and parked subscriptions
 //	GET  /stats            the typed flux.ServerStats snapshot:
 //	                       per-document serving counters, compiled-query

@@ -10,11 +10,11 @@
 // Usage:
 //
 //	fluxtail -server http://localhost:8700 -doc feed -in data.xml \
-//	         [-chunk 4096] [-rate 1048576] [-query q.xq ...] [-policy block|drop]
+//	         [-chunk 4096] [-rate 1048576] [-query q.xq ...]
 //
 // -chunk is the write granularity in bytes; -rate paces the replay in
-// bytes per second (0 streams as fast as the server admits, which under
-// blocking subscribers is the backpressure rate). Each -query (
+// bytes per second (0 streams as fast as the server admits, which is
+// the backpressure rate of the slowest subscriber). Each -query (
 // repeatable) is posted to /subscribe before the replay begins; its
 // results go to stdout (one query) or are discarded with counts
 // reported (several), and per-query stats print to stderr when the
@@ -61,7 +61,6 @@ func main() {
 		inFile = flag.String("in", "", "XML document to replay (default stdin; stdin cannot be paced twice, files can)")
 		chunk  = flag.Int("chunk", 4096, "write granularity in bytes")
 		rate   = flag.Int64("rate", 0, "replay pacing in bytes per second (0 = as fast as the server admits)")
-		policy = flag.String("policy", "block", "subscription overflow policy: block or drop")
 
 		queries repeatFlag
 	)
@@ -76,9 +75,6 @@ func main() {
 	}
 	if *rate < 0 {
 		fatal(fmt.Errorf("-rate must be non-negative, got %d", *rate))
-	}
-	if *policy != "block" && *policy != "drop" {
-		fatal(fmt.Errorf("-policy must be block or drop, got %q", *policy))
 	}
 
 	var in io.Reader = os.Stdin
@@ -113,7 +109,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outcomes[i] = subscribe(base, *doc, *policy, qpath, string(qtext), sink, start)
+			outcomes[i] = subscribe(base, *doc, qpath, string(qtext), sink, start)
 		}()
 	}
 	if len(queries) > 0 {
@@ -140,17 +136,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fluxtail: %s: %v\n", o.query, o.err)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "fluxtail: %s: status=%d output_bytes=%d first_result=%s peak_buffer_bytes=%s dropped_bytes=%s\n",
+		fmt.Fprintf(os.Stderr, "fluxtail: %s: status=%d output_bytes=%d first_result=%s peak_buffer_bytes=%s\n",
 			o.query, o.status, o.outputBytes, o.firstResult.Round(time.Microsecond),
-			o.trailer.Get("X-Flux-Peak-Buffer-Bytes"), o.trailer.Get("X-Flux-Dropped-Bytes"))
+			o.trailer.Get("X-Flux-Peak-Buffer-Bytes"))
 	}
 }
 
 // subscribe opens one standing subscription and drains its response,
 // recording the client-observed time to first result byte.
-func subscribe(base, doc, policy, qpath, qtext string, sink io.Writer, start time.Time) subOutcome {
+func subscribe(base, doc, qpath, qtext string, sink io.Writer, start time.Time) subOutcome {
 	out := subOutcome{query: qpath}
-	resp, err := http.Post(base+"/subscribe?doc="+doc+"&policy="+policy, "text/plain", strings.NewReader(qtext))
+	resp, err := http.Post(base+"/subscribe?doc="+doc, "text/plain", strings.NewReader(qtext))
 	if err != nil {
 		out.err = err
 		return out

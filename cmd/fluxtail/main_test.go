@@ -54,7 +54,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	start := time.Now()
 	done := make(chan subOutcome, 1)
 	go func() {
-		done <- subscribe(ts.URL, "feed", "block", qpath, qtext, &got, start)
+		done <- subscribe(ts.URL, "feed", qpath, qtext, &got, start)
 	}()
 	waitParked(ts.URL, 1)
 
@@ -86,9 +86,6 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 	if out.firstResult == 0 || out.outputBytes != int64(len(want)) {
 		t.Fatalf("outcome = %+v", out)
-	}
-	if out.trailer.Get("X-Flux-Dropped-Bytes") != "0" {
-		t.Fatalf("dropped = %q", out.trailer.Get("X-Flux-Dropped-Bytes"))
 	}
 }
 

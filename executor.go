@@ -45,8 +45,9 @@ import (
 // step, so each query of a wide batch is delivered only the events its
 // projection can reach (DocStats.EventsSkipped counts the rest).
 // Routing decisions are made by one merged path automaton per batch
-// (internal/autom), compiled once per distinct (document,
-// signature-set) pair and cached until the document is swapped —
+// (internal/autom), compiled once per distinct set of routing groups
+// and cached — a machine depends only on its groups, so documents
+// sharing a schema share machines and a swap keeps them;
 // DocStats.AutomatonHits counts cache reuse. The interior of a subtree
 // a query ignores is not validated against its DTD; RunAll keeps
 // all-fanout delivery and with it full per-query validation.
@@ -81,10 +82,10 @@ type Executor struct {
 	// each one's outcome is sent on its done channel (see finish).
 	held atomic.Int64
 
-	// autoCache memoizes merged path automata by (document, swap count,
-	// sorted signature-key set): a steady workload of repeating query
-	// batches compiles its automaton once. Swapping a document changes
-	// the key, so stale machines age out naturally.
+	// autoCache memoizes merged path automata by their sorted group
+	// keys (mux.GroupKey: schema and signature): a steady workload of
+	// repeating query batches compiles its automaton once, whichever
+	// document of the schema it scans and across swaps of its file.
 	autoMu    sync.Mutex
 	autoCache map[string]*autom.Machine
 
@@ -331,7 +332,7 @@ func (e *Executor) runScan(doc string, reqs []*execRequest) {
 	defer f.Close()
 
 	m := mux.NewSelective()
-	mach, hit := e.machineFor(info, reqs)
+	mach, hit := e.machineFor(reqs)
 	m.SetMachine(mach)
 	c.autoStates.Store(int64(mach.States()))
 	if hit {
@@ -399,11 +400,10 @@ func (e *Executor) finish(req *execRequest, out execOutcome) {
 // from cache anyway).
 const autoCacheCap = 256
 
-// machineFor returns the merged path automaton for this batch's
-// signature-key set against the document version info describes,
-// building and caching it on first sight. The second result reports a
-// cache hit.
-func (e *Executor) machineFor(info DocInfo, reqs []*execRequest) (*autom.Machine, bool) {
+// machineFor returns the merged path automaton for this batch's set of
+// routing groups, building and caching it on first sight. The second
+// result reports a cache hit.
+func (e *Executor) machineFor(reqs []*execRequest) (*autom.Machine, bool) {
 	sigs := make(map[string]*engine.SigNode, len(reqs))
 	keys := make([]string, 0, len(reqs))
 	for _, req := range reqs {
@@ -414,7 +414,7 @@ func (e *Executor) machineFor(info DocInfo, reqs []*execRequest) (*autom.Machine
 		}
 	}
 	sort.Strings(keys)
-	cacheKey := fmt.Sprintf("%s\x00%d\x00%s", info.Name, info.Swaps, strings.Join(keys, "\x1e"))
+	cacheKey := strings.Join(keys, "\x1e")
 	e.autoMu.Lock()
 	mach, ok := e.autoCache[cacheKey]
 	e.autoMu.Unlock()

@@ -712,6 +712,42 @@ func TestExecutorSelectiveSkipsEvents(t *testing.T) {
 	}
 }
 
+// TestExecutorAutomatonSharedAcrossDocs: a merged automaton depends
+// only on its routing groups, so the first scan of a query over a second
+// document with the same DTD reuses the machine the first document's
+// scan compiled, and a swap of the document's file keeps it.
+func TestExecutorAutomatonSharedAcrossDocs(t *testing.T) {
+	const q = `<out> { for $b in /bib/book return {$b/title} } </out>`
+	cat := NewCatalog(CatalogOptions{})
+	for _, name := range []string{"a", "b"} {
+		if err := cat.Add(name, writeTemp(t, name+".xml", catDoc), catDTD); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex, err := NewExecutor(cat, ExecutorOptions{Window: time.Millisecond, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(doc string) {
+		t.Helper()
+		if _, err := ex.ExecuteContext(context.Background(), doc, q, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run("a")
+	run("b")
+	if st := ex.Stats()["b"]; st.Scans != 1 || st.AutomatonHits != 1 {
+		t.Fatalf("first scan of b: stats %+v, want 1 scan reusing a's automaton", st)
+	}
+	if err := cat.Swap("b", writeTemp(t, "b2.xml", catDoc)); err != nil {
+		t.Fatal(err)
+	}
+	run("b")
+	if st := ex.Stats()["b"]; st.Scans != 2 || st.AutomatonHits != 2 {
+		t.Fatalf("scan after swap: stats %+v, want 2 scans, both automaton hits", st)
+	}
+}
+
 // TestExecutorAdmissionQueues: a buffering query submitted while the
 // catalog's byte budget is held queues — observable via AdmissionStats
 // — and starts only once the budget is released; its caller never sees

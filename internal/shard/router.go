@@ -420,7 +420,7 @@ func (rt *Router) stream(w http.ResponseWriter, resp *http.Response, b *backend)
 	}
 	h.Set("X-Flux-Shard", strconv.Itoa(b.id))
 	w.WriteHeader(resp.StatusCode)
-	if readErr, writeErr := copyFlush(w, resp.Body); readErr != nil || writeErr != nil {
+	if readErr, writeErr := copyResult(w, resp.Body); readErr != nil || writeErr != nil {
 		// Only a worker-side read failure indicts the worker; a client
 		// that disconnected mid-download (write failure) says nothing
 		// about the shard's health, and with background probing disabled
@@ -437,21 +437,22 @@ func (rt *Router) stream(w http.ResponseWriter, resp *http.Response, b *backend)
 	}
 }
 
-// copyFlush copies src to w, flushing after every chunk so a streaming
-// result streams through the router instead of pooling in its buffers.
-// Source (worker) and sink (client) failures are reported separately —
-// the caller treats them very differently.
-func copyFlush(w http.ResponseWriter, src io.Reader) (readErr, writeErr error) {
-	f, _ := w.(http.Flusher)
+// copyResult copies src to w, flushing after every chunk so a streaming
+// result streams through the router instead of pooling in its buffers;
+// a client that stops reading fails the copy after writeStall. Source
+// (worker) and sink (client) failures are reported separately — the
+// caller treats them very differently.
+func copyResult(w http.ResponseWriter, src io.Reader) (readErr, writeErr error) {
+	rw := newResultWriter(w, true)
+	// The handler returns right after the copy; re-arm for net/http's
+	// final write, as resultWriter's doc comment explains.
+	defer rw.arm()
 	buf := make([]byte, 32<<10)
 	for {
 		r, rerr := src.Read(buf)
 		if r > 0 {
-			if _, werr := w.Write(buf[:r]); werr != nil {
+			if _, werr := rw.Write(buf[:r]); werr != nil {
 				return nil, werr
-			}
-			if f != nil {
-				f.Flush()
 			}
 		}
 		if rerr == io.EOF {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"time"
 
 	"flux"
 	"flux/internal/stream"
@@ -199,7 +200,9 @@ func writeHealthz(w http.ResponseWriter) {
 // handleQuery streams the posted query's result from the document's
 // shared scan. The request context rides into ExecuteContext, so a
 // client that disconnects mid-result is detached from the scan at the
-// next event batch while batch siblings keep streaming.
+// next event batch while batch siblings keep streaming; a client that
+// stays connected but stops reading fails its own write after
+// writeStall and is detached the same way.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST the query text to /query", http.StatusMethodNotAllowed)
@@ -227,15 +230,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	w.Header().Set("Trailer", "X-Flux-Peak-Buffer-Bytes, X-Flux-Tokens, X-Flux-Batch-Size")
-	cw := &countingWriter{w: w}
-	res, err := s.ex.ExecuteQueryContext(r.Context(), doc, q, cw)
+	rw := newResultWriter(w, false)
+	defer rw.arm() // a fresh bound for net/http's final write (see resultWriter)
+	res, err := s.ex.ExecuteQueryContext(r.Context(), doc, q, rw)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client is gone; there is no one to report to. The
 			// executor has already detached the query from its batch.
 			return
 		}
-		if cw.n == 0 {
+		if rw.wrote() == 0 {
 			// Nothing streamed yet; a clean error status is still possible.
 			http.Error(w, "executing query: "+err.Error(), http.StatusInternalServerError)
 			return
@@ -246,7 +250,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// connection instead so the failure is visible at the transport.
 		panic(http.ErrAbortHandler)
 	}
-	if cw.n == 0 {
+	if rw.wrote() == 0 {
 		// Force the header out even for empty results.
 		w.WriteHeader(http.StatusOK)
 	}
@@ -557,17 +561,76 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// countingWriter tracks whether (and how much) output has been streamed,
-// which decides error reporting: a clean 500 is only possible before the
-// first byte.
-type countingWriter struct {
-	w io.Writer
-	n int64
+// writeStall bounds how long one write or flush of a result to an HTTP
+// client may block. A query's output is written on its shared scan's
+// goroutine (or, for a subscription, on a drain that the scan waits
+// on once the subscription's ring is full), so a client that stops
+// reading would otherwise park every query sharing that scan. After
+// the bound the client's own write fails and the existing failure paths
+// detach it alone. Only tests assign it.
+var writeStall = 30 * time.Second
+
+// resultWriter is the one writer a streamed result leaves through: a
+// worker's /query and /subscribe responses and the router's proxy copy.
+// It counts the bytes written, which decides error reporting (a clean
+// error status is only possible before the first byte), flushes after
+// every write when flush is set, and re-arms a writeStall deadline on
+// the connection before each write and flush. The mutex serializes a
+// subscription's drain goroutine against the handler goroutine's header
+// commit: an http.ResponseWriter is not safe for concurrent use.
+//
+// The handler that makes one defers arm. net/http's final write after
+// the handler returns (the buffered tail, the terminating chunk and the
+// trailers) runs under the last deadline armed, and a result may idle
+// far longer than writeStall before it ends — a standing query whose
+// last match came early in a long ingest, or one that matched nothing —
+// so that deadline may have passed long ago and would cut off a client
+// that read every byte. net/http clears the deadline after the final
+// write, so it never carries over to the next request on a kept-alive
+// connection.
+type resultWriter struct {
+	mu    sync.Mutex
+	w     http.ResponseWriter
+	rc    *http.ResponseController
+	flush bool
+	n     int64
+}
+
+func newResultWriter(w http.ResponseWriter, flush bool) *resultWriter {
+	return &resultWriter{w: w, rc: http.NewResponseController(w), flush: flush}
 }
 
 // Write implements io.Writer.
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
+func (rw *resultWriter) Write(p []byte) (int, error) {
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	rw.arm()
+	n, err := rw.w.Write(p)
+	rw.n += int64(n)
+	if err == nil && rw.flush {
+		err = rw.rc.Flush()
+	}
 	return n, err
+}
+
+// Flush sends what is buffered, committing a 200 if nothing has been
+// written yet.
+func (rw *resultWriter) Flush() error {
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	rw.arm()
+	return rw.rc.Flush()
+}
+
+// wrote reports the result bytes written so far.
+func (rw *resultWriter) wrote() int64 {
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	return rw.n
+}
+
+// arm re-arms the write deadline. A writer without a connection (a
+// test's ResponseRecorder) has no deadline to set.
+func (rw *resultWriter) arm() {
+	_ = rw.rc.SetWriteDeadline(time.Now().Add(writeStall))
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 
 	"flux"
 	"flux/internal/stream"
@@ -110,10 +109,10 @@ type IngestSummary struct {
 // next ingest begins. The 200 is committed as soon as the subscription
 // is accepted; each delivery is then flushed to the client immediately,
 // and final stats — plus any failure, in X-Flux-Error — ride in
-// trailers. ?policy=drop trades lost
-// result bytes (counted in X-Flux-Dropped-Bytes) for never stalling
-// the stream; the default (block) applies backpressure to the producer
-// instead.
+// trailers. A subscriber that reads slower than the stream applies
+// backpressure to the producer through its ring buffer; one that stops
+// reading fails its own write after writeStall, which detaches it alone
+// and lets the ingest and its sibling subscriptions resume.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST the query text to /subscribe?doc=name", http.StatusMethodNotAllowed)
@@ -124,16 +123,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var pol stream.Policy
-	switch p := r.URL.Query().Get("policy"); p {
-	case "", "block":
-		pol = stream.PolicyBlock
-	case "drop":
-		pol = stream.PolicyDrop
-	default:
-		http.Error(w, fmt.Sprintf("unknown policy %q: want block or drop", p), http.StatusBadRequest)
-		return
-	}
 	body, status, err := ReadQueryBody(r)
 	if err != nil {
 		http.Error(w, err.Error(), status)
@@ -141,11 +130,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.Header().Set("Trailer", "X-Flux-Error, X-Flux-Peak-Buffer-Bytes, X-Flux-Tokens, X-Flux-Output-Bytes, X-Flux-Dropped-Bytes, X-Flux-First-Result-Ns")
-	fw := &flushWriter{w: w}
-	fw.f, _ = w.(http.Flusher)
+	w.Header().Set("Trailer", "X-Flux-Error, X-Flux-Peak-Buffer-Bytes, X-Flux-Tokens, X-Flux-Output-Bytes, X-Flux-First-Result-Ns")
+	rw := newResultWriter(w, true)
+	defer rw.arm() // a fresh bound for net/http's final write (see resultWriter)
 
-	sub, err := s.hub.Subscribe(r.Context(), doc, string(body), fw, pol)
+	sub, err := s.hub.Subscribe(r.Context(), doc, string(body), rw, stream.PolicyBlock)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, flux.ErrDocNotFound) {
@@ -160,13 +149,15 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// is fixed: later failures report through the X-Flux-Error trailer,
 	// or — if results already streamed — an aborted connection, so the
 	// truncation is visible at the transport, exactly as /query does.
-	fw.commit()
+	// A failed commit needs no handling here: the subscription's own
+	// next write fails the same way.
+	_ = rw.Flush()
 	<-sub.Done()
 	if err := sub.Err(); err != nil {
 		if r.Context().Err() != nil {
 			return // the subscriber disconnected; nothing to report
 		}
-		if fw.wrote() > 0 {
+		if rw.wrote() > 0 {
 			panic(http.ErrAbortHandler)
 		}
 		w.Header().Set("X-Flux-Error", err.Error())
@@ -175,62 +166,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Flux-Peak-Buffer-Bytes", fmt.Sprint(st.PeakBufferBytes))
 	w.Header().Set("X-Flux-Tokens", fmt.Sprint(st.Tokens))
 	w.Header().Set("X-Flux-Output-Bytes", fmt.Sprint(st.OutputBytes))
-	w.Header().Set("X-Flux-Dropped-Bytes", fmt.Sprint(st.DroppedBytes))
 	w.Header().Set("X-Flux-First-Result-Ns", fmt.Sprint(int64(st.FirstResult)))
 }
 
 // handleStreamz reports the streaming hub's live state.
 func (s *Server) handleStreamz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.hub.Stats())
-}
-
-// flushWriter pushes every subscription delivery through to the client
-// immediately — a standing query's results must not sit in the HTTP
-// server's response buffer until the stream ends. The mutex serializes
-// the subscription's drain goroutine against the handler goroutine's
-// header commit: an http.ResponseWriter is not safe for concurrent use.
-type flushWriter struct {
-	mu        sync.Mutex
-	w         http.ResponseWriter
-	f         http.Flusher
-	n         int64
-	committed bool
-}
-
-// commit writes the 200 and flushes it to the client, once.
-func (fw *flushWriter) commit() {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	fw.commitLocked()
-}
-
-func (fw *flushWriter) commitLocked() {
-	if fw.committed {
-		return
-	}
-	fw.committed = true
-	fw.w.WriteHeader(http.StatusOK)
-	if fw.f != nil {
-		fw.f.Flush()
-	}
-}
-
-// wrote reports the result bytes delivered so far.
-func (fw *flushWriter) wrote() int64 {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.n
-}
-
-// Write implements io.Writer.
-func (fw *flushWriter) Write(p []byte) (int, error) {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	fw.commitLocked()
-	n, err := fw.w.Write(p)
-	fw.n += int64(n)
-	if fw.f != nil {
-		fw.f.Flush()
-	}
-	return n, err
 }

@@ -56,11 +56,12 @@ func (ing *Ingest) attach(sub *Subscription) {
 func (ing *Ingest) Doc() string { return ing.doc }
 
 // Write pushes the next chunk of the document into the stream. It
-// blocks until the scan has consumed the bytes — and transitively,
-// under PolicyBlock, until every subscriber has ring space — so the
-// producer is throttled by its slowest blocking consumer rather than
-// buffering unboundedly. A Write after the stream has failed returns
-// the failure.
+// blocks until the scan has consumed the bytes — and transitively until
+// every subscriber has ring space — so the producer is throttled by its
+// slowest subscriber rather than buffering unboundedly. A subscriber
+// whose ring is full stalls this Write until it drains or its writer
+// fails and detaches it; the hub itself sets no time bound. A Write
+// after the stream has failed returns the failure.
 func (ing *Ingest) Write(p []byte) (int, error) { return ing.cs.Write(p) }
 
 // Close declares the document complete: it waits for the scan to drain

@@ -8,33 +8,29 @@ import (
 // ring is the fixed-size byte buffer between one subscription's engine
 // output (written on the scan goroutine) and its drain goroutine. It is
 // the subscription's entire store-and-forward memory: when it fills,
-// the write side blocks or drops per the subscription's Policy — it
-// never grows.
+// the write side blocks until the drain makes room or the read side
+// closes — it never grows.
 type ring struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	buf     []byte
-	start   int // read position
-	n       int // bytes buffered
-	policy  Policy
-	dropped int64
+	buf   []byte
+	start int // read position
+	n     int // bytes buffered
 
 	wclosed bool  // write side closed: drain to EOF
 	rerr    error // read side closed: writes and reads fail with this
 }
 
-func newRing(size int, pol Policy) *ring {
-	rb := &ring{buf: make([]byte, size), policy: pol}
+func newRing(size int) *ring {
+	rb := &ring{buf: make([]byte, size)}
 	rb.cond = sync.NewCond(&rb.mu)
 	return rb
 }
 
-// Write appends p, blocking while the buffer is full under PolicyBlock
-// and discarding (with a count) what does not fit under PolicyDrop. A
-// closed read side fails the write with the closing error — that is how
-// a dead subscriber propagates back into the scan as this session's
-// failure.
+// Write appends p, blocking while the buffer is full. A closed read
+// side fails the write with the closing error — that is how a dead
+// subscriber propagates back into the scan as this session's failure.
 func (rb *ring) Write(p []byte) (int, error) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
@@ -52,10 +48,6 @@ func (rb *ring) Write(p []byte) (int, error) {
 		}
 		space := len(rb.buf) - rb.n
 		if space == 0 {
-			if rb.policy == PolicyDrop {
-				rb.dropped += int64(len(p))
-				return total, nil
-			}
 			rb.cond.Wait()
 			continue
 		}
@@ -123,11 +115,4 @@ func (rb *ring) closeRead(err error) {
 	}
 	rb.cond.Broadcast()
 	rb.mu.Unlock()
-}
-
-// droppedBytes reports the bytes discarded under PolicyDrop so far.
-func (rb *ring) droppedBytes() int64 {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return rb.dropped
 }

@@ -18,11 +18,16 @@
 // Memory stays bounded end to end. Upstream, the scanner's push mode
 // buffers nothing beyond its input window: a Write blocks until the
 // scan has consumed the bytes. Downstream, each subscription's results
-// cross to its writer through a fixed-size ring buffer drained by a
-// dedicated goroutine, so one slow subscriber never stalls its
-// siblings' deliveries; what happens when the ring fills is the
-// subscription's Policy — block the scan (backpressure to the producer)
-// or drop the overflow with a counter. And each subscription holds its
+// cross to its writer through a fixed-size ring buffer (64 KB by
+// default) drained by a dedicated goroutine, so a subscriber may fall
+// behind by that much without slowing anyone. Once its ring is full the
+// scan waits for it — backpressure to the producer, and a pause for
+// every sibling subscription — until it drains or its writer fails; a
+// failed writer detaches that subscription alone and the stream
+// resumes. No result byte is ever discarded. The hub sets no time bound
+// on that wait: the writer's owner does (the HTTP serving tier fails a
+// write that does not complete within a fixed deadline). And each
+// subscription holds its
 // plan's charge (flux.Catalog.Charge) in the catalog's memory gate for
 // as long as it stands, recording its observed peak when it completes —
 // live queries budget against batch queries, not beside them.
@@ -59,19 +64,16 @@ type Options struct {
 }
 
 // Policy says what a subscription does when its ring buffer is full
-// because its writer is slower than the stream.
+// because its writer is slower than the stream. It has one value,
+// PolicyBlock, and remains only because the benchmark module passes it
+// to Subscribe; the type, the parameter and SubStats.DroppedBytes go
+// together with that module's use of them.
 type Policy int
 
-const (
-	// PolicyBlock parks the scan until the subscriber drains: the
-	// producer feels backpressure (its Ingest.Write blocks), and no
-	// result byte is ever lost. The default.
-	PolicyBlock Policy = iota
-	// PolicyDrop discards result bytes that do not fit and counts them
-	// in SubStats.DroppedBytes: the stream never stalls, but a slow
-	// subscriber's output has holes exactly where the counter says.
-	PolicyDrop
-)
+// PolicyBlock parks the scan until the subscriber drains or its writer
+// fails: the producer feels backpressure (its Ingest.Write blocks), and
+// no result byte is ever lost.
+const PolicyBlock Policy = 0
 
 // Errors reported by hub operations.
 var (
@@ -126,8 +128,8 @@ func NewHub(cat *flux.Catalog, opt Options) *Hub {
 // not, it parks and activates when the document's next ingest begins.
 // The subscription ends — Done closes, Stats and Err become final —
 // when its stream ends, its ctx is canceled, its writer fails, or the
-// hub closes.
-func (h *Hub) Subscribe(ctx context.Context, doc, queryText string, w io.Writer, pol Policy) (*Subscription, error) {
+// hub closes. The Policy argument is PolicyBlock, its only value.
+func (h *Hub) Subscribe(ctx context.Context, doc, queryText string, w io.Writer, _ Policy) (*Subscription, error) {
 	q, err := h.cat.Prepare(doc, queryText)
 	if err != nil {
 		return nil, err
@@ -149,7 +151,7 @@ func (h *Hub) Subscribe(ctx context.Context, doc, queryText string, w io.Writer,
 		query:     q,
 		ctx:       ctx,
 		w:         w,
-		ring:      newRing(h.opt.SubscriberBuffer, pol),
+		ring:      newRing(h.opt.SubscriberBuffer),
 		release:   release,
 		start:     time.Now(),
 		done:      make(chan struct{}),

@@ -351,46 +351,6 @@ func TestStreamBackpressureBlock(t *testing.T) {
 	}
 }
 
-// TestStreamDropPolicy: under PolicyDrop a full ring discards the
-// overflow and counts it instead of stalling the stream — the producer
-// finishes at full speed against a subscriber that never drains.
-func TestStreamDropPolicy(t *testing.T) {
-	hub, cat := newHub(t, stream.Options{SubscriberBuffer: 64})
-	gate := make(chan struct{})
-	out := &gatedWriter{gate: gate}
-	sub, err := hub.Subscribe(context.Background(), "live", liveQueries[0], out, stream.PolicyDrop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing, err := hub.StartIngest(context.Background(), "live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := bigLiveDoc(200)
-	if _, err := ing.Write([]byte(doc)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.Close(); err != nil {
-		t.Fatal(err)
-	}
-	close(gate) // let the drain deliver what survived
-	waitDone(t, sub)
-	if err := sub.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := sub.Stats()
-	if st.DroppedBytes == 0 {
-		t.Fatal("nothing dropped despite a never-draining subscriber")
-	}
-	_, wantSt := staticResult(t, cat, liveQueries[0], doc)
-	if st.OutputBytes != wantSt.OutputBytes {
-		t.Fatalf("engine OutputBytes = %d, static %d (drops must not change what the engine produces)", st.OutputBytes, wantSt.OutputBytes)
-	}
-	if delivered := int64(len(out.String())); delivered+st.DroppedBytes != st.OutputBytes {
-		t.Fatalf("delivered %d + dropped %d != produced %d", delivered, st.DroppedBytes, st.OutputBytes)
-	}
-}
-
 // TestStreamWriterFailureDetaches: a subscriber whose writer dies is
 // detached from the stream; the ingest and its sibling complete clean.
 func TestStreamWriterFailureDetaches(t *testing.T) {

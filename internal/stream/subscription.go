@@ -12,9 +12,13 @@ import (
 
 // Subscription is one standing query over a document stream. Its
 // results flow engine → ring buffer → drain goroutine → the writer the
-// subscriber gave Subscribe, so a slow writer never blocks the scan's
-// delivery to other subscriptions — it blocks (or drops within) only
-// its own ring, per its Policy.
+// subscriber gave Subscribe. The ring absorbs a slow writer for up to
+// its size (Options.SubscriberBuffer, 64 KB by default); once it is
+// full the shared scan waits for this writer, and so do the ingest and
+// every sibling subscription. A writer that fails ends that wait: its
+// error detaches this subscription alone. Over HTTP the writer fails
+// after a bounded stall (the serving tier's write deadline), so no
+// client that stops reading holds a stream for longer than that.
 //
 // A subscription ends when its stream ends (Close or Abort on the
 // ingest), its context is canceled, its writer fails, or the hub
@@ -44,10 +48,10 @@ type Subscription struct {
 // SubStats are one subscription's final statistics.
 type SubStats struct {
 	// OutputBytes is the number of result bytes the engine produced.
-	// Under PolicyDrop, DroppedBytes of them never reached the writer.
 	OutputBytes int64 `json:"output_bytes"`
-	// DroppedBytes counts result bytes discarded because the ring was
-	// full under PolicyDrop. Always 0 under PolicyBlock.
+	// DroppedBytes is always 0: a subscription never discards result
+	// bytes. It remains only because the benchmark module reports it
+	// (stream.dropped_bytes), and goes together with that metric.
 	DroppedBytes int64 `json:"dropped_bytes"`
 	// PeakBufferBytes is the engine's peak buffered bytes for this
 	// query over the stream — what a clean end records through
@@ -78,9 +82,7 @@ func (s *Subscription) Err() error {
 func (s *Subscription) Stats() SubStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.DroppedBytes = s.ring.droppedBytes()
-	return st
+	return s.stats
 }
 
 // finish records the subscription's final stats and failure, records
@@ -151,7 +153,6 @@ func (s *Subscription) drain() {
 		// must not report success.
 		s.err = werr
 	}
-	s.stats.DroppedBytes = s.ring.droppedBytes()
 	s.mu.Unlock()
 	close(s.done)
 }
