@@ -30,19 +30,19 @@ vet:
 race-fault:
 	$(GO) test ./internal/shard -race -count=3 -run 'Replica|Rebalancer|Migrate|Topology|EpochTracker'
 
-# Streaming-pipeline gate: everything a live ingest's worker pool cuts
-# across — mux dispatch, the stream hub, the root-level streaming vs
-# batch-scan differential, the shard workers' ingest and subscribe
-# endpoints, which host hubs, and the slow-reader stall tests, whose
-# write deadline detaches a client from a shared scan — at GOMAXPROCS 1
-# and 4, under the race
-# detector. 1 pins the inline streaming path; 4 interleaves the scan
-# goroutine and the workers even on a smaller CI machine. The root
-# pattern also takes the Executor's batching, dispatch and admission
-# tests: its dispatch rule reads GOMAXPROCS, so 1 and 4 run it in both
-# regimes.
+# Streaming-pipeline gate: everything a live ingest's sub-muxes cut
+# across — the stream hub (its batch fan-out, sub-mux placement,
+# cancellation, detach and joins while batches are in flight), the
+# root-level hub vs batch-scan differential, the shard workers' ingest
+# and subscribe endpoints, which host hubs, and the slow-reader stall
+# tests, whose write deadline detaches a client from a shared scan — at
+# GOMAXPROCS 1 and 4, under the race detector. 1 pins the one inline
+# sub-mux; 4 runs four sub-muxes on their own goroutines even on a
+# smaller CI machine. The root pattern also takes the Executor's
+# batching, dispatch and admission tests: its dispatch rule reads
+# GOMAXPROCS, so 1 and 4 run it in both regimes.
 race-cpu:
-	$(GO) test -race -cpu 1,4 ./internal/mux ./internal/stream
+	$(GO) test -race -cpu 1,4 ./internal/stream
 	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming|Admit|Admission|Batch|Dispatch|Budget|Charge' .
 	$(GO) test -race -cpu 1,4 -run 'Stream|Ingest|Subscribe|Stall' ./internal/shard
 
@@ -62,7 +62,7 @@ lint-docs:
 # Short-mode fuzz smoke: the native scanner targets (pull round trip,
 # batched ≡ per-event delivery, chunked push mode), the XQuery⁻
 # print → parse round trip, the automaton-dispatch equivalence target,
-# the streaming worker pool against the batch scan, and generated
+# the stream hub's sub-muxes against the batch scan, and generated
 # queries against the scheduler (every one must prepare and match the
 # naive oracle), each for a few seconds on top of their checked-in seeds.
 fuzz:

@@ -83,10 +83,11 @@
 // standing subscription queues for admission while the resident total
 // would exceed it; a query joins a batch only once admitted. A client that disconnects mid-result is detached
 // from its shared scan at the next event batch; sibling queries keep
-// streaming. On a multicore host each live ingest evaluates its
-// subscriptions on a worker pool, pipelined against its scan; shared
-// scans of stored documents route inline, since concurrent batches
-// already fill the cores.
+// streaming. On a multicore host each live ingest spreads its
+// subscriptions' routing groups over one streaming mux per core, each
+// routing the scan's batches on its own goroutine; shared scans of
+// stored documents route on one goroutine each, since concurrent
+// batches already fill the cores.
 package main
 
 import (

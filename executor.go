@@ -174,10 +174,12 @@ type docBatch struct {
 // ExecuteContext compiles queryText against doc's schema (cache-backed
 // via the catalog), waits for the catalog to admit the query's charge,
 // joins doc's open batch, and blocks until the result has streamed to w
-// or ctx is done. On cancellation it returns ctx.Err() immediately; a
-// query still waiting for admission leaves the queue, and one in
-// flight is detached from its scan at the next event batch (after
-// which w is never written again) while sibling queries keep
+// or ctx is done. On cancellation it returns ctx.Err() as soon as no
+// write to w is in progress: a write the scan has already begun on w
+// runs to its end first (at the HTTP edge a write deadline bounds that
+// wait), and after the return w is never written again. A query still
+// waiting for admission leaves the queue; one in flight is detached
+// from its scan at the next event batch while sibling queries keep
 // streaming.
 func (e *Executor) ExecuteContext(ctx context.Context, doc, queryText string, w io.Writer) (ExecResult, error) {
 	q, err := e.cat.Prepare(doc, queryText)
@@ -223,9 +225,10 @@ func (e *Executor) ExecuteQueryContext(ctx context.Context, doc string, q *Query
 			return out.res, out.err
 		default:
 		}
-		// Unblock the caller now; the batch runner detaches the plan at
-		// its next event batch. Closing the guard first guarantees w is
-		// never touched after this return.
+		// Unblock the caller; the batch runner detaches the plan at its
+		// next event batch. Closing the guard waits out a write already
+		// in progress and guarantees w is never touched after this
+		// return.
 		req.w.close()
 		return ExecResult{}, ctx.Err()
 	}
@@ -516,7 +519,10 @@ func (e *Executor) Stats() map[string]DocStats {
 type ServerStats struct {
 	// Docs holds one entry per registered document, zero-valued for
 	// documents that have not served a query yet, so a dashboard always
-	// sees the whole catalog.
+	// sees the whole catalog, plus one per document the executor has
+	// ever served: a removed or migrated-away document keeps its entry
+	// and cumulative counters, so a sum over workers never goes
+	// backwards.
 	Docs map[string]DocStats `json:"docs"`
 	// Cache is the catalog's compiled-query cache counters.
 	Cache CacheStats `json:"cache"`
@@ -526,8 +532,8 @@ type ServerStats struct {
 
 // ServerStats assembles the process-wide serving snapshot: the
 // executor's per-document counters (every registered document included,
-// zero-valued until it serves) plus the catalog's cache and admission
-// counters.
+// zero-valued until it serves, and every document it ever served,
+// registered or not) plus the catalog's cache and admission counters.
 func (e *Executor) ServerStats() ServerStats {
 	docs := e.Stats()
 	for _, name := range e.cat.Docs() {
@@ -550,10 +556,11 @@ func (e *Executor) ServerStats() ServerStats {
 var errWriterClosed = errors.New("flux: output writer closed by cancellation")
 
 // guardWriter serializes the batch runner's writes against the caller's
-// cancellation: once close is called (just before ExecuteQueryContext
+// cancellation: once close returns (just before ExecuteQueryContext
 // returns on a done context), no later write reaches the underlying
 // writer — essential when w is an http.ResponseWriter that dies with
-// its handler.
+// its handler. close takes the lock an in-flight Write holds, so it
+// returns only after that write does.
 type guardWriter struct {
 	mu     sync.Mutex
 	w      io.Writer

@@ -919,3 +919,102 @@ func TestExecutorBudgetBurst(t *testing.T) {
 		t.Errorf("admission after the burst = %+v, want nothing waiting or resident", st)
 	}
 }
+
+// heldWriter holds its first Write until release closes, and counts
+// the writes that begin after its caller has returned.
+type heldWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+	returned         atomic.Bool
+	late             atomic.Int64
+}
+
+func (h *heldWriter) Write(p []byte) (int, error) {
+	if h.returned.Load() {
+		h.late.Add(1)
+	}
+	h.once.Do(func() {
+		close(h.entered)
+		<-h.release
+	})
+	return len(p), nil
+}
+
+// TestExecuteContextCancelWaitsForWrite: a canceled ExecuteContext does
+// not return while a write to its writer is in progress; it returns
+// ctx.Err() once that write is released, and the writer receives no
+// write after the return.
+func TestExecuteContextCancelWaitsForWrite(t *testing.T) {
+	// Output enough for many writes, so the scan keeps writing after the
+	// held one is released.
+	var sb strings.Builder
+	sb.WriteString("<bib>")
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&sb, "<book><title>vol %06d</title><year>2004</year></book>", i)
+	}
+	sb.WriteString("</bib>")
+	cat := NewCatalog(CatalogOptions{})
+	if err := cat.Add("bib", writeTemp(t, "big.xml", sb.String()), catDTD); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExecutor(cat, ExecutorOptions{Window: time.Millisecond, MaxBatch: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &heldWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := ex.ExecuteContext(ctx, "bib", `<out> { for $b in /bib/book return {$b/title} } </out>`, w)
+		w.returned.Store(true)
+		errc <- err
+	}()
+	select {
+	case <-w.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the query never wrote")
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		t.Fatalf("ExecuteContext returned (%v) while a write to w was held", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(w.release)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ExecuteContext did not return once the write was released")
+	}
+	waitHeld(t, ex, 0) // the scan has ended
+	if n := w.late.Load(); n != 0 {
+		t.Fatalf("%d writes reached w after ExecuteContext returned", n)
+	}
+}
+
+// TestServerStatsKeepsRetiredDocs: ServerStats lists every registered
+// document, and a document removed after it served keeps its entry and
+// cumulative counters.
+func TestServerStatsKeepsRetiredDocs(t *testing.T) {
+	cat, ex, docPath := newTestExecutor(t, 100, time.Millisecond)
+	if err := cat.Add("idle", docPath, catDTD); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.ExecuteContext(context.Background(), "bib", `<out> { for $b in /bib/book return {$b/title} } </out>`, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Remove("bib"); err != nil {
+		t.Fatal(err)
+	}
+	docs := ex.ServerStats().Docs
+	if st, ok := docs["bib"]; !ok || st.Queries != 1 || st.Scans != 1 {
+		t.Fatalf("retired document's stats = %+v (present %v), want its one query and scan", st, ok)
+	}
+	if st, ok := docs["idle"]; !ok || st != (DocStats{}) {
+		t.Fatalf("unserved document's stats = %+v (present %v), want a zero entry", st, ok)
+	}
+}

@@ -27,9 +27,10 @@ type BufferReport struct {
 	// plan's peak buffer consumption in nominal bytes: 0 for fully
 	// streaming plans, small for tags-only per-instance buffers, large
 	// for document-lifetime full-subtree buffers. It is comparable
-	// across plans — the Executor's batch budget and the Catalog's
-	// admission control sum it — but is not a promise about any
-	// particular document.
+	// across plans but is not a promise about any particular document:
+	// the Catalog's admission control charges it only until a run of
+	// the plan's signature has completed on the document, and the
+	// observed peak replaces it from then on (flux.Catalog.Charge).
 	PredictedPeakBytes int64
 }
 

@@ -41,9 +41,9 @@
 // streaming lifecycle both drive the batched scanner. Selective routing
 // is one delivery loop, token by token: step advances the matcher and
 // yields the token's deliver and skip masks, deliver hands the token to
-// the live members of those groups. The streaming worker pool
-// (parallel.go) runs the same loop on each worker over copied masks,
-// restricted to the groups the worker owns.
+// the live members of those groups. A Mux starts no goroutine: a
+// streaming scan that uses more than one core runs several muxes, one
+// per goroutine, over the same batches (see internal/stream).
 package mux
 
 import (
@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync/atomic"
 
 	"flux/internal/autom"
 	"flux/internal/engine"
@@ -89,13 +88,9 @@ type Mux struct {
 	results  []Result
 	live     []bool
 	nctx     int // slots with a non-nil context
+	nlive    int // slots still live
 	events   int64
 	ran      bool
-
-	// nlive is atomic because a streaming mux's worker pool records slot
-	// failures on worker goroutines; inline routing pays one uncontended
-	// atomic op where a plain int decrement used to be.
-	nlive atomic.Int32
 
 	// Selective fan-out state (selective Muxes only).
 	selective bool
@@ -113,10 +108,6 @@ type Mux struct {
 	// BeginStream/EndStream lifecycle, mid-stream subscriptions, and a
 	// scan that survives having no live sessions. See stream.go.
 	stream *streamState
-
-	// par is non-nil while a streaming scan runs its worker pool. See
-	// parallel.go.
-	par *parState
 }
 
 // fanGroup is one event-routing group: the plans sharing a signature
@@ -175,7 +166,7 @@ func (m *Mux) AddContext(ctx context.Context, plan *engine.Plan, w io.Writer) in
 	}
 	m.results = append(m.results, Result{})
 	m.live = append(m.live, true)
-	m.nlive.Add(1)
+	m.nlive++
 	return len(m.sessions) - 1
 }
 
@@ -295,27 +286,24 @@ func GroupKey(p *engine.Plan) string {
 var errAllFailed = errors.New("mux: all queries failed")
 
 // fail detaches slot i from the event flow, recording err and the stats
-// accumulated up to the failure. Called on the scan goroutine or, in a
-// streaming mux's worker pool, on the worker that routes the slot's group:
-// slot state (Result, live flag, session) is owner-exclusive, only the
-// live count is shared and atomic.
+// accumulated up to the failure.
 func (m *Mux) fail(i int, err error) {
 	m.results[i].Err = err
 	m.results[i].Stats = m.sessions[i].Abort()
 	m.live[i] = false
-	m.nlive.Add(-1)
+	m.nlive--
 	if m.stream != nil && m.stream.onDetach != nil {
 		m.stream.onDetach(i, err)
 	}
 }
 
-// pollCtxs detaches every live slot in the groups set in own (nil =
-// every slot) whose context is done. The batched delivery path calls it
-// once per batch, bounding a canceled query's extra work to one event
-// batch without a per-event ctx.Err() in the hot loop.
-func (m *Mux) pollCtxs(own autom.Mask) {
+// pollCtxs detaches every live slot whose context is done. The batched
+// delivery path calls it once per batch, bounding a canceled query's
+// extra work to one event batch without a per-event ctx.Err() in the
+// hot loop.
+func (m *Mux) pollCtxs() {
 	for i, ctx := range m.ctxs {
-		if ctx == nil || !m.owns(own, i) || !m.live[i] {
+		if ctx == nil || !m.live[i] {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -324,36 +312,16 @@ func (m *Mux) pollCtxs(own autom.Mask) {
 	}
 }
 
-// owns reports whether slot i belongs to a group set in own; a nil own
-// owns every slot. It is checked before the slot's live flag, which a
-// worker that does not own the slot may be writing.
-func (m *Mux) owns(own autom.Mask, i int) bool {
-	if own == nil {
-		return true
-	}
-	g := m.slotGroup[i]
-	return g>>6 < len(own) && own.Has(g)
-}
-
 // HandleBatch implements sax.BatchHandler — the batched shared scan.
 // All-fanout delivery hands the whole batch to each live session in one
 // call, one dynamic dispatch per session per batch instead of one per
 // session per event; selective fan-out routes token by token through
-// routeBatch, since skip decisions are made per element. A streaming
-// mux on its worker pool hands every batch but a small one arriving at
-// an idle pipeline to the workers (parHandleBatch), which run the same
-// delivery loop restricted to their groups. Per-slot cancellation is
-// polled once per batch.
+// routeBatch, since skip decisions are made per element. Per-slot
+// cancellation is polled once per batch.
 func (m *Mux) HandleBatch(b *sax.Batch) error {
 	m.events += int64(len(b.Tokens))
-	if p := m.par; p != nil && (len(b.Tokens) > parInlineTokens || p.outstanding.Load() > 0) {
-		return m.parHandleBatch(b)
-	}
-	// Inline: a batch mux, a stream at GOMAXPROCS=1, or a tiny batch at
-	// an idle pool (outstanding == 0 makes the workers' session writes
-	// visible here).
 	if m.nctx > 0 {
-		m.pollCtxs(nil)
+		m.pollCtxs()
 	}
 	switch {
 	case m.stream != nil:
@@ -361,7 +329,7 @@ func (m *Mux) HandleBatch(b *sax.Batch) error {
 		// subscriber — results become visible at batch granularity, not
 		// end of document. A stream outlives its last live slot.
 		m.routeBatch(b)
-		m.flushLive(nil)
+		m.flushLive()
 		return nil
 	case m.selective:
 		m.routeBatch(b)
@@ -375,7 +343,7 @@ func (m *Mux) HandleBatch(b *sax.Batch) error {
 			}
 		}
 	}
-	if m.nlive.Load() == 0 {
+	if m.nlive == 0 {
 		return errAllFailed
 	}
 	return nil
@@ -393,7 +361,7 @@ func (m *Mux) routeBatch(b *sax.Batch) {
 		}
 		t := &b.Tokens[i]
 		deliver, skip := m.step(t)
-		m.deliver(t, deliver, skip, nil)
+		m.deliver(t, deliver, skip)
 	}
 }
 
@@ -441,25 +409,17 @@ func (m *Mux) step(t *sax.Token) (deliver, skip autom.Mask) {
 }
 
 // deliver hands token t to the live members of the groups set in
-// deliver or skip, restricted to the groups set in own (nil = every
-// group). At a start tag, skip groups get SkipSubtree and deliver groups
-// StartElement; any other token goes to the deliver groups as the call
-// matching its kind (a SkipElement token as SkipSubtree). skip is read
-// at start tags only. The sequential router calls it with a nil own, a
-// pool worker with the groups it owns.
-func (m *Mux) deliver(t *sax.Token, deliver, skip, own autom.Mask) {
+// deliver or skip. At a start tag, skip groups get SkipSubtree and
+// deliver groups StartElement; any other token goes to the deliver
+// groups as the call matching its kind (a SkipElement token as
+// SkipSubtree). skip is read at start tags only.
+func (m *Mux) deliver(t *sax.Token, deliver, skip autom.Mask) {
 	start := t.Kind == sax.StartElement
 	for w, word := range deliver {
 		var sk uint64
 		if start {
 			sk = skip[w]
 			word |= sk
-		}
-		if own != nil {
-			if w >= len(own) {
-				return
-			}
-			word &= own[w]
 		}
 		for word != 0 {
 			bit := bits.TrailingZeros64(word)
@@ -529,9 +489,9 @@ func (m *Mux) Run(ctx context.Context, r io.Reader, opt sax.Options) ([]Result, 
 			m.fail(i, err)
 		}
 	}
-	if m.nlive.Load() > 0 {
+	if m.nlive > 0 {
 		err := sax.ScanBatchedContext(ctx, r, m, opt)
-		if m.nlive.Load() == 0 {
+		if m.nlive == 0 {
 			// All queries failed mid-stream; the scan aborted after the
 			// batch holding the last failure.
 			m.fillSkipped()
@@ -559,7 +519,7 @@ func (m *Mux) Run(ctx context.Context, r io.Reader, opt sax.Options) ([]Result, 
 		m.results[i] = Result{Stats: st, Err: err}
 		m.live[i] = false
 	}
-	m.nlive.Store(0)
+	m.nlive = 0
 	m.fillSkipped()
 	return m.results, nil
 }

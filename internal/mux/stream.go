@@ -77,15 +77,6 @@ type pendingSub struct {
 // muxes it tolerates having no live sessions — a stream with zero
 // subscribers is still consumed (and well-formedness checked), since a
 // subscriber may yet join.
-//
-// On a multicore host (GOMAXPROCS ≥ 2) a streaming mux evaluates its
-// routing groups on a worker pool while the scan goroutine keeps
-// tokenizing and routing (see parallel.go); at GOMAXPROCS=1 it routes
-// inline. Contract: the two paths agree exactly on every slot's output
-// bytes, error, Stats and SkippedEvents. Two things differ, and callers
-// must allow for them: slot failures — and so OnDetach callbacks — may
-// run on worker goroutines, and plans in different routing groups may
-// write concurrently, so they must not share a writer.
 func NewStreaming() *Mux {
 	return &Mux{selective: true, stream: &streamState{}}
 }
@@ -94,11 +85,10 @@ func NewStreaming() *Mux {
 // detached before EndStream — its context was canceled, its engine
 // rejected the stream, or its writer failed. The hub serving the
 // subscriber uses it to end that subscriber's response immediately
-// instead of at end of stream. The callback runs on the scan goroutine,
-// or — under the worker pool (see NewStreaming) — on the worker
-// goroutine that owns the slot's routing group, so it must be safe to
-// call off the scan goroutine. It always runs immediately after the
-// slot's Result was recorded, so ResultAt(slot) is valid inside it.
+// instead of at end of stream. The callback runs on the goroutine
+// driving the mux — the one feeding it batches, or calling EndStream —
+// immediately after the slot's Result was recorded, so ResultAt(slot)
+// is valid inside it.
 // Must be set before BeginStream; ignored in batch mode.
 func (m *Mux) OnDetach(fn func(slot int, err error)) {
 	if m.stream != nil {
@@ -139,7 +129,6 @@ func (m *Mux) BeginStream() error {
 			m.fail(i, err)
 		}
 	}
-	m.startParallel()
 	return nil
 }
 
@@ -222,7 +211,6 @@ func (m *Mux) activatePending() {
 			// transition.
 			m.machine = autom.Build(m.machineGroups())
 			m.matcher.Extend(m.machine, st.rootName)
-			m.parAddGroup(gi)
 		}
 		s := m.sessions[slot]
 		if err := s.Begin(); err != nil {
@@ -273,14 +261,13 @@ func (m *Mux) streamGroup(plan *engine.Plan) (int, bool) {
 	return gi, true
 }
 
-// flushLive pushes each live session in the groups set in own (nil =
-// every session) through to its subscriber — the per-batch delivery
-// point that makes results visible before end of stream. A flush
-// failure (the subscriber's writer died) detaches that slot like any
-// other per-query failure.
-func (m *Mux) flushLive(own autom.Mask) {
+// flushLive pushes each live session through to its subscriber — the
+// per-batch delivery point that makes results visible before end of
+// stream. A flush failure (the subscriber's writer died) detaches that
+// slot like any other per-query failure.
+func (m *Mux) flushLive() {
 	for i, s := range m.sessions {
-		if !m.owns(own, i) || !m.live[i] {
+		if !m.live[i] {
 			continue
 		}
 		if err := s.Flush(); err != nil {
@@ -300,9 +287,6 @@ func (m *Mux) EndStream(streamErr error) []Result {
 	if m.stream == nil {
 		return nil
 	}
-	// Worker pool barrier: drain and stop the workers before any session
-	// is finished or failed on this goroutine.
-	m.stopParallel()
 	rejected := ErrStreamEnded
 	if streamErr != nil {
 		rejected = fmt.Errorf("%w: %w", ErrStreamEnded, streamErr)
@@ -322,7 +306,7 @@ func (m *Mux) EndStream(streamErr error) []Result {
 		m.results[i] = Result{Stats: st, Err: err}
 		m.live[i] = false
 	}
-	m.nlive.Store(0)
+	m.nlive = 0
 	m.fillSkipped()
 	return m.results
 }

@@ -364,3 +364,69 @@ func TestStreamGroupJoin(t *testing.T) {
 		t.Errorf("groups = %+v, want one group of 2", groups)
 	}
 }
+
+// wideDoc builds a document long enough to span several scanner
+// batches.
+func wideDoc(n int) string {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		sb.WriteString("<a><x>ax</x><y>ay</y></a>")
+	}
+	for i := 0; i < n; i++ {
+		sb.WriteString("<b><x>bx</x></b>")
+	}
+	for i := 0; i < n; i++ {
+		sb.WriteString("<c>cc</c>")
+	}
+	sb.WriteString("</r>")
+	return sb.String()
+}
+
+// runPlans executes plans over doc through a fresh mux, returning
+// outputs, results, and the stream error.
+func runPlans(m *mux.Mux, plans []*engine.Plan, doc string) ([]string, []mux.Result, error) {
+	outs := make([]*strings.Builder, len(plans))
+	for i, p := range plans {
+		outs[i] = &strings.Builder{}
+		m.Add(p, outs[i])
+	}
+	results, err := m.Run(nil, strings.NewReader(doc), scanOpt)
+	ss := make([]string, len(plans))
+	for i, sb := range outs {
+		ss[i] = sb.String()
+	}
+	return ss, results, err
+}
+
+// TestParallelMatchesSequential: a streaming mux — the unit a stream
+// hub runs one of per core (internal/stream) — must be observably
+// identical to the batch selective scan over a document spanning many
+// batches: outputs and stats, per query.
+func TestParallelMatchesSequential(t *testing.T) {
+	doc := wideDoc(300)
+	seqOut, seqRes, seqErr := runPlans(mux.NewSelective(), selPlans(t), doc)
+	if seqErr != nil {
+		t.Fatal(seqErr)
+	}
+
+	plans := selPlans(t)
+	m := mux.NewStreaming()
+	outs := make([]*strings.Builder, len(plans))
+	for i, p := range plans {
+		outs[i] = &strings.Builder{}
+		m.Add(p, outs[i])
+	}
+	res := feedStream(t, m, doc, 4<<10)
+	for i := range plans {
+		if res[i].Err != nil {
+			t.Fatalf("query %d: %v", i, res[i].Err)
+		}
+		if outs[i].String() != seqOut[i] {
+			t.Errorf("query %d output: streaming %q, batch %q", i, outs[i].String(), seqOut[i])
+		}
+		if res[i].Stats != seqRes[i].Stats {
+			t.Errorf("query %d stats: streaming %+v, batch %+v", i, res[i].Stats, seqRes[i].Stats)
+		}
+	}
+}

@@ -35,8 +35,8 @@ type Token struct {
 // slots and are reused when the ring wraps around. Consumers that need
 // data beyond that window must copy it during HandleBatch — or extend
 // the window explicitly with Retain/Release, which concurrent consumers
-// (the parallel mux pipeline) use to keep a batch alive while workers on
-// other goroutines are still reading it.
+// (a stream ingest's sub-muxes) use to keep a batch alive while other
+// goroutines are still reading it.
 type Batch struct {
 	// Tokens are the events of this batch, in stream order.
 	Tokens []Token
@@ -205,7 +205,7 @@ func (s *scanner) flushBatch() error {
 		// Reuse the slot: the validity window of its previous contents has
 		// elapsed — unless a consumer retained the batch, in which case
 		// block here until it is released. This is the backpressure edge:
-		// a full parallel pipeline stalls the producer right here. Stale
+		// a consumer that falls behind stalls the producer right here. Stale
 		// token entries beyond the refilled length pin only the batch's
 		// own arena and the scanner's interning table, both alive anyway,
 		// so they are cleared at releaseRing, not per wrap.

@@ -1,8 +1,8 @@
 package sax
 
 // Unit tests for the Batch reference count (Retain/Release/waitIdle) —
-// the mechanism the parallel mux pipeline uses to keep delivered
-// batches alive while worker goroutines are still reading them, and the
+// the mechanism a stream ingest's fan-out uses to keep delivered
+// batches alive while sub-mux goroutines are still reading them, and the
 // scanner's only backpressure edge (flushBatch blocks on the wrapping
 // slot, releaseRing blocks at end of scan).
 

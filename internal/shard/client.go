@@ -33,24 +33,6 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 // Base returns the worker's base URL.
 func (c *Client) Base() string { return c.base }
 
-// Health probes /healthz; any non-200 answer (or transport failure) is
-// an error.
-func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard: %s/healthz answered %d", c.base, resp.StatusCode)
-	}
-	return nil
-}
-
 // Identity fetches the worker's /shardz self-description.
 func (c *Client) Identity(ctx context.Context) (Identity, error) {
 	var id Identity

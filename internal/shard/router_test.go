@@ -418,14 +418,19 @@ func TestRouterDefaultDoc(t *testing.T) {
 }
 
 // TestClientAgainstWorker: the typed client round-trips a worker's
-// identity, docs, stats and health.
+// identity, docs and stats of a worker that answers /healthz.
 func TestClientAgainstWorker(t *testing.T) {
 	shards, _, _ := spawnTier(t, testDocs, 2, "")
-	c := NewClient(shards[0].Addr+"/", nil) // trailing slash tolerated
-	ctx := context.Background()
-	if err := c.Health(ctx); err != nil {
+	resp, err := http.Get(shards[0].Addr + "/healthz")
+	if err != nil {
 		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz answered %d", resp.StatusCode)
+	}
+	c := NewClient(shards[0].Addr+"/", nil) // trailing slash tolerated
+	ctx := context.Background()
 	id, err := c.Identity(ctx)
 	if err != nil || id.ShardID != 0 || id.Advertise != shards[0].Addr {
 		t.Fatalf("identity = %+v, err %v", id, err)

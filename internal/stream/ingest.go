@@ -14,34 +14,110 @@ import (
 // (the document is complete) or Abort (the producer died mid-document).
 // An Ingest is single-use and its Write side is single-goroutine; Abort
 // may be called from any goroutine.
+//
+// The scan feeds K sub-muxes (see Hub.StartIngest), each a plain
+// streaming mux holding a disjoint share of the routing groups. With
+// K = 1 the one sub-mux routes inline on the scan goroutine; otherwise
+// a fanout hands every batch to each sub-mux's own goroutine.
 type Ingest struct {
-	hub *Hub
-	doc string
-	m   *mux.Mux
-	cs  *sax.ChunkScanner
+	hub   *Hub
+	doc   string
+	muxes []*mux.Mux
+	fan   *fanout // nil when len(muxes) == 1
+	cs    *sax.ChunkScanner
+
+	// place maps a routing group's key (mux.GroupKey) to the sub-mux
+	// that holds it, and next is the round-robin cursor for new keys.
+	// Both are touched only by attach, under hub.mu.
+	place map[string]int
+	next  int
 
 	mu   sync.Mutex
-	subs map[int]*Subscription // mux slot -> activated subscription
+	subs map[slotRef]*Subscription // activated subscriptions
 
 	endOnce sync.Once
 	dead    chan struct{} // closed by Close/Abort, whoever ends it
 	cause   error         // written inside endOnce, read after dead
 }
 
-// attach enqueues sub on the stream. Called with hub.mu held, which
-// orders it strictly before the ingest's EndStream.
+// slotRef names a subscription's slot: the sub-mux and the slot index
+// within it.
+type slotRef struct{ mux, slot int }
+
+// fanout is the scan's BatchHandler when an ingest has several
+// sub-muxes. It retains each batch once per sub-mux and queues it to
+// that sub-mux's goroutine, which routes the batch and releases it. A
+// retained batch holds its slot in the scanner's batch ring, so a
+// sub-mux that falls behind stalls the scan — and through it the
+// producer's Write — once the ring is full; the queues, sized to the
+// ring's four batches, never block.
+type fanout struct {
+	queues []chan *sax.Batch
+	wg     sync.WaitGroup
+}
+
+// newFanout starts one goroutine per sub-mux, routing the batches
+// queued to it until stop.
+func newFanout(muxes []*mux.Mux) *fanout {
+	f := &fanout{queues: make([]chan *sax.Batch, len(muxes))}
+	f.wg.Add(len(muxes))
+	for i, m := range muxes {
+		q := make(chan *sax.Batch, 4)
+		f.queues[i] = q
+		go func() {
+			defer f.wg.Done()
+			for b := range q {
+				m.HandleBatch(b) // a streaming mux fails slots, never the batch
+				b.Release()
+			}
+		}()
+	}
+	return f
+}
+
+// HandleBatch implements sax.BatchHandler on the scan goroutine.
+func (f *fanout) HandleBatch(b *sax.Batch) error {
+	for _, q := range f.queues {
+		b.Retain()
+		q <- b
+	}
+	return nil
+}
+
+// stop closes the queues and waits until every sub-mux has routed its
+// last batch. Called once the scan goroutine has exited.
+func (f *fanout) stop() {
+	for _, q := range f.queues {
+		close(q)
+	}
+	f.wg.Wait()
+}
+
+// attach enqueues sub on the sub-mux that already holds its routing
+// group, or on the next sub-mux round-robin, so no group spans two
+// sub-muxes. Called with hub.mu held, which serializes placement and
+// orders the attach strictly before the ingest's EndStream.
 func (ing *Ingest) attach(sub *Subscription) {
-	err := ing.m.AttachStream(sub.ctx, sub.query.Plan(), sub.ring, func(slot int, err error) {
+	plan := sub.query.Plan()
+	key := mux.GroupKey(plan)
+	i, ok := ing.place[key]
+	if !ok {
+		i = ing.next % len(ing.muxes)
+		ing.next++
+		ing.place[key] = i
+	}
+	m := ing.muxes[i]
+	err := m.AttachStream(sub.ctx, plan, sub.ring, func(slot int, err error) {
 		if slot >= 0 {
 			// Record the slot first: a later detach of this slot (even
 			// the immediate one below, on this same goroutine) must
 			// find the subscription.
 			ing.mu.Lock()
-			ing.subs[slot] = sub
+			ing.subs[slotRef{i, slot}] = sub
 			ing.mu.Unlock()
 		}
 		if err != nil {
-			sub.finish(statsAt(ing.m, slot), err)
+			sub.finish(statsAt(m, slot), err)
 		}
 	})
 	if err != nil {
@@ -124,22 +200,30 @@ func (ing *Ingest) Err() error {
 	}
 }
 
-// finishAll ends the stream on the mux and distributes each activated
-// subscription's final Result. Runs once, from end, with the mux
-// quiescent.
+// finishAll joins the sub-mux goroutines, ends the stream on every
+// sub-mux and distributes each activated subscription's final Result.
+// Runs once, from end, after the scan goroutine has exited.
 func (ing *Ingest) finishAll(streamErr error) {
-	results := ing.m.EndStream(streamErr)
+	if ing.fan != nil {
+		ing.fan.stop()
+	}
+	// EndStream may call back into attach's done and OnDetach, which take
+	// ing.mu: end every sub-mux before locking.
+	results := make([][]mux.Result, len(ing.muxes))
+	for i, m := range ing.muxes {
+		results[i] = m.EndStream(streamErr)
+	}
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	for slot, sub := range ing.subs {
-		res := results[slot]
+	for ref, sub := range ing.subs {
+		res := results[ref.mux][ref.slot]
 		sub.finish(res.Stats, res.Err)
 	}
 }
 
 // Events reports the number of SAX events the shared scan tokenized.
 // Meaningful after Close or Abort.
-func (ing *Ingest) Events() int64 { return ing.m.Events() }
+func (ing *Ingest) Events() int64 { return ing.muxes[0].Events() }
 
 // statsAt guards ResultAt against the rejected-before-activation case,
 // where no slot was ever assigned.

@@ -15,6 +15,22 @@
 // byte-identical per-query output to the same document served
 // statically.
 //
+// Multicore evaluation lives here, not in the mux. An ingest runs K =
+// min(GOMAXPROCS, 16) plain streaming muxes, its sub-muxes: a
+// subscription joins the sub-mux that already holds its routing group
+// (mux.GroupKey), else the next one round-robin, so no group spans two
+// sub-muxes. The scan goroutine tokenizes once and hands every batch to
+// each sub-mux's goroutine; every sub-mux steps its own path automaton
+// over every token, so depth, sync points and mid-stream joins stay
+// inside each mux, and groups on different sub-muxes evaluate on
+// different cores. At GOMAXPROCS = 1 the one sub-mux routes inline on
+// the scan goroutine. A sub-mux trails the scan by at most the
+// scanner's batch ring, so a subscriber that joins mid-stream may join
+// at a sync point up to that many batches before the bytes the
+// producer had written when it subscribed. On 2 vCPUs, K = 2 against
+// K = 1 read 844 → 1,062 MB/s on the benchmark's stream-replay workload
+// (medians of 8 alternating pairs, K = 2 faster in 7).
+//
 // Memory stays bounded end to end. Upstream, the scanner's push mode
 // buffers nothing beyond its input window: a Write blocks until the
 // scan has consumed the bytes. Downstream, each subscription's results
@@ -38,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -50,6 +67,11 @@ import (
 // DefaultSubscriberBuffer is the per-subscription ring-buffer size when
 // Options leaves SubscriberBuffer zero.
 const DefaultSubscriberBuffer = 64 << 10
+
+// maxSubMuxes caps an ingest's sub-muxes: beyond it, handing every
+// batch to every sub-mux costs more than the added cores win for
+// realistic group counts.
+const maxSubMuxes = 16
 
 // Options configures a Hub.
 type Options struct {
@@ -157,8 +179,10 @@ func (h *Hub) Subscribe(ctx context.Context, doc, queryText string, w io.Writer,
 		done:      make(chan struct{}),
 		statsDone: make(chan struct{}),
 	}
+	sub.mu.Lock()
+	sub.stopWatch = context.AfterFunc(ctx, func() { sub.finish(engine.Stats{}, ctx.Err()) })
+	sub.mu.Unlock()
 	go sub.drain()
-	go sub.watchCtx()
 
 	h.mu.Lock()
 	if h.closed {
@@ -184,11 +208,10 @@ func (h *Hub) Subscribe(ctx context.Context, doc, queryText string, w io.Writer,
 // attach before the first byte; later ones join mid-stream. One ingest
 // per document at a time.
 //
-// On a multicore host the ingest's subscriptions are evaluated on the
-// streaming mux's worker pool (mux.NewStreaming): the scan goroutine
-// keeps tokenizing and routing while subscription engine work runs on
-// other cores, and a slow subscription group stalls the producer only
-// through the pipeline's backpressure.
+// The ingest evaluates its subscriptions on K = min(GOMAXPROCS, 16)
+// streaming muxes, each routing on its own goroutine; at GOMAXPROCS = 1
+// the one mux routes inline on the scan goroutine (see the package
+// comment).
 func (h *Hub) StartIngest(ctx context.Context, doc string) (*Ingest, error) {
 	// Forces registration and DTD parsing now: a stream against a bad
 	// schema fails before any byte arrives.
@@ -198,25 +221,39 @@ func (h *Hub) StartIngest(ctx context.Context, doc string) (*Ingest, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m := mux.NewStreaming()
-	ing := &Ingest{hub: h, doc: doc, m: m, subs: make(map[int]*Subscription), dead: make(chan struct{})}
-	m.OnDetach(func(slot int, err error) {
-		// Runs on the scan goroutine — or on the worker pool's goroutine
-		// that owns the slot's routing group — right after the slot's
-		// Result was recorded: the subscription ends now, mid-stream, not
-		// at end of document. Subscription.finish is Once-guarded and
-		// safe off the scan goroutine.
-		ing.mu.Lock()
-		sub := ing.subs[slot]
-		ing.mu.Unlock()
-		if sub != nil {
-			sub.finish(m.ResultAt(slot).Stats, err)
-		}
-	})
-	if err := m.BeginStream(); err != nil {
-		return nil, err
+	ing := &Ingest{
+		hub:   h,
+		doc:   doc,
+		muxes: make([]*mux.Mux, min(runtime.GOMAXPROCS(0), maxSubMuxes)),
+		place: make(map[string]int),
+		subs:  make(map[slotRef]*Subscription),
+		dead:  make(chan struct{}),
 	}
-	ing.cs = sax.StartChunked(ctx, m, sax.Options{
+	for i := range ing.muxes {
+		m := mux.NewStreaming()
+		m.OnDetach(func(slot int, err error) {
+			// Runs on the goroutine routing this sub-mux, right after the
+			// slot's Result was recorded: the subscription ends now,
+			// mid-stream, not at end of document. Subscription.finish is
+			// Once-guarded and safe off the scan goroutine.
+			ing.mu.Lock()
+			sub := ing.subs[slotRef{i, slot}]
+			ing.mu.Unlock()
+			if sub != nil {
+				sub.finish(m.ResultAt(slot).Stats, err)
+			}
+		})
+		if err := m.BeginStream(); err != nil {
+			return nil, err
+		}
+		ing.muxes[i] = m
+	}
+	var bh sax.BatchHandler = ing.muxes[0]
+	if len(ing.muxes) > 1 {
+		ing.fan = newFanout(ing.muxes)
+		bh = ing.fan
+	}
+	ing.cs = sax.StartChunked(ctx, bh, sax.Options{
 		SkipWhitespaceText: true,
 		AttrsToSubelements: h.opt.AttrsToSubelements,
 	})

@@ -39,6 +39,14 @@ type Subscription struct {
 	mu    sync.Mutex
 	stats SubStats
 	err   error
+	// stopWatch unregisters the context watch (context.AfterFunc) that
+	// finishes the subscription when its context is canceled — also
+	// while it is parked waiting for an ingest, or attached to an idle
+	// stream, where no event batch would ever observe the cancellation.
+	// The mux-side detach (at the next batch, if any) is then a no-op on
+	// an already-finished subscription. Guarded by mu: the watch may
+	// fire before Subscribe has stored it.
+	stopWatch func() bool
 
 	finishOnce sync.Once
 	statsDone  chan struct{} // closed by finish, after stats are final
@@ -97,27 +105,16 @@ func (s *Subscription) finish(st engine.Stats, err error) {
 		s.stats.PeakBufferBytes = st.PeakBufferBytes
 		s.stats.Tokens = st.Tokens
 		s.err = err
+		stopWatch := s.stopWatch
 		s.mu.Unlock()
 		if err == nil {
 			s.hub.cat.ObservePeak(s.doc, s.query.Plan().SigKey(), st.PeakBufferBytes)
 		}
+		stopWatch()
 		s.release()
 		s.ring.closeWrite()
 		close(s.statsDone)
 	})
-}
-
-// watchCtx finishes the subscription when its context is canceled —
-// including while it is parked waiting for an ingest, or attached to an
-// idle stream, where no event batch would ever observe the
-// cancellation. The mux-side detach (at the next batch, if any) is then
-// a no-op on an already-finished subscription.
-func (s *Subscription) watchCtx() {
-	select {
-	case <-s.ctx.Done():
-		s.finish(engine.Stats{}, s.ctx.Err())
-	case <-s.statsDone:
-	}
 }
 
 // drain is the subscription's delivery goroutine: it moves bytes from
