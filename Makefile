@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build bench-module test race vet fmt-check lint-docs fuzz bench race-fault race-cpu clean
+.PHONY: build bench-module test race vet fmt-check lint-docs fuzz bench race-fault race-cpu flake clean
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,15 @@ race-cpu:
 	$(GO) test -race -cpu 1,4 ./internal/stream
 	$(GO) test -race -cpu 1,4 -run 'Parallel|Streaming|Admit|Admission|Batch|Dispatch|Budget|Charge' .
 	$(GO) test -race -cpu 1,4 -run 'Stream|Ingest|Subscribe|Stall' ./internal/shard
+
+# Flake audit: the shared-scan multiplexer and the stream hub twenty
+# times under the race detector, then the root differential suites
+# (automaton dispatch, hub vs batch scan, RunAll, routing) ten times.
+# Their failures depend on goroutine interleaving and batch timing, so
+# one green run proves little; about 2 minutes on 2 vCPUs.
+flake:
+	$(GO) test -race -count=20 ./internal/mux ./internal/stream
+	$(GO) test -race -count=10 -run 'Automaton|Parallel|RunAll|Selective' .
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -3,8 +3,8 @@ package flux
 // Differential testing of the merged path automaton: random query
 // batches (disjoint, overlapping, and identical-signature mixes) run
 // through automaton dispatch (mux.NewSelective) against three
-// references. Naive all-fanout (mux.New) is the output oracle: byte
-// equality wherever the queries succeed. A machine prebuilt the
+// references. The naive DOM engine (Options{Engine: Naive}) is the
+// output oracle: byte equality wherever both succeed. A machine prebuilt the
 // executor's way and installed with SetMachine must agree with the
 // fresh build exactly — stream error, per-query errors, output bytes,
 // and SkippedEvents. And each query's solo routed run (Query.Run:
@@ -106,18 +106,23 @@ func newInstalledMux(qs []*Query) func() *mux.Mux {
 	}
 }
 
-// checkAgainstOracle compares an automaton run with the all-fanout run:
-// byte equality wherever both succeeded (an automaton success never
-// hides an output difference).
-func checkAgainstOracle(t *testing.T, label string, auto, all batchRun) {
+// checkAgainstOracle compares each query of an automaton run with the
+// naive DOM engine's evaluation of the same query over the same
+// document: byte equality wherever both succeeded (an automaton success
+// never hides an output difference).
+func checkAgainstOracle(t *testing.T, label string, auto batchRun, qs []*Query, doc string) {
 	t.Helper()
-	if all.err != nil || auto.err != nil {
+	if auto.err != nil {
 		return
 	}
-	for i, ar := range auto.results {
-		if ar.Err == nil && all.results[i].Err == nil && auto.outs[i] != all.outs[i] {
-			t.Fatalf("%s: query %d output differs from all-fanout\nautomaton:  %q\nall-fanout: %q",
-				label, i, auto.outs[i], all.outs[i])
+	for i, q := range qs {
+		if auto.results[i].Err != nil {
+			continue
+		}
+		naive, _, err := q.RunString(doc, Options{Engine: Naive})
+		if err == nil && auto.outs[i] != naive {
+			t.Fatalf("%s: query %d output differs from the naive engine\nautomaton: %q\nnaive:     %q",
+				label, i, auto.outs[i], naive)
 		}
 	}
 }
@@ -171,6 +176,10 @@ func checkAgainstSolo(t *testing.T, label string, auto batchRun, qs []*Query, do
 			t.Fatalf("%s: query %d was delivered %d tokens in the batch, %d solo; routing must not deliver more",
 				label, i, ar.Stats.Tokens, st.Tokens)
 		}
+		if ar.Err == nil && (ar.Stats.PeakBufferBytes != st.PeakBufferBytes || ar.Stats.OutputBytes != st.OutputBytes) {
+			t.Fatalf("%s: query %d buffer stats differ: batch peak %d output %d, solo peak %d output %d",
+				label, i, ar.Stats.PeakBufferBytes, ar.Stats.OutputBytes, st.PeakBufferBytes, st.OutputBytes)
+		}
 	}
 }
 
@@ -194,7 +203,7 @@ func TestAutomatonDifferential(t *testing.T) {
 				doc := dtd.RandomDocument(schema, int64(seed*107+d), dtd.GenOptions{})
 				label := t.Name()
 				auto := runQueryBatch(mux.NewSelective, qs, doc)
-				checkAgainstOracle(t, label, auto, runQueryBatch(mux.New, qs, doc))
+				checkAgainstOracle(t, label, auto, qs, doc)
 				checkAgainstSolo(t, label, auto, qs, doc)
 				// Every other document: the executor's cache path — a
 				// machine prebuilt from sorted distinct keys and installed
@@ -214,9 +223,10 @@ func TestAutomatonDifferential(t *testing.T) {
 
 // FuzzAutomatonDispatch fuzzes the document bytes under seeded query
 // batches: whatever the input — malformed XML included — automaton
-// dispatch must match all-fanout output wherever both succeed
-// (all-fanout tokenizes regions selective routing prunes, so it may
-// legitimately catch malformations the automaton run never sees), must
+// dispatch must match the naive engine's output wherever both succeed
+// (the naive engine parses regions routing prunes and validates the
+// whole document, so it may legitimately reject inputs the automaton
+// run accepts), must
 // not depend on whether its machine was built or installed, and must
 // agree with every query's solo run wherever the batch scan saw
 // well-formed input.
@@ -238,7 +248,7 @@ func FuzzAutomatonDispatch(f *testing.F) {
 			t.Skip()
 		}
 		auto := runQueryBatch(mux.NewSelective, qs, doc)
-		checkAgainstOracle(t, "fuzz", auto, runQueryBatch(mux.New, qs, doc))
+		checkAgainstOracle(t, "fuzz", auto, qs, doc)
 		installed := runQueryBatch(newInstalledMux(qs), qs, doc)
 		checkInstalledMachine(t, "fuzz (SetMachine)", installed, auto)
 		checkAgainstSolo(t, "fuzz", auto, qs, doc)

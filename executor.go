@@ -49,8 +49,9 @@ import (
 // and cached — a machine depends only on its groups, so documents
 // sharing a schema share machines and a swap keeps them;
 // DocStats.AutomatonHits counts cache reuse. The interior of a subtree
-// a query ignores is not validated against its DTD; RunAll keeps
-// all-fanout delivery and with it full per-query validation.
+// a query ignores is not validated against its DTD, exactly as under
+// Query.Run and RunAll; Query.ValidateDocument validates a whole
+// document.
 //
 // Memory is bounded by the catalog's one gate, query by query: each
 // query is charged Catalog.Charge — the peak its plan buffered on the

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"flux/internal/engine"
 	"flux/internal/holdtest"
+	"flux/internal/sax"
 )
 
 // newTestExecutor builds a catalog with one document and an executor
@@ -677,9 +679,9 @@ func TestExecutorBudgetKeepsStreamingTogether(t *testing.T) {
 }
 
 // TestExecutorSelectiveSkipsEvents: a narrow query against a document
-// with irrelevant regions is delivered fewer events than the all-fanout
-// shared scan (RunAll) delivers, and the skip shows up in
-// DocStats.EventsSkipped.
+// with irrelevant regions is delivered fewer events than an unrouted
+// run (engine.Run, one session fed every event) processes, and the skip
+// shows up in DocStats.EventsSkipped.
 func TestExecutorSelectiveSkipsEvents(t *testing.T) {
 	const q = `<out> { for $b in /bib/book return <t> {$b/title} </t> } </out>`
 	cat := NewCatalog(CatalogOptions{})
@@ -696,16 +698,16 @@ func TestExecutorSelectiveSkipsEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want strings.Builder
-	all, err := RunAll([]*Query{mustPrepare(t, q)}, strings.NewReader(catDoc), Options{}, &want)
-	if err != nil || all[0].Err != nil {
-		t.Fatal(err, all[0].Err)
+	all, err := engine.Run(mustPrepare(t, q).plan, strings.NewReader(catDoc), &want, sax.Options{SkipWhitespaceText: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if sb.String() != want.String() {
 		t.Fatalf("output = %q, want %q", sb.String(), want.String())
 	}
-	if res.Stats.Tokens >= all[0].Stats.Tokens {
-		t.Errorf("executor delivered %d events, all-fanout %d; want strictly fewer",
-			res.Stats.Tokens, all[0].Stats.Tokens)
+	if res.Stats.Tokens >= all.Tokens {
+		t.Errorf("executor delivered %d events, unrouted %d; want strictly fewer",
+			res.Stats.Tokens, all.Tokens)
 	}
 	if st := ex.Stats()["bib"]; st.EventsSkipped == 0 {
 		t.Errorf("EventsSkipped = 0, want > 0 (stats %+v)", st)

@@ -238,8 +238,14 @@ type Result struct {
 // RunAll evaluates all queries in a single pass of the XML document read
 // from r, writing each query's result to the corresponding writer (one
 // writer per query). The scan — read, tokenization, entity decoding — is
-// paid once and every event fans out to all queries, so N queries against
-// one document cost one traversal instead of N.
+// paid once, so N queries against one document cost one traversal
+// instead of N.
+//
+// Each query is routed as its own Run routes it: events are routed by
+// the query's projected-path signature, so a query is not delivered —
+// and does not validate against its DTD — the interior of subtrees it
+// provably ignores, and its output and buffer statistics equal its solo
+// Run's. ValidateDocument covers full-document validation.
 //
 // Failures are isolated per query: a query whose plan errors mid-stream
 // is detached and its Result records the error, while its siblings keep
@@ -263,7 +269,7 @@ func RunAllContext(ctx context.Context, queries []*Query, r io.Reader, opt Optio
 	if len(ws) != len(queries) {
 		return nil, fmt.Errorf("flux: RunAll needs one writer per query: %d queries, %d writers", len(queries), len(ws))
 	}
-	m := mux.New()
+	m := mux.NewSelective()
 	for i, q := range queries {
 		m.Add(q.plan, ws[i])
 	}

@@ -71,7 +71,7 @@ func TestExample51BufferTrees(t *testing.T) {
 		`<article><author>Zoe</author></article>` +
 		`</bib>`
 	var sb strings.Builder
-	if _, err := RunString(plan, doc, &sb, saxOpt); err != nil {
+	if _, err := Run(plan, strings.NewReader(doc), &sb, saxOpt); err != nil {
 		t.Fatal(err)
 	}
 	// The condition navigates $book/publisher/ceo, i.e. existentially over
@@ -129,7 +129,7 @@ func TestExample52Evaluators(t *testing.T) {
 	}
 	doc.WriteString("</bib>")
 	var out strings.Builder
-	st, err := RunString(plan, doc.String(), &out, saxOpt)
+	st, err := Run(plan, strings.NewReader(doc.String()), &out, saxOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func runBoth(t *testing.T, dtdText, query, doc string) Stats {
 		t.Fatalf("Compile: %v\nFluX: %s", err, core.Print(f))
 	}
 	var fluxOut strings.Builder
-	st, err := RunString(plan, doc, &fluxOut, saxOpt)
+	st, err := Run(plan, strings.NewReader(doc), &fluxOut, saxOpt)
 	if err != nil {
 		t.Fatalf("Run: %v\nFluX: %s\nPlan:\n%s", err, core.Print(f), plan.Describe())
 	}
@@ -306,7 +306,7 @@ func TestValidationErrors(t *testing.T) {
 	}
 	for _, doc := range bad {
 		var sb strings.Builder
-		if _, err := RunString(plan, doc, &sb, saxOpt); err == nil {
+		if _, err := Run(plan, strings.NewReader(doc), &sb, saxOpt); err == nil {
 			t.Errorf("invalid document accepted: %s", doc)
 		}
 	}

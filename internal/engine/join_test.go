@@ -64,7 +64,7 @@ func runJoinBoth(t *testing.T, query, strategy, doc string) string {
 	}
 	runBoth(t, joinDTD, query, doc)
 	var out strings.Builder
-	if _, err := RunString(plan, doc, &out, saxOpt); err != nil {
+	if _, err := Run(plan, strings.NewReader(doc), &out, saxOpt); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()

@@ -59,11 +59,6 @@ func RunContext(ctx context.Context, plan *Plan, r io.Reader, w io.Writer, opt s
 	return s.Finish()
 }
 
-// RunString executes a plan over an in-memory document.
-func RunString(plan *Plan, doc string, w io.Writer, opt sax.Options) (Stats, error) {
-	return Run(plan, strings.NewReader(doc), w, opt)
-}
-
 // scopeRT is one runtime instance of a process-stream scope.
 type scopeRT struct {
 	spec    *scopeSpec

@@ -9,37 +9,37 @@
 // and failures stay fully isolated — a plan that errors mid-stream is
 // detached from the event flow without disturbing its siblings.
 //
-// A multiplexer created with NewSelective additionally routes events by
-// each plan's projected-path signature (engine.SigNode): plans with equal
-// signatures form one event-routing group, and a subtree no path of a
-// group's signature can match is delivered to that group as a single
-// Session.SkipSubtree step instead of event by event. A wide batch of
-// narrow queries then costs each query only the events its projection can
-// match, not the whole document.
+// Every multiplexer routes events by each plan's projected-path
+// signature (engine.SigNode): plans with equal signatures form one
+// event-routing group, and a subtree no path of a group's signature can
+// match is delivered to that group as a single Session.SkipSubtree step
+// instead of event by event. A wide batch of narrow queries then costs
+// each query only the events its projection can match, not the whole
+// document. A plan's output and buffer statistics are those of its solo
+// routed run (engine.RunSelectiveContext), and it is delivered no more
+// events than that run.
 //
-// Selective routing is evaluated by one merged path automaton per batch
+// Routing is evaluated by one merged path automaton per batch
 // (internal/autom): the groups' signature tries are merged into a
 // single trie with per-group accept bitsets, so each token updates one
 // cursor and yields the whole batch's delivery decision as a mask —
 // shared path prefixes cost one traversal no matter how many groups
 // share them.
 //
-// The trade of selective routing: a plan no longer validates
-// the interior of subtrees its query provably ignores (the parent content
-// model still validates every skipped element's tag; element events at
-// observed positions are always delivered, so validation there is
-// unchanged). Character data at an observed tags-only position is
-// delivered unless the DTD proves it irrelevant: at a mixed-content
-// spine position text is always legal and never consumed, so it is
-// withheld (engine.SigNode.DropText); at a non-mixed position stray
-// text must still fail validation, so it flows. New preserves the
-// deliver-everything behavior, including full per-plan DTD validation;
-// it backs flux.RunAll's full-validation contract and serves the
-// differential tests as the output oracle.
+// The trade of routing: a plan does not validate the interior of
+// subtrees its query provably ignores (the parent content model still
+// validates every skipped element's tag; element events at observed
+// positions are always delivered, so validation there is unchanged).
+// Character data at an observed tags-only position is delivered unless
+// the DTD proves it irrelevant: at a mixed-content spine position text
+// is always legal and never consumed, so it is withheld
+// (engine.SigNode.DropText); at a non-mixed position stray text must
+// still fail validation, so it flows. Full-document validation is a
+// pass of its own (dtd.Validate, behind flux's Query.ValidateDocument).
 //
 // A Mux consumes the scan as a sax.BatchHandler only: Run and the
-// streaming lifecycle both drive the batched scanner. Selective routing
-// is one delivery loop, token by token: step advances the matcher and
+// streaming lifecycle both drive the batched scanner. Routing is one
+// delivery loop, token by token: step advances the matcher and
 // yields the token's deliver and skip masks, deliver hands the token to
 // the live members of those groups. A Mux starts no goroutine: a
 // streaming scan that uses more than one core runs several muxes, one
@@ -67,20 +67,20 @@ type Result struct {
 	// failure (malformed XML, read error) is recorded on every query that
 	// was still live when it happened and also returned from Run.
 	Err error
-	// SkippedEvents counts the scan events selective fan-out withheld
-	// from this plan (the interior of subtrees its signature cannot
-	// match). Under scanner-level pruning (the batched Run), a subtree
-	// every group skips is consumed raw and arrives as one SkipElement
-	// token, advancing this counter by one instead of by the subtree's
-	// true event count — the value is a lower bound on the events an
-	// all-fanout scan would have delivered, not an exact count. Always 0
-	// for a Mux created with New.
+	// SkippedEvents counts the scan events routing withheld from this
+	// plan (the interior of subtrees its signature cannot match). Under
+	// scanner-level pruning (the batched Run), a subtree every group
+	// skips is consumed raw and arrives as one SkipElement token,
+	// advancing this counter by one instead of by the subtree's true
+	// event count — the value is a lower bound on the events an unrouted
+	// scan would have delivered, not an exact count.
 	SkippedEvents int64
 }
 
-// Mux fans one stream's SAX events to any number of engine sessions.
-// Zero value is not ready; use New or NewSelective. A Mux is single-use:
-// register plans with Add or AddContext, then call Run once.
+// Mux routes one stream's SAX events to any number of engine sessions.
+// Zero value is not ready; use NewSelective or NewStreaming. A Mux is
+// single-use: register plans with Add or AddContext, then call Run once
+// (or, streaming, BeginStream and EndStream).
 type Mux struct {
 	sessions []*engine.Session
 	plans    []*engine.Plan
@@ -92,17 +92,14 @@ type Mux struct {
 	events   int64
 	ran      bool
 
-	// Selective fan-out state (selective Muxes only).
-	selective bool
+	// Routing state: the groups, the merged automaton (built by
+	// buildGroups, or installed by SetMachine from the executor's cache)
+	// and its per-scan matcher.
 	groups    []*fanGroup
 	slotGroup []int // slot index -> group index
 	depth     int   // open elements in the scan
-
-	// Automaton routing state (selective muxes): the merged
-	// machine (built by buildGroups, or installed by SetMachine from the
-	// executor's cache) and its per-scan matcher.
-	machine *autom.Machine
-	matcher *autom.Matcher
+	machine   *autom.Machine
+	matcher   *autom.Matcher
 
 	// stream is non-nil in streaming mode (NewStreaming): explicit
 	// BeginStream/EndStream lifecycle, mid-stream subscriptions, and a
@@ -119,32 +116,24 @@ type fanGroup struct {
 	sig     *engine.SigNode
 }
 
-// New returns an empty multiplexer that delivers every event to every
-// registered plan (all-fanout).
-func New() *Mux { return &Mux{} }
-
-// NewSelective returns an empty multiplexer with selective fan-out:
-// events are routed by each plan's projected-path signature, and
-// subtrees a plan provably cannot match are skipped for it (see the
-// package comment for the validation trade-off). Routing is evaluated
-// by the batch's merged path automaton.
-func NewSelective() *Mux { return &Mux{selective: true} }
+// NewSelective returns an empty batch multiplexer: events are routed by
+// each plan's projected-path signature, and subtrees a plan provably
+// cannot match are skipped for it (see the package comment for the
+// validation trade-off). Routing is evaluated by the batch's merged
+// path automaton.
+func NewSelective() *Mux { return &Mux{} }
 
 // SetMachine installs a prebuilt merged automaton (the executor caches
 // one per batch signature set). The machine must have been built from
 // exactly the group keys of the plans registered by Run time — one
 // Machine group per distinct GroupKey, no extras — otherwise it is
 // ignored and a fresh automaton is built. Call before Run; no-op on
-// all-fanout and streaming muxes.
+// streaming muxes.
 func (m *Mux) SetMachine(mach *autom.Machine) {
-	if m.selective && m.stream == nil {
+	if m.stream == nil {
 		m.machine = mach
 	}
 }
-
-// Selective reports whether this multiplexer routes events by plan
-// signature rather than delivering everything to everyone.
-func (m *Mux) Selective() bool { return m.selective }
 
 // Add registers a compiled plan whose output is written to w, returning
 // the slot index of its Result in the slice Run returns.
@@ -170,15 +159,12 @@ func (m *Mux) AddContext(ctx context.Context, plan *engine.Plan, w io.Writer) in
 	return len(m.sessions) - 1
 }
 
-// Len reports the number of registered plans.
-func (m *Mux) Len() int { return len(m.sessions) }
-
 // Events reports the number of SAX events the shared scan tokenized —
-// the per-pass cost that N independent runs would each pay again. Under
-// selective fan-out individual plans may have been delivered fewer.
+// the per-pass cost that N independent runs would each pay again.
+// Individual plans may have been delivered fewer.
 func (m *Mux) Events() int64 { return m.events }
 
-// GroupStats describes one event-routing group of a selective scan.
+// GroupStats describes one event-routing group of a scan.
 type GroupStats struct {
 	// Queries is the number of plans routed as this group.
 	Queries int
@@ -187,12 +173,9 @@ type GroupStats struct {
 	SkippedEvents int64
 }
 
-// Groups reports the event-routing groups of a selective Mux in
-// formation order, nil for an all-fanout Mux. Call it after Run.
+// Groups reports the event-routing groups of a Mux in formation order.
+// Call it after Run.
 func (m *Mux) Groups() []GroupStats {
-	if !m.selective {
-		return nil
-	}
 	out := make([]GroupStats, len(m.groups))
 	for i, g := range m.groups {
 		out[i] = GroupStats{Queries: len(g.members), SkippedEvents: m.matcher.Skipped(i)}
@@ -312,49 +295,20 @@ func (m *Mux) pollCtxs() {
 	}
 }
 
-// HandleBatch implements sax.BatchHandler — the batched shared scan.
-// All-fanout delivery hands the whole batch to each live session in one
-// call, one dynamic dispatch per session per batch instead of one per
-// session per event; selective fan-out routes token by token through
-// routeBatch, since skip decisions are made per element. Per-slot
-// cancellation is polled once per batch.
+// HandleBatch implements sax.BatchHandler — the batched shared scan. It
+// polls per-slot cancellation once per batch, then routes token by
+// token: a sync-point check (streaming joins), one matcher step, and
+// one delivery to every group. Text tokens keep their arena-backed
+// payloads all the way into the sessions (Session.TextBytes), so the
+// scan allocates no text strings. A stream then pushes every live
+// session's buffered output to its subscriber, so results become
+// visible at batch granularity, not end of document, and it outlives
+// its last live slot; a batch Run aborts once no slot is live.
 func (m *Mux) HandleBatch(b *sax.Batch) error {
 	m.events += int64(len(b.Tokens))
 	if m.nctx > 0 {
 		m.pollCtxs()
 	}
-	switch {
-	case m.stream != nil:
-		// Route, then push every live session's buffered output to its
-		// subscriber — results become visible at batch granularity, not
-		// end of document. A stream outlives its last live slot.
-		m.routeBatch(b)
-		m.flushLive()
-		return nil
-	case m.selective:
-		m.routeBatch(b)
-	default:
-		for i, s := range m.sessions {
-			if !m.live[i] {
-				continue
-			}
-			if err := s.HandleBatch(b); err != nil {
-				m.fail(i, err)
-			}
-		}
-	}
-	if m.nlive == 0 {
-		return errAllFailed
-	}
-	return nil
-}
-
-// routeBatch is the selective router: for each token a sync-point check
-// (streaming joins), one matcher step, and one delivery to every group.
-// Text tokens keep their arena-backed payloads all the way into the
-// sessions (Session.TextBytes), so the batched selective scan allocates
-// no text strings either.
-func (m *Mux) routeBatch(b *sax.Batch) {
 	for i := range b.Tokens {
 		if m.syncPoint() {
 			m.activatePending()
@@ -363,6 +317,14 @@ func (m *Mux) routeBatch(b *sax.Batch) {
 		deliver, skip := m.step(t)
 		m.deliver(t, deliver, skip)
 	}
+	if m.stream != nil {
+		m.flushLive()
+		return nil
+	}
+	if m.nlive == 0 {
+		return errAllFailed
+	}
+	return nil
 }
 
 // syncPoint reports whether queued subscriptions can join before the
@@ -403,7 +365,7 @@ func (m *Mux) step(t *sax.Token) (deliver, skip autom.Mask) {
 		// Character data is withheld at mixed-content spine positions
 		// (SigNode.DropText), where it is always legal and consumes
 		// nothing; non-mixed positions still get it, so stray text fails
-		// validation exactly as it does under all-fanout.
+		// validation exactly as it does in an unrouted run.
 		return m.matcher.Text(), nil
 	}
 }
@@ -452,9 +414,12 @@ func (m *Mux) deliver(t *sax.Token, deliver, skip autom.Mask) {
 	}
 }
 
-// Run scans the XML document from r once, delivering every event to all
-// registered plans (or, under selective fan-out, to the plans whose
-// signature can match it), and returns one Result per plan in Add order.
+// Run scans the XML document from r once, delivering each event to the
+// registered plans whose signature can match it, and returns one Result
+// per plan in Add order. It is the streaming lifecycle closed to joins:
+// every plan is registered before the scan begins, so the scanner prunes
+// the subtrees every group skips (no later subscriber can observe
+// them), and the scan aborts once every plan has failed.
 //
 // Per-query failures (schema violations under a plan's DTD, write errors
 // on a query's output, a done AddContext context) are isolated in that
@@ -466,70 +431,67 @@ func (m *Mux) Run(ctx context.Context, r io.Reader, opt sax.Options) ([]Result, 
 	if m.stream != nil {
 		return nil, errors.New("mux: Run on a streaming mux (use BeginStream/EndStream)")
 	}
-	if m.ran {
-		return nil, errors.New("mux: Run called twice")
+	if err := m.begin("Run"); err != nil {
+		return nil, err
 	}
-	m.ran = true
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if m.selective {
-		m.buildGroups()
-		// Prune, at the scan itself, the subtrees every group skips: their
-		// bytes are consumed raw and arrive as single SkipElement tokens
-		// instead of being tokenized and routed token by token. Subtrees
-		// only some groups skip are still routed here.
-		opt.Prune = m.machine.Prune()
+	// Prune, at the scan itself, the subtrees every group skips: their
+	// bytes are consumed raw and arrive as single SkipElement tokens
+	// instead of being tokenized and routed token by token. Subtrees only
+	// some groups skip are still routed here.
+	opt.Prune = m.machine.Prune()
+	var err error
+	if m.nlive > 0 {
+		err = sax.ScanBatchedContext(ctx, r, m, opt)
 	}
+	if m.nlive == 0 && len(m.sessions) > 0 {
+		// Every query failed: at Begin, or mid-stream, when the scan
+		// aborted after the batch holding the last failure.
+		err = errAllFailed
+	}
+	m.end(err)
+	return m.results, err
+}
+
+// begin groups the registered plans and begins their sessions: the
+// start of a batch Run and of a stream alike. A Mux begins once; call
+// names the entry point for the error.
+func (m *Mux) begin(call string) error {
+	if m.ran {
+		return fmt.Errorf("mux: %s called twice", call)
+	}
+	m.ran = true
+	m.buildGroups()
 	for i, s := range m.sessions {
-		if !m.live[i] {
-			continue
-		}
 		if err := s.Begin(); err != nil {
 			m.fail(i, err)
 		}
 	}
-	if m.nlive > 0 {
-		err := sax.ScanBatchedContext(ctx, r, m, opt)
-		if m.nlive == 0 {
-			// All queries failed mid-stream; the scan aborted after the
-			// batch holding the last failure.
-			m.fillSkipped()
-			return m.results, errAllFailed
-		}
-		if err != nil {
-			m.fillSkipped()
-			// The stream itself is bad: every remaining query inherits
-			// the failure.
-			for i := range m.sessions {
-				if m.live[i] {
-					m.fail(i, err)
-				}
-			}
-			return m.results, err
-		}
-	} else if len(m.sessions) > 0 {
-		return m.results, errAllFailed
-	}
+	return nil
+}
+
+// end closes every live slot: with a nil err its session runs its
+// end-of-document finalization (Session.Finish), otherwise the slot
+// fails with err — the stream itself is bad, so every remaining query
+// inherits the failure. It then copies each routing group's skip
+// counter onto its members' Results: the end of a batch Run and of a
+// stream alike.
+func (m *Mux) end(err error) {
 	for i, s := range m.sessions {
 		if !m.live[i] {
 			continue
 		}
-		st, err := s.Finish()
-		m.results[i] = Result{Stats: st, Err: err}
+		if err != nil {
+			m.fail(i, err)
+			continue
+		}
+		st, ferr := s.Finish()
+		m.results[i] = Result{Stats: st, Err: ferr}
 		m.live[i] = false
 	}
 	m.nlive = 0
-	m.fillSkipped()
-	return m.results, nil
-}
-
-// fillSkipped copies each routing group's skip counter onto its
-// members' Results.
-func (m *Mux) fillSkipped() {
-	if !m.selective {
-		return
-	}
 	m.matcher.Flush()
 	for i := range m.results {
 		m.results[i].SkippedEvents = m.matcher.Skipped(m.slotGroup[i])

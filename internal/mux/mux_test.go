@@ -38,26 +38,38 @@ const testDTD = `
 
 const testDoc = `<r><a>1</a><a>2</a><b>x</b></r>`
 
+// soloRun runs p alone over doc in one engine session. With routed
+// false every event is delivered (engine.Run, the unrouted reference);
+// with routed true the scan is signature-routed as a query's own Run is
+// (engine.RunSelectiveContext).
+func soloRun(t *testing.T, p *engine.Plan, doc string, routed bool) (string, engine.Stats) {
+	t.Helper()
+	var sb strings.Builder
+	run := engine.Run
+	if routed {
+		run = func(p *engine.Plan, r io.Reader, w io.Writer, opt sax.Options) (engine.Stats, error) {
+			return engine.RunSelectiveContext(context.Background(), p, r, w, opt)
+		}
+	}
+	st, err := run(p, strings.NewReader(doc), &sb, scanOpt)
+	if err != nil {
+		t.Fatalf("solo run (routed %v): %v", routed, err)
+	}
+	return sb.String(), st
+}
+
 // TestSharedScanMatchesSingleRun: each plan in a shared scan must produce
-// exactly the output and statistics it produces when run alone.
+// exactly the output and statistics of its own routed run, and the
+// output and buffer statistics of an unrouted one. The scan tokenizes
+// the document once: the copy plan observes every event, so nothing is
+// pruned and the scan's event count is the unrouted run's.
 func TestSharedScanMatchesSingleRun(t *testing.T) {
 	plans := []*engine.Plan{
 		compile(t, testDTD, `{ ps $ROOT: on r as $x return { $x } }`),
 		compile(t, testDTD, `{ ps $ROOT: on-first past(*) return done }`),
 	}
 
-	single := make([]string, len(plans))
-	singleStats := make([]engine.Stats, len(plans))
-	for i, p := range plans {
-		var sb strings.Builder
-		st, err := engine.Run(p, strings.NewReader(testDoc), &sb, scanOpt)
-		if err != nil {
-			t.Fatalf("single run %d: %v", i, err)
-		}
-		single[i], singleStats[i] = sb.String(), st
-	}
-
-	m := mux.New()
+	m := mux.NewSelective()
 	shared := make([]*strings.Builder, len(plans))
 	for i, p := range plans {
 		shared[i] = &strings.Builder{}
@@ -69,20 +81,27 @@ func TestSharedScanMatchesSingleRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shared run: %v", err)
 	}
-	for i := range plans {
+	var unroutedTokens int64
+	for i, p := range plans {
 		if results[i].Err != nil {
 			t.Fatalf("query %d: %v", i, results[i].Err)
 		}
-		if shared[i].String() != single[i] {
-			t.Errorf("query %d output: shared %q, single %q", i, shared[i].String(), single[i])
+		routedOut, routed := soloRun(t, p, testDoc, true)
+		unroutedOut, unrouted := soloRun(t, p, testDoc, false)
+		unroutedTokens = unrouted.Tokens
+		if shared[i].String() != routedOut || shared[i].String() != unroutedOut {
+			t.Errorf("query %d output: shared %q, routed %q, unrouted %q", i, shared[i].String(), routedOut, unroutedOut)
 		}
-		if results[i].Stats != singleStats[i] {
-			t.Errorf("query %d stats: shared %+v, single %+v", i, results[i].Stats, singleStats[i])
+		if results[i].Stats != routed {
+			t.Errorf("query %d stats: shared %+v, routed solo %+v", i, results[i].Stats, routed)
+		}
+		if results[i].Stats.PeakBufferBytes != unrouted.PeakBufferBytes || results[i].Stats.OutputBytes != unrouted.OutputBytes {
+			t.Errorf("query %d buffer stats: shared %+v, unrouted %+v", i, results[i].Stats, unrouted)
 		}
 	}
-	if m.Events() != singleStats[0].Tokens {
-		t.Errorf("shared scan delivered %d events, single run processed %d tokens",
-			m.Events(), singleStats[0].Tokens)
+	if m.Events() != unroutedTokens {
+		t.Errorf("shared scan tokenized %d events, an unrouted run processed %d tokens",
+			m.Events(), unroutedTokens)
 	}
 }
 
@@ -97,7 +116,7 @@ func TestErrorIsolation(t *testing.T) {
 <!ELEMENT b (#PCDATA)>
 `, `{ ps $ROOT: on r as $x return { $x } }`)
 
-	m := mux.New()
+	m := mux.NewSelective()
 	var goodOut, badOut strings.Builder
 	gi := m.Add(good, &goodOut)
 	bi := m.Add(bad, &badOut)
@@ -117,15 +136,17 @@ func TestErrorIsolation(t *testing.T) {
 }
 
 // TestAllFailed: when every plan fails the scan aborts early and Run
-// reports it, with each per-query error preserved.
+// reports it, with each per-query error preserved. Both plans observe
+// the invalid <a>: the copy plan is delivered it, and the narrow plan
+// skips it, but its parent's content model still validates the tag.
 func TestAllFailed(t *testing.T) {
 	badDTD := `
 <!ELEMENT r (b*)>
 <!ELEMENT b (#PCDATA)>
 `
-	m := mux.New()
+	m := mux.NewSelective()
 	m.Add(compile(t, badDTD, `{ ps $ROOT: on r as $x return { $x } }`), &strings.Builder{})
-	m.Add(compile(t, badDTD, `{ ps $ROOT: on-first past(*) return done }`), &strings.Builder{})
+	m.Add(compile(t, badDTD, `{ ps $ROOT: on r as $r return { ps $r: on b as $b return { $b } } }`), &strings.Builder{})
 	results, err := m.Run(nil, strings.NewReader(testDoc), scanOpt)
 	if err == nil {
 		t.Fatal("want an all-queries-failed error, got nil")
@@ -140,7 +161,7 @@ func TestAllFailed(t *testing.T) {
 // TestMalformedInput: a stream-level failure is returned from Run and
 // recorded on every query.
 func TestMalformedInput(t *testing.T) {
-	m := mux.New()
+	m := mux.NewSelective()
 	m.Add(compile(t, testDTD, `{ ps $ROOT: on r as $x return { $x } }`), &strings.Builder{})
 	m.Add(compile(t, testDTD, `{ ps $ROOT: on-first past(*) return done }`), &strings.Builder{})
 	results, err := m.Run(nil, strings.NewReader(`<r><a>1</a>`), scanOpt)
@@ -156,7 +177,7 @@ func TestMalformedInput(t *testing.T) {
 
 // TestRunTwice: a Mux is single-use.
 func TestRunTwice(t *testing.T) {
-	m := mux.New()
+	m := mux.NewSelective()
 	m.Add(compile(t, testDTD, `{ ps $ROOT: on-first past(*) return done }`), &strings.Builder{})
 	if _, err := m.Run(nil, strings.NewReader(testDoc), scanOpt); err != nil {
 		t.Fatalf("first run: %v", err)
@@ -183,7 +204,7 @@ func TestAddContextDetachesCanceledSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	m := mux.New()
+	m := mux.NewSelective()
 	var canceledOut, liveOut strings.Builder
 	m.AddContext(ctx, compile(t, testDTD, `{ ps $ROOT: on r as $x return { $x } }`), &canceledOut)
 	m.Add(compile(t, testDTD, `{ ps $ROOT: on r as $x return { $x } }`), &liveOut)
@@ -222,7 +243,7 @@ func TestRunCanceledScanContext(t *testing.T) {
 	}
 	sb.WriteString("</r>")
 
-	m := mux.New()
+	m := mux.NewSelective()
 	m.Add(compile(t, testDTD, `{ ps $ROOT: on r as $x return { $x } }`), io.Discard)
 	results, err := m.Run(ctx, strings.NewReader(sb.String()), scanOpt)
 	if !errors.Is(err, context.Canceled) {
@@ -264,69 +285,47 @@ func selPlans(t *testing.T) []*engine.Plan {
 	}
 }
 
-// TestSelectiveMatchesAllFanout: selective routing must change only the
-// event counts — every plan's output and peak buffer bytes are identical
-// to the all-fanout scan, and narrow plans see strictly fewer events.
+// TestSelectiveMatchesAllFanout: routing must change only the event
+// counts — every plan's output and peak buffer bytes are identical to
+// its unrouted run, which delivers every event (engine.Run), and
+// narrow plans see strictly fewer events.
 func TestSelectiveMatchesAllFanout(t *testing.T) {
 	plans := selPlans(t)
-
-	runWith := func(m *mux.Mux) ([]mux.Result, []string) {
-		t.Helper()
-		outs := make([]*strings.Builder, len(plans))
-		for i, p := range plans {
-			outs[i] = &strings.Builder{}
-			m.Add(p, outs[i])
-		}
-		results, err := m.Run(nil, strings.NewReader(selDoc), scanOpt)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		texts := make([]string, len(outs))
-		for i, o := range outs {
-			texts[i] = o.String()
-		}
-		return results, texts
+	m := mux.NewSelective()
+	outs := make([]*strings.Builder, len(plans))
+	for i, p := range plans {
+		outs[i] = &strings.Builder{}
+		m.Add(p, outs[i])
+	}
+	selRes, err := m.Run(nil, strings.NewReader(selDoc), scanOpt)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 
-	allRes, allOut := runWith(mux.New())
-	selRes, selOut := runWith(mux.NewSelective())
-
-	for i := range plans {
+	for i, p := range plans {
 		if selRes[i].Err != nil {
 			t.Fatalf("plan %d: %v", i, selRes[i].Err)
 		}
-		if selOut[i] != allOut[i] {
-			t.Errorf("plan %d output: selective %q, all-fanout %q", i, selOut[i], allOut[i])
+		allOut, all := soloRun(t, p, selDoc, false)
+		if outs[i].String() != allOut {
+			t.Errorf("plan %d output: routed %q, unrouted %q", i, outs[i].String(), allOut)
 		}
-		if selRes[i].Stats.PeakBufferBytes != allRes[i].Stats.PeakBufferBytes {
-			t.Errorf("plan %d peak buffer: selective %d, all-fanout %d",
-				i, selRes[i].Stats.PeakBufferBytes, allRes[i].Stats.PeakBufferBytes)
+		if selRes[i].Stats.PeakBufferBytes != all.PeakBufferBytes {
+			t.Errorf("plan %d peak buffer: routed %d, unrouted %d",
+				i, selRes[i].Stats.PeakBufferBytes, all.PeakBufferBytes)
 		}
-		if selRes[i].Stats.Tokens > allRes[i].Stats.Tokens {
-			t.Errorf("plan %d tokens: selective %d > all-fanout %d",
-				i, selRes[i].Stats.Tokens, allRes[i].Stats.Tokens)
+		// The narrow plans must have been delivered strictly fewer events
+		// and their skip counters must say so; the whole-document copy
+		// sees all.
+		narrow := i < 3
+		if narrow && (selRes[i].Stats.Tokens >= all.Tokens || selRes[i].SkippedEvents == 0) {
+			t.Errorf("narrow plan %d: %d events delivered routed (%d skipped), want < %d and > 0 skipped",
+				i, selRes[i].Stats.Tokens, selRes[i].SkippedEvents, all.Tokens)
 		}
-		if allRes[i].SkippedEvents != 0 {
-			t.Errorf("plan %d: all-fanout SkippedEvents = %d, want 0", i, allRes[i].SkippedEvents)
+		if !narrow && (selRes[i].Stats.Tokens != all.Tokens || selRes[i].SkippedEvents != 0) {
+			t.Errorf("copy plan: %d events delivered routed (%d skipped), want %d and 0 skipped",
+				selRes[i].Stats.Tokens, selRes[i].SkippedEvents, all.Tokens)
 		}
-	}
-	// The narrow plans must have been delivered strictly fewer events and
-	// their skip counters must say so; the whole-document copy sees all.
-	for i := 0; i < 3; i++ {
-		if selRes[i].Stats.Tokens >= allRes[i].Stats.Tokens {
-			t.Errorf("narrow plan %d: %d events delivered selectively, want < %d",
-				i, selRes[i].Stats.Tokens, allRes[i].Stats.Tokens)
-		}
-		if selRes[i].SkippedEvents == 0 {
-			t.Errorf("narrow plan %d: SkippedEvents = 0, want > 0", i)
-		}
-	}
-	if selRes[3].Stats.Tokens != allRes[3].Stats.Tokens {
-		t.Errorf("copy plan tokens: selective %d, all-fanout %d",
-			selRes[3].Stats.Tokens, allRes[3].Stats.Tokens)
-	}
-	if selRes[3].SkippedEvents != 0 {
-		t.Errorf("copy plan SkippedEvents = %d, want 0", selRes[3].SkippedEvents)
 	}
 }
 
@@ -435,30 +434,28 @@ func TestSelectiveConstantQuery(t *testing.T) {
 }
 
 // TestSelectiveSpineTextValidation: stray character data at an observed
-// (spine) element fails DTD validation under selective routing exactly
-// as it does under all-fanout — only the interior of skipped subtrees
-// loses validation.
+// (spine) element fails DTD validation under routing exactly as it does
+// in an unrouted run — only the interior of skipped subtrees loses
+// validation.
 func TestSelectiveSpineTextValidation(t *testing.T) {
 	// <r> is a spine position for this narrow query (only <b> matters).
 	p := compile(t, selDTD, `{ ps $ROOT: on r as $r return { ps $r: on b as $b return { $b } } }`)
 	const badDoc = `<r>stray<b><x>bx1</x></b></r>`
-	for _, selective := range []bool{false, true} {
-		m := mux.New()
-		if selective {
-			m = mux.NewSelective()
-		}
-		m.Add(p, io.Discard)
-		results, _ := m.Run(nil, strings.NewReader(badDoc), scanOpt)
-		if results[0].Err == nil {
-			t.Errorf("selective=%v: stray text at spine element must fail validation", selective)
-		}
+	if _, err := engine.Run(p, strings.NewReader(badDoc), io.Discard, scanOpt); err == nil {
+		t.Error("unrouted: stray text at spine element must fail validation")
+	}
+	m := mux.NewSelective()
+	m.Add(p, io.Discard)
+	results, _ := m.Run(nil, strings.NewReader(badDoc), scanOpt)
+	if results[0].Err == nil {
+		t.Error("routed: stray text at spine element must fail validation")
 	}
 }
 
 // TestSelectiveMixedSpineTextWithheld: character data at a *mixed*
 // spine position is provably irrelevant — always legal, never consumed
-// — so selective routing withholds it (SigNode.DropText) while leaving
-// output identical to all-fanout.
+// — so routing withholds it (SigNode.DropText) while leaving output
+// identical to an unrouted run.
 func TestSelectiveMixedSpineTextWithheld(t *testing.T) {
 	const mixedDTD = `
 <!ELEMENT r (#PCDATA|a|b)*>
@@ -471,37 +468,32 @@ func TestSelectiveMixedSpineTextWithheld(t *testing.T) {
 	const doc = `<r>noise<a><x>v1</x></a>mid<a><x>v2</x></a>tail<b>bb</b></r>`
 	q := `{ ps $ROOT: on r as $r return { ps $r: on a as $a return { $a } } }`
 
-	run := func(selective bool) (string, mux.Result) {
-		m := mux.New()
-		if selective {
-			m = mux.NewSelective()
-		}
-		var out strings.Builder
-		m.Add(compile(t, mixedDTD, q), &out)
-		results, err := m.Run(nil, strings.NewReader(doc), scanOpt)
-		if err != nil {
-			t.Fatalf("selective=%v: %v", selective, err)
-		}
-		if results[0].Err != nil {
-			t.Fatalf("selective=%v: %v", selective, results[0].Err)
-		}
-		return out.String(), results[0]
+	p := compile(t, mixedDTD, q)
+	m := mux.NewSelective()
+	var out strings.Builder
+	m.Add(p, &out)
+	results, err := m.Run(nil, strings.NewReader(doc), scanOpt)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	allOut, allRes := run(false)
-	selOut, selRes := run(true)
-	if selOut != allOut {
-		t.Errorf("output diverged: selective %q, all-fanout %q", selOut, allOut)
+	selRes := results[0]
+	if selRes.Err != nil {
+		t.Fatal(selRes.Err)
 	}
-	// All-fanout delivers every event: <r> tags (2), two <a> subtrees
-	// (5 each), the <b> subtree (3), and the three text runs at <r>.
-	if want := int64(18); allRes.Stats.Tokens != want {
-		t.Fatalf("all-fanout tokens = %d, want %d", allRes.Stats.Tokens, want)
+	allOut, all := soloRun(t, p, doc, false)
+	if out.String() != allOut {
+		t.Errorf("output diverged: routed %q, unrouted %q", out.String(), allOut)
 	}
-	// Selective withholds the three spine text runs and collapses <b>
-	// into one skip step: 2 + 5 + 5 + 1 = 13.
+	// An unrouted run delivers every event: <r> tags (2), two <a>
+	// subtrees (5 each), the <b> subtree (3), and the three text runs at
+	// <r>.
+	if want := int64(18); all.Tokens != want {
+		t.Fatalf("unrouted tokens = %d, want %d", all.Tokens, want)
+	}
+	// Routing withholds the three spine text runs and collapses <b> into
+	// one skip step: 2 + 5 + 5 + 1 = 13.
 	if want := int64(13); selRes.Stats.Tokens != want {
-		t.Errorf("selective tokens = %d, want %d (spine text must be withheld)",
+		t.Errorf("routed tokens = %d, want %d (spine text must be withheld)",
 			selRes.Stats.Tokens, want)
 	}
 	if selRes.SkippedEvents == 0 {

@@ -12,7 +12,9 @@ package mux
 // therefore splits Run into an explicit lifecycle — BeginStream, the
 // Mux used directly as the scan's BatchHandler, EndStream — and adds
 // AttachStream, a thread-safe way to enqueue a plan for activation at
-// the next sync point.
+// the next sync point. Run is this lifecycle closed to joins: it shares
+// BeginStream's begin and EndStream's end, and differs only in pruning
+// the scan, aborting once every plan failed, and accepting no joiner.
 //
 // Sync points. A subscription cannot start receiving events at an
 // arbitrary stream position: its engine validates from the document
@@ -25,9 +27,12 @@ package mux
 // top-level subtrees already past are gone, exactly as a listener who
 // tunes in late misses what was broadcast. Plans whose root content
 // model requires the missed subtrees fail validation at EndStream;
-// subscribe-before-ingest avoids that for strict models.
+// subscribe-before-ingest avoids that for strict models. The end of a
+// stream whose root never opened is its first sync point: subscriptions
+// pending there are begun and then end with the stream, exactly as
+// Run's sessions do when a scan fails before its first token.
 //
-// Streaming routing is always selective (token-by-token, through the
+// Streaming routing is the batch scan's (token by token, through the
 // merged path automaton), but the scan runs without scanner-level
 // pruning: pruning commits at scan start to byte-skipping subtrees no
 // registered plan observes, which would be wrong the moment a later
@@ -78,7 +83,7 @@ type pendingSub struct {
 // subscribers is still consumed (and well-formedness checked), since a
 // subscriber may yet join.
 func NewStreaming() *Mux {
-	return &Mux{selective: true, stream: &streamState{}}
+	return &Mux{stream: &streamState{}}
 }
 
 // OnDetach registers a callback invoked whenever a streaming slot is
@@ -116,20 +121,7 @@ func (m *Mux) BeginStream() error {
 	if m.stream == nil {
 		return errNotStreaming
 	}
-	if m.ran {
-		return errors.New("mux: BeginStream called twice")
-	}
-	m.ran = true
-	m.buildGroups()
-	for i, s := range m.sessions {
-		if !m.live[i] {
-			continue
-		}
-		if err := s.Begin(); err != nil {
-			m.fail(i, err)
-		}
-	}
-	return nil
+	return m.begin("BeginStream")
 }
 
 // AttachStream enqueues a plan as a new subscription on a live stream.
@@ -162,22 +154,12 @@ func (m *Mux) AttachStream(ctx context.Context, plan *engine.Plan, w io.Writer, 
 	return nil
 }
 
-// takePending snapshots and clears the pending-subscription queue.
-func (st *streamState) takePending() []pendingSub {
+// takePending snapshots and clears the pending-subscription queue. With
+// end set (EndStream, once) it also closes the queue: later AttachStream
+// calls fail with ErrStreamEnded.
+func (st *streamState) takePending(end bool) []pendingSub {
 	st.pendMu.Lock()
-	pend := st.pend
-	st.pend = nil
-	st.npend.Add(-int32(len(pend)))
-	st.pendMu.Unlock()
-	return pend
-}
-
-// endPending closes the pending queue — later AttachStream calls fail
-// with ErrStreamEnded — and returns whatever was still queued, for
-// rejection. Called once, by EndStream.
-func (st *streamState) endPending() []pendingSub {
-	st.pendMu.Lock()
-	st.ended = true
+	st.ended = st.ended || end
 	pend := st.pend
 	st.pend = nil
 	st.npend.Add(-int32(len(pend)))
@@ -189,7 +171,7 @@ func (st *streamState) endPending() []pendingSub {
 // point. Runs on the scan goroutine with m.depth ≤ 1.
 func (m *Mux) activatePending() {
 	st := m.stream
-	for _, p := range st.takePending() {
+	for _, p := range st.takePending(false) {
 		if p.ctx != nil && p.ctx.Err() != nil {
 			p.done(-1, p.ctx.Err())
 			continue
@@ -212,32 +194,23 @@ func (m *Mux) activatePending() {
 			m.machine = autom.Build(m.machineGroups())
 			m.matcher.Extend(m.machine, st.rootName)
 		}
+		// Begin, then replay the open-element context: if the root is
+		// open, the new session sees its start tag now (or skips the whole
+		// remainder of the root, if its group's automaton state is
+		// inactive), aligning it with the rest of its group.
 		s := m.sessions[slot]
-		if err := s.Begin(); err != nil {
-			m.fail(slot, err)
-			p.done(slot, err)
-			continue
-		}
-		// Replay the open-element context: if the root is open, the new
-		// session sees its start tag now (or skips the whole remainder of
-		// the root, if its group's automaton state is inactive), aligning
-		// it with the rest of its group.
-		if m.depth == 1 {
+		err := s.Begin()
+		if err == nil && m.depth == 1 {
 			if m.matcher.Active(gi) {
-				if err := s.StartElement(st.rootName); err != nil {
-					m.fail(slot, err)
-					p.done(slot, err)
-					continue
-				}
+				err = s.StartElement(st.rootName)
 			} else {
-				if err := s.SkipSubtree(st.rootName); err != nil {
-					m.fail(slot, err)
-					p.done(slot, err)
-					continue
-				}
+				err = s.SkipSubtree(st.rootName)
 			}
 		}
-		p.done(slot, nil)
+		if err != nil {
+			m.fail(slot, err)
+		}
+		p.done(slot, err)
 	}
 }
 
@@ -281,32 +254,25 @@ func (m *Mux) flushLive() {
 // live session runs its end-of-document finalization (Session.Finish).
 // A non-nil streamErr — the scan failed, the producer died — is
 // recorded on every live slot instead, like Run's stream-level failure
-// path. Subscriptions still pending are rejected with ErrStreamEnded,
+// path. If the root never opened, the end is the stream's first sync
+// point: subscriptions pending there activate first, so they are begun
+// and then finish or fail with the stream like every standing slot. Any
+// other subscription still pending is rejected with ErrStreamEnded,
 // wrapping streamErr when the stream failed.
 func (m *Mux) EndStream(streamErr error) []Result {
 	if m.stream == nil {
 		return nil
 	}
+	if m.stream.rootName == "" {
+		m.activatePending()
+	}
 	rejected := ErrStreamEnded
 	if streamErr != nil {
 		rejected = fmt.Errorf("%w: %w", ErrStreamEnded, streamErr)
 	}
-	for _, p := range m.stream.endPending() {
+	for _, p := range m.stream.takePending(true) {
 		p.done(-1, rejected)
 	}
-	for i, s := range m.sessions {
-		if !m.live[i] {
-			continue
-		}
-		if streamErr != nil {
-			m.fail(i, streamErr)
-			continue
-		}
-		st, err := s.Finish()
-		m.results[i] = Result{Stats: st, Err: err}
-		m.live[i] = false
-	}
-	m.nlive = 0
-	m.fillSkipped()
+	m.end(streamErr)
 	return m.results
 }

@@ -220,6 +220,49 @@ func TestStreamJoinAfterEnd(t *testing.T) {
 	}
 }
 
+// TestStreamEndBeforeRootActivatesPending: the end of a stream whose
+// root never opened is its first sync point, so a subscription pending
+// there is begun and then fails with the scan error — with the stats
+// Run records for the same plan over the same input, whose sessions all
+// begin before the scan.
+func TestStreamEndBeforeRootActivatesPending(t *testing.T) {
+	plan := compile(t, selDTD, `{ ps $ROOT: on r as $r return { ps $r: on a as $a return { $a } } }`)
+	const bad = `0` // fails before the first token
+	batch := mux.NewSelective()
+	batch.Add(plan, &strings.Builder{})
+	want, runErr := batch.Run(nil, strings.NewReader(bad), scanOpt)
+	if runErr == nil || want[0].Err == nil {
+		t.Fatalf("Run: err %v, slot err %v; want the scan error on both", runErr, want[0].Err)
+	}
+
+	m := mux.NewStreaming()
+	if err := m.BeginStream(); err != nil {
+		t.Fatal(err)
+	}
+	slot, doneErr := -1, error(nil)
+	if err := m.AttachStream(nil, plan, &strings.Builder{}, func(s int, err error) {
+		slot, doneErr = s, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cs := sax.StartChunked(context.Background(), m, scanOpt)
+	cs.Write([]byte(bad)) // the scan's failure is Close's to report
+	scanErr := cs.Close()
+	if scanErr == nil {
+		t.Fatal("stream: want the scan error, got nil")
+	}
+	res := m.EndStream(scanErr)
+	if slot < 0 || doneErr != nil {
+		t.Fatalf("pending subscription: slot %d, err %v; want it activated at the end", slot, doneErr)
+	}
+	if !errors.Is(res[slot].Err, scanErr) {
+		t.Errorf("slot err = %v, want the scan error %v", res[slot].Err, scanErr)
+	}
+	if res[slot].Stats != want[0].Stats {
+		t.Errorf("slot stats %+v, Run's %+v", res[slot].Stats, want[0].Stats)
+	}
+}
+
 // TestStreamDetachOnCancel: canceling a subscription's context detaches
 // it mid-stream — OnDetach fires, its Result records the cancellation —
 // while its siblings stream on.

@@ -21,10 +21,7 @@ package flux_test
 // prune — a later subscriber may observe the subtree). When the two
 // scans stop at different syntax errors, only the streaming side's
 // failure is checked: it must be a syntax error, recorded on every
-// subscription. And a subscription activates at the stream's first
-// sync point, before the first token: a scan that fails before any
-// token rejects it unbegun (mux.ErrStreamEnded), with no stats to
-// compare.
+// subscription.
 
 import (
 	"context"
@@ -212,12 +209,6 @@ func checkStreamAgainst(t *testing.T, label string, st, bt scanRun) {
 		if so != bo {
 			t.Fatalf("%s: query %d output differs (failed: %v)\nstreaming: %q\nbatch:     %q",
 				label, i, sr.err, sr.out, br.out)
-		}
-		if errors.Is(sr.err, mux.ErrStreamEnded) {
-			// The scan failed before the subscription's first sync point,
-			// so it never began: it has no stats, while the batch scan
-			// began every session before reading a byte.
-			continue
 		}
 		if sr.outputBytes != br.outputBytes || sr.peakBytes != br.peakBytes {
 			t.Fatalf("%s: query %d buffer stats differ: streaming output %d peak %d, batch output %d peak %d",

@@ -6,7 +6,6 @@ package flux
 // change nothing observable except the number of events delivered.
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -97,26 +96,41 @@ func TestSelectiveEquivalenceXMark(t *testing.T) {
 	}
 }
 
-// TestSelectiveRunAllUnchanged: the public RunAll keeps all-fanout
-// semantics — every query sees every event, so per-query validation of
-// the full document is preserved for library users — while a solo Run
-// is signature-routed and sees strictly fewer events for a narrow query.
-func TestSelectiveRunAllUnchanged(t *testing.T) {
-	doc := xmarkTestDoc(t, 32<<10)
-	q, err := Prepare(xmark.Queries["q13"], xmark.DTD)
+// TestRunAllRoutesLikeRun: RunAll routes each query as its own Run
+// does. A DTD violation inside a subtree the query ignores is reported
+// by neither — the query is not delivered that subtree's interior —
+// while ValidateDocument reports it, and RunAll's output and statistics
+// equal the solo Run's.
+func TestRunAllRoutesLikeRun(t *testing.T) {
+	const dtdText = `
+<!ELEMENT bib (book*,note?)>
+<!ELEMENT book (title,year)>
+<!ELEMENT title (#PCDATA)>
+<!ELEMENT year (#PCDATA)>
+<!ELEMENT note (#PCDATA)>
+`
+	// <note> holds text only: the <b> inside it breaks the DTD in a
+	// subtree the query never looks at.
+	const doc = `<bib><book><title>FluX</title><year>2004</year></book><note>see <b>also</b></note></bib>`
+	q, err := Prepare(`<out> { for $b in /bib/book return {$b/title} } </out>`, dtdText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := q.Run(strings.NewReader(doc), io.Discard, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if err := q.ValidateDocument(strings.NewReader(doc), Options{}); err == nil {
+		t.Fatal("ValidateDocument: want the <b> inside <note> reported, got nil")
 	}
-	results, err := RunAll([]*Query{q}, strings.NewReader(doc), Options{}, io.Discard)
+	var solo strings.Builder
+	st, err := q.Run(strings.NewReader(doc), &solo, Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Run: %v", err)
 	}
-	if results[0].Stats.Tokens <= st.Tokens {
-		t.Fatalf("RunAll delivered %d events, routed solo %d; RunAll must stay all-fanout",
-			results[0].Stats.Tokens, st.Tokens)
+	var shared strings.Builder
+	results, err := RunAll([]*Query{q}, strings.NewReader(doc), Options{}, &shared)
+	if err != nil || results[0].Err != nil {
+		t.Fatalf("RunAll: scan %v, query %v; want the ignored subtree unvalidated, as Run leaves it", err, results[0].Err)
+	}
+	if shared.String() != solo.String() || results[0].Stats != st {
+		t.Errorf("RunAll output %q stats %+v, Run output %q stats %+v",
+			shared.String(), results[0].Stats, solo.String(), st)
 	}
 }

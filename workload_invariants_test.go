@@ -20,7 +20,9 @@ import (
 	"time"
 
 	"flux"
+	"flux/internal/engine"
 	"flux/internal/holdtest"
+	"flux/internal/sax"
 	"flux/internal/shard"
 	"flux/internal/stream"
 	"flux/internal/xmark"
@@ -104,8 +106,10 @@ func checkFig4Memory(t *testing.T, w *workload) {
 }
 
 // checkRouting: the disjoint-path fan-out batch through one Executor
-// batch, routed by the merged path automaton, returns what an
-// all-fanout shared scan returns while delivering strictly fewer events.
+// batch, routed by the merged path automaton, returns what RunAll's
+// shared scan returns and delivers exactly as many events, strictly
+// fewer than the queries' unrouted runs (engine.Run, one session fed
+// every event) process.
 func checkRouting(t *testing.T, w *workload) {
 	queries := xmark.FanoutQueries
 	prepared := make([]*flux.Query, len(queries))
@@ -122,12 +126,17 @@ func checkRouting(t *testing.T, w *workload) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var allTokens int64
+	var runAllTokens, unroutedTokens int64
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("RunAll query %d: %v", i, r.Err)
 		}
-		allTokens += r.Stats.Tokens
+		runAllTokens += r.Stats.Tokens
+		st, err := engine.Run(flux.QueryPlan(prepared[i]), bytes.NewReader(w.doc), io.Discard, sax.Options{SkipWhitespaceText: true})
+		if err != nil {
+			t.Fatalf("unrouted query %d: %v", i, err)
+		}
+		unroutedTokens += st.Tokens
 	}
 
 	cat := flux.NewCatalog(flux.CatalogOptions{})
@@ -167,8 +176,9 @@ func checkRouting(t *testing.T, w *workload) {
 		}
 		exTokens += exResults[i].Stats.Tokens
 	}
-	if exTokens >= allTokens {
-		t.Errorf("Executor batch delivered %d events, all-fanout RunAll %d; automaton routing must deliver strictly fewer", exTokens, allTokens)
+	if exTokens != runAllTokens || exTokens >= unroutedTokens {
+		t.Errorf("Executor batch delivered %d events, RunAll %d, unrouted runs %d; automaton routing must deliver as many as RunAll and strictly fewer than unrouted runs",
+			exTokens, runAllTokens, unroutedTokens)
 	}
 }
 
